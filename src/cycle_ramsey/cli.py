@@ -1,7 +1,8 @@
 """Command-line driver.
 
 Exit codes: 0 definite positive result, 1 counterexample or negative
-witness outcome, 2 indeterminate (budget exhausted), 3 usage error.
+witness outcome, 2 indeterminate (budget exhausted), 3 usage error, 4
+internal error (a bug, never a verdict).
 Reports go to stdout in the line formats from `formats`; `--json`
 switches every report to one JSON object per line.  Rational flags take
 exact `p/q` strings — decimals are rejected.
@@ -87,7 +88,6 @@ class RunConfig:
     order: str = "lex"
     threads: int = 1
     budget: int | None = None
-    seed: int = 0
     checkpoint: str | None = None
     resume: str | None = None
     json_output: bool = False
@@ -169,6 +169,10 @@ def build_parser() -> _Parser:
 
 
 def _config(args: argparse.Namespace) -> RunConfig:
+    for flag in ("threads", "budget"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 1:
+            raise _UsageError(f"--{flag} must be >= 1, got {value}")
     threads = getattr(args, "threads", None)
     if threads is None:
         threads = _default_threads()
@@ -184,7 +188,6 @@ def _config(args: argparse.Namespace) -> RunConfig:
         order=getattr(args, "order", "lex"),
         threads=threads,
         budget=getattr(args, "budget", None),
-        seed=getattr(args, "seed", 0),
         checkpoint=getattr(args, "checkpoint", None),
         resume=getattr(args, "resume", None),
         json_output=getattr(args, "json_output", False),
@@ -365,6 +368,12 @@ def run(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        import traceback  # only on this path: every invocation pays import time
+
+        traceback.print_exc()
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 4
 
 
 def main(argv=None) -> int:

@@ -16,13 +16,15 @@ from dataclasses import dataclass
 
 from .certificates import CycleCertificate, StructureWitness, WitnessKind
 from .cycles import components, contains_cycle_of_length
-from .errors import CycleTooShort, EvenCycleLength, InvalidParams
+from .errors import CycleTooShort, EvenCycleLength, InvalidParams, TargetTooLarge
 from .graphs import (
     EdgeColoring,
     color_class,
     complete_graph,
     induced_subgraph,
 )
+
+_MAX_ORDER = 512  # K_512 builds in well under a second and ~36 MiB
 
 
 def bondy_erdos_coloring(k: int, n: int) -> EdgeColoring:
@@ -34,7 +36,8 @@ def bondy_erdos_coloring(k: int, n: int) -> EdgeColoring:
     and b' gets color t+2 where t is the highest bit in which b and b'
     differ — bit t flips exactly when the doubling step that introduced
     color t+2 glued two copies together, so the color-i class is 2^(k-i)
-    disjoint copies of K_{m,m} with m = 2^(i-2)*(n-1).
+    disjoint copies of K_{m,m} with m = 2^(i-2)*(n-1).  Orders above
+    512 raise TargetTooLarge.
     """
     if k < 2:
         raise InvalidParams(f"need at least 2 colors, got {k}")
@@ -43,7 +46,13 @@ def bondy_erdos_coloring(k: int, n: int) -> EdgeColoring:
             f"cycle length {n} < 4: the color-1 cliques would degenerate"
         )
     m = n - 1
-    base = complete_graph((1 << (k - 1)) * m)
+    # The first test keeps a huge k from building a huge integer.
+    if k - 1 >= _MAX_ORDER.bit_length() or m << (k - 1) > _MAX_ORDER:
+        raise TargetTooLarge(
+            f"the coloring for k = {k}, n = {n} has 2^{k - 1}*{m} vertices; "
+            f"capped at {_MAX_ORDER}"
+        )
+    base = complete_graph(m << (k - 1))
     colors = []
     for u, v in base.sorted_edges:
         bu, bv = u // m, v // m

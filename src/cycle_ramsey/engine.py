@@ -210,6 +210,17 @@ class Lemma4Trace:
     verdict: TraceVerdict
 
 
+def _chain_terms(k: int, n: int, eps: Fraction, delta: Fraction) -> tuple:
+    """The odd-case chain terms shared by the trace and the audit:
+    n_cap = k·2^(k+1)·n, chain_cap = 2δ·n_cap²/(kn), εkn/2, and the
+    interval ends (1+ε)kn and kn + εkn/2."""
+    kn = k * n
+    n_cap = k * (1 << (k + 1)) * n
+    eps_half = eps * kn / 2
+    chain_cap = 2 * delta * Fraction(n_cap * n_cap, kn)
+    return n_cap, chain_cap, eps_half, (1 + eps) * kn, kn + eps_half
+
+
 def lemma4_execute(
     col: EdgeColoring, n: int, params: PkParameters
 ) -> StructureWitness | Lemma4Trace:
@@ -274,10 +285,8 @@ def lemma4_execute(
     eq3_ok = cell_edges >= eq3_bound
     chain_a = delta * Fraction(N * (N - 1), x - 1) if x >= 2 else None
     chain_b = 2 * delta * Fraction(N * N, x) if x >= 1 else None
-    n_cap = kp * (1 << (kp + 1)) * n
+    n_cap, chain_cap, eps_half, lower, upper = _chain_terms(kp, n, eps, delta)
     n_cap_ok = N <= n_cap
-    chain_cap = 2 * delta * Fraction(n_cap * n_cap, kp * n)
-    eps_half = eps * kp * n / 2
     chain_ok = (
         chain_a is not None
         and chain_b is not None
@@ -285,8 +294,6 @@ def lemma4_execute(
         and chain_b <= chain_cap
         and chain_cap <= eps_half
     )
-    lower = (1 + eps) * kp * n
-    upper = kp * n + eps_half
     pigeonhole_min = -(-host // (1 << k))
     pigeonhole_ok = x >= lower
 
@@ -407,15 +414,10 @@ def lemma4_inequality_check(k: int, eps, n: int) -> ChainReport:
     link_a_at_boundary = delta * Fraction(N * (N - 1), x0 - 1)
     link_b_at_boundary = 2 * delta * Fraction(N * N, x0)
 
-    n_cap = k * (1 << (k + 1)) * n
+    n_cap, link_c_value, eps_half, lower, upper = _chain_terms(k, n, eps, delta)
     n_cap_ok = N <= n_cap
     link_b_sup = 2 * delta * Fraction(N * N, kn)
-    link_c_value = 2 * delta * Fraction(n_cap * n_cap, kn)
-    eps_half = eps * kn / 2
     link_c_exact = link_c_value == eps_half
-
-    lower = (1 + eps) * kn
-    upper = kn + eps_half
     return ChainReport(
         k=k,
         n=n,

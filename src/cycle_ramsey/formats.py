@@ -22,7 +22,7 @@ from .cycles import SweepReport
 from .decompose import FLDecomposition, PeelResult
 from .engine import ChainReport, EvenCaseReport, Lemma4Trace
 from .errors import FormatError
-from .graphs import EdgeColoring, Graph, build_graph, complete_graph, make_coloring
+from .graphs import EdgeColoring, Graph, build_graph, make_coloring
 from .search import SearchResult, SearchVerdict
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
@@ -36,10 +36,6 @@ def parse_rational(text: str) -> Fraction:
             "(decimals are not accepted)"
         )
     return Fraction(text)
-
-
-def format_rational(q: Fraction) -> str:
-    return str(q)
 
 
 # ---------------------------------------------------------------------------
@@ -61,9 +57,10 @@ def serialize_coloring(col: EdgeColoring) -> str:
 
 
 def _data_lines(text: str) -> list[tuple[int, list[str]]]:
+    """Numbered token lists of the non-blank lines; `#` starts a comment."""
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
+        line = raw.split("#", 1)[0].strip()
         if line:
             out.append((lineno, line.split()))
     return out
@@ -111,15 +108,6 @@ def parse_coloring(text: str) -> EdgeColoring:
         assignment[(a, b)] = c
     base = build_graph(v, edges)
     return make_coloring(base, k, assignment)
-
-
-def parse_coloring_as_complete(text: str) -> EdgeColoring:
-    """Parse a coloring and insist its base graph is complete — the shape
-    every Ramsey-style consumer expects."""
-    col = parse_coloring(text)
-    if col.base != complete_graph(col.base.vertex_count):
-        raise FormatError("coloring does not cover a complete graph")
-    return col
 
 
 # ---------------------------------------------------------------------------

@@ -100,7 +100,3 @@ def max_matching(G: Graph) -> MatchingCertificate:
         normalize_edge(v, match[v]) for v in range(n) if match[v] > v
     )
     return MatchingCertificate(edges)
-
-
-def matching_number(G: Graph) -> int:
-    return max_matching(G).size

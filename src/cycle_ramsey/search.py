@@ -18,6 +18,7 @@ import time
 from dataclasses import dataclass
 
 from .constructions import verify_mono_cycle_free
+from .cycles import _has_path_exact
 from .errors import (
     CycleRamseyError,
     CycleTooShort,
@@ -50,27 +51,6 @@ def edge_order(N: int, scheme: str = "lex") -> tuple[Edge, ...]:
     if scheme == "colex":
         return tuple((u, v) for v in range(N) for u in range(v))
     raise InvalidParams(f"unknown edge order {scheme!r}")
-
-
-def _has_path_exact(neigh: list[int], a: int, b: int, length: int) -> bool:
-    """True iff the mask graph has a simple a..b path of exactly `length`
-    edges avoiding b internally."""
-    if length == 1:
-        return bool(neigh[a] >> b & 1)
-    not_b = ~(1 << b)
-    stack = [(a, 1 << a, length)]
-    while stack:
-        cur, mask, rem = stack.pop()
-        if rem == 1:
-            if neigh[cur] >> b & 1:
-                return True
-            continue
-        cand = neigh[cur] & ~mask & not_b
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            stack.append((low.bit_length() - 1, mask | low, rem - 1))
-    return False
 
 
 class SearchVerdict(enum.Enum):
@@ -127,10 +107,14 @@ def _replay_prefix(
     """Rebuild per-color adjacency masks for a color prefix.
 
     Returns None if the prefix already closes a monochromatic C_n (its
-    subtree is empty).  Raises FormatError on colors that break the
-    canonical first-appearance rule — such a prefix cannot have come
-    from this search.
+    subtree is empty).  Raises FormatError on a prefix longer than the
+    edge order or on colors that break the canonical first-appearance
+    rule — such a prefix cannot have come from this search.
     """
+    if len(prefix) > len(edges):
+        raise FormatError(
+            f"prefix of {len(prefix)} colors exceeds the {len(edges)} edges of K_{N}"
+        )
     neigh = [[0] * N for _ in range(k)]
     maxused = 0
     for i, color in enumerate(prefix):

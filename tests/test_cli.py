@@ -69,6 +69,41 @@ def test_malformed_coloring_file(capsys, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("flag,value", [("--threads", "0"), ("--budget", "-5")])
+def test_search_rejects_non_positive_counts(capsys, flag, value):
+    code, out, err = run(
+        capsys, "search", "--k", "2", "--n", "5", "--N", "4", flag, value
+    )
+    assert code == 3
+    assert out == "" and "must be >= 1" in err
+
+
+def test_checkpoint_prefix_longer_than_edge_order(capsys, tmp_path):
+    ck = tmp_path / "ck.txt"
+    ck.write_text("prefix 8 1 2 1 2 1 2 1 2\n")  # K_4 has 6 edges
+    code, out, err = run(
+        capsys, "search", "--k", "2", "--n", "5", "--N", "4", "--resume", str(ck)
+    )
+    assert code == 3
+    assert out == "" and "exceeds the 6 edges" in err
+
+
+# --------------------------------------------------------------------------
+# exit code 4: internal errors
+
+
+def test_internal_error_exits_four(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise IndexError("tuple index out of range")
+
+    monkeypatch.setattr(cli, "ramsey_check", broken)
+    code, out, err = run(capsys, "search", "--k", "2", "--n", "3", "--N", "5")
+    assert code == 4
+    assert out == ""
+    assert "Traceback" in err
+    assert "internal error: IndexError('tuple index out of range')" in err
+
+
 # --------------------------------------------------------------------------
 # construct / verify round trip
 

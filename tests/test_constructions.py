@@ -12,6 +12,7 @@ from cycle_ramsey import (
     EvenCycleLength,
     InvalidParams,
     StructureWitness,
+    TargetTooLarge,
     WitnessKind,
     bondy_erdos_coloring,
     build_graph,
@@ -33,6 +34,13 @@ def test_bondy_erdos_rejects_bad_params():
         bondy_erdos_coloring(1, 5)
     with pytest.raises(InvalidParams):
         bondy_erdos_coloring(2, 3)
+
+
+def test_bondy_erdos_caps_the_order_at_512():
+    assert bondy_erdos_coloring(8, 5).base.vertex_count == 512
+    for k, n in [(2, 258), (9, 4), (10**9, 5)]:
+        with pytest.raises(TargetTooLarge):
+            bondy_erdos_coloring(k, n)
 
 
 def test_bondy_erdos_two_five_shape():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -203,6 +205,34 @@ def test_longest_cycle_stop_at_semantics(G, stop_at):
         assert cert is not None and cert.length == max(truth)
     else:
         assert cert is None
+
+
+def brute_cycle_sequences(G):
+    """Every cycle of G as a vertex sequence starting at its minimum
+    vertex, once per direction, by trying every ordering of every subset."""
+    found = []
+    for size in range(3, G.vertex_count + 1):
+        for sub in itertools.combinations(range(G.vertex_count), size):
+            for perm in itertools.permutations(sub[1:]):
+                cyc = (sub[0],) + perm
+                if all(G.has_edge(cyc[i - 1], cyc[i]) for i in range(size)):
+                    found.append(cyc)
+    return found
+
+
+@given(graphs(max_vertices=7), st.integers(3, 8))
+@settings(max_examples=150)
+def test_certificates_are_lexicographically_least(G, n):
+    # The returned cycle is fixed by the graph alone: the lexicographically
+    # least min-vertex-first sequence.  Hunt trajectories and witness
+    # output depend on this choice.
+    cycles = brute_cycle_sequences(G)
+    exact = [c for c in cycles if len(c) == n]
+    cert = contains_cycle_of_length(G, n)
+    assert (cert and cert.vertices) == (min(exact) if exact else None)
+    at_least = [c for c in cycles if len(c) >= n]
+    if at_least:
+        assert longest_cycle(G, stop_at=n).vertices == min(at_least)
 
 
 # --------------------------------------------------------------------------

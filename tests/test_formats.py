@@ -24,9 +24,7 @@ from cycle_ramsey import (
     erdos_gallai_sweep,
 )
 from cycle_ramsey.formats import (
-    format_rational,
     parse_coloring,
-    parse_coloring_as_complete,
     parse_graph,
     parse_rational,
     serialize_chain_report,
@@ -73,8 +71,9 @@ def test_parse_rational_rejects(text):
 
 
 def test_format_rational_round_trips():
+    # reports and JSON write rationals with str(); the parser reads them back
     for q in [Fraction(1, 3), Fraction(-7, 2), Fraction(5)]:
-        assert parse_rational(format_rational(q)) == q
+        assert parse_rational(str(q)) == q
 
 
 # --------------------------------------------------------------------------
@@ -137,12 +136,20 @@ def test_parse_coloring_rejects_malformed(text):
         parse_coloring(text)
 
 
-def test_parse_coloring_as_complete_enforces_completeness():
-    full = serialize_coloring(constant_coloring(complete_graph(4), 2, 1))
-    assert parse_coloring_as_complete(full).base == complete_graph(4)
-    partial = "coloring 3 1\ne 0 1 1\n"
+def test_whole_line_comments_are_ignored():
+    G = parse_graph("# a comment\ngraph 3\n  # indented\ne 0 1\n")
+    assert G == build_graph(3, [(0, 1)])
+    col = parse_coloring("# a comment\ncoloring 3 2\n#\ne 1 2 2\n")
+    assert serialize_coloring(col) == "coloring 3 2\ne 1 2 2\n"
+
+
+def test_trailing_comments_are_ignored():
+    G = parse_graph("graph 3 # three vertices\ne 0 1#edge\n")
+    assert G == build_graph(3, [(0, 1)])
+    col = parse_coloring("coloring 3 2  # k = 2\ne 0 2 1 # colour 1\n")
+    assert serialize_coloring(col) == "coloring 3 2\ne 0 2 1\n"
     with pytest.raises(FormatError):
-        parse_coloring_as_complete(partial)
+        parse_coloring("coloring 3 2\ne 0 2 # 1\n")
 
 
 # --------------------------------------------------------------------------

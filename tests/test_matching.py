@@ -11,7 +11,6 @@ from cycle_ramsey import (
     build_graph,
     complete_graph,
     cycle_graph,
-    matching_number,
     max_matching,
     verify_matching,
 )
@@ -20,18 +19,18 @@ from strategies import all_pairs, brute_matching_number, graphs
 
 
 def test_empty_and_single_edge():
-    assert matching_number(Graph(0, frozenset())) == 0
-    assert matching_number(Graph(5, frozenset())) == 0
-    assert matching_number(build_graph(2, [(0, 1)])) == 1
+    assert max_matching(Graph(0, frozenset())).size == 0
+    assert max_matching(Graph(5, frozenset())).size == 0
+    assert max_matching(build_graph(2, [(0, 1)])).size == 1
 
 
 def test_known_small_values():
-    assert matching_number(complete_graph(6)) == 3
-    assert matching_number(complete_graph(7)) == 3
-    assert matching_number(cycle_graph(5)) == 2
-    assert matching_number(cycle_graph(6)) == 3
+    assert max_matching(complete_graph(6)).size == 3
+    assert max_matching(complete_graph(7)).size == 3
+    assert max_matching(cycle_graph(5)).size == 2
+    assert max_matching(cycle_graph(6)).size == 3
     # star K_{1,4}: one edge no matter the degree
-    assert matching_number(build_graph(5, [(0, i) for i in range(1, 5)])) == 1
+    assert max_matching(build_graph(5, [(0, i) for i in range(1, 5)])).size == 1
 
 
 def test_odd_blossom_forcing_case():
