@@ -300,7 +300,7 @@ def _cmd_ineq(cfg: RunConfig) -> int:
 
 def _cmd_search(cfg: RunConfig) -> int:
     if cfg.resume is not None:
-        prefixes = read_checkpoint(cfg.resume)
+        prefixes = read_checkpoint(cfg.resume, (cfg.k, cfg.n, cfg.N, cfg.order))
         res = resume_search(
             cfg.k, cfg.n, cfg.N, prefixes,
             order=cfg.order, budget=cfg.budget, threads=cfg.threads,

@@ -9,7 +9,12 @@ neighbours ascending.  That is the lexicographically least qualifying
 cycle listed from its minimum vertex, and it is the certificate
 contract: `contains_cycle_of_length`, `longest_cycle` and the sweep wrap
 the kernel, so every returned cycle (hence every witness and hunt
-trajectory) depends on the graph alone.  Two narrower tests stay
+trajectory) depends on the graph alone.  `_mask_component_cycle` adds
+the component rule of `verify_mono_cycle_free` for one colour class:
+components ordered by smallest vertex, the first one that holds a C_n,
+and the kernel's cycle within it.  The randomized hunt uses it on its
+incremental per-colour masks, so it recolours exactly the cycle the
+checker would report.  Two narrower tests stay
 separate because folding them into the kernel measured slower
 (perfbench, reference-normalised cost): the search's closure test
 `_has_path_exact`, ~85% of search self-time, where a path-tracking
@@ -184,6 +189,35 @@ def _mask_cycle(neigh: list[int], nverts: int, lo: int, hi: int) -> list[int] | 
                 continue
             visited |= low
             stack.append(neigh[w] & above & ~visited)
+    return None
+
+
+def _mask_component_cycle(
+    neigh: list[int], nverts: int, n: int
+) -> tuple[int, list[int]] | None:
+    """(component mask, C_n) for the first component, by smallest vertex,
+    that holds a C_n, with its lexicographically least min-vertex-first
+    C_n; None if no component holds one.
+
+    Components come from a bitmask BFS; each one with at least n
+    vertices is searched by `_mask_cycle` over its own masks only.
+    """
+    unseen = (1 << nverts) - 1
+    while unseen:
+        comp = frontier = unseen & -unseen
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                reach |= neigh[low.bit_length() - 1]
+            frontier = reach & ~comp
+            comp |= frontier
+        unseen &= ~comp
+        if comp.bit_count() >= n:
+            found = _mask_cycle([m & comp for m in neigh], nverts, n, n)
+            if found is not None:
+                return comp, found
     return None
 
 

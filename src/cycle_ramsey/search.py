@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 
 from .constructions import verify_mono_cycle_free
-from .cycles import _has_path_exact
+from .cycles import _has_path_exact, _mask_component_cycle
 from .errors import (
     CycleRamseyError,
     CycleTooShort,
@@ -317,6 +317,11 @@ def _validate_instance(k: int, n: int, N: int) -> None:
         raise TargetTooLarge(f"host order {N} > {_MAX_HOST}: beyond desk scale")
 
 
+def _validate_budget(budget: int | None) -> None:
+    if budget is not None and budget < 0:
+        raise ParamOutOfRange(f"budget {budget} < 0")
+
+
 def ramsey_check(
     k: int,
     n: int,
@@ -337,6 +342,7 @@ def ramsey_check(
     returned counterexample — match the single-threaded run.
     """
     _validate_instance(k, n, N)
+    _validate_budget(budget)
     t0 = time.perf_counter()
     if threads <= 1:
         prefixes: list[tuple[int, ...]] = [()]
@@ -362,20 +368,45 @@ def resume_search(
     the overall proof.
     """
     _validate_instance(k, n, N)
+    _validate_budget(budget)
     return _aggregate(k, n, N, order, list(prefixes), budget, threads, time.perf_counter())
 
 
 def write_checkpoint(path: str, result: SearchResult) -> None:
-    """Persist open subtrees, one `prefix <edge-index> <color-list>` line each."""
+    """Persist open subtrees after a `checkpoint <k> <n> <N> <order>`
+    header line, one `prefix <edge-index> <color-list>` line each."""
     with open(path, "w", encoding="ascii") as fh:
+        fh.write(
+            f"checkpoint {result.k} {result.n} {result.N} {result.order_scheme}\n"
+        )
         for p in result.open_prefixes:
             fh.write(f"prefix {len(p)} {' '.join(str(c) for c in p)}\n")
 
 
-def read_checkpoint(path: str) -> tuple[tuple[int, ...], ...]:
+def read_checkpoint(
+    path: str, instance: tuple[int, int, int, str] | None = None
+) -> tuple[tuple[int, ...], ...]:
+    """The open prefixes of a checkpoint file.
+
+    The first line must be the `checkpoint <k> <n> <N> <order>` header;
+    with `instance` given, it must name that (k, n, N, order), since a
+    frontier resumed on any other instance proves nothing about it.
+    """
     prefixes: list[tuple[int, ...]] = []
     with open(path, encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        header = fh.readline().split()
+        if len(header) != 5 or header[0] != "checkpoint":
+            raise FormatError("line 1: expected 'checkpoint <k> <n> <N> <order>'")
+        try:
+            written = (int(header[1]), int(header[2]), int(header[3]), header[4])
+        except ValueError as exc:
+            raise FormatError(f"line 1: {exc}") from None
+        if instance is not None and written != tuple(instance):
+            raise FormatError(
+                "checkpoint is for k={} n={} N={} order={}, not k={} n={} N={} "
+                "order={}".format(*written, *instance)
+            )
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
@@ -477,10 +508,13 @@ def lower_bound_witness_search(
 
     Exhaustive mode reuses the pruned DFS (conclusive either way, small
     N only).  Randomized mode starts from a seeded random coloring and
-    repeatedly recolors a random edge of some currently-monochromatic
-    C_n; it may find witnesses at orders the DFS cannot sweep, but its
-    failures are inconclusive.
+    repeatedly recolors a random edge of the monochromatic C_n that
+    `verify_mono_cycle_free` would report; it may find witnesses at
+    orders the DFS cannot sweep, but its failures are inconclusive.
+    `steps` counts the recolorings made; a witness is re-verified by
+    `verify_mono_cycle_free` before it is returned.
     """
+    _validate_budget(budget)
     if mode is WitnessMode.EXHAUSTIVE:
         res = ramsey_check(k, n, N, budget=budget)
         if res.verdict is SearchVerdict.COUNTEREXAMPLE:
@@ -503,18 +537,40 @@ def lower_bound_witness_search(
     base = complete_graph(N)
     colors = [rng.randint(1, k) for _ in range(base.edge_count)]
     edge_index = {e: i for i, e in enumerate(base.sorted_edges)}
+    # Per-colour neighbour masks, updated in place on each recolouring,
+    # and each colour's cached `_mask_component_cycle` result; a
+    # recolouring drops the cache of its two colours only.
+    neigh = [[0] * N for _ in range(k)]
+    for (u, v), c in zip(base.sorted_edges, colors):
+        neigh[c - 1][u] |= 1 << v
+        neigh[c - 1][v] |= 1 << u
+    found: dict[int, tuple[int, list[int]] | None] = {}
     for step in range(steps_allowed):
-        col = EdgeColoring(base, k, tuple(colors))
-        outcome = verify_mono_cycle_free(col, n)
-        if outcome is True:
+        vs = None
+        for c in range(k):
+            if c not in found:
+                found[c] = _mask_component_cycle(neigh[c], N, n)
+            if found[c] is not None:
+                vs = found[c][1]
+                break
+        if vs is None:
+            col = EdgeColoring(base, k, tuple(colors))
+            if verify_mono_cycle_free(col, n) is not True:
+                raise CycleRamseyError(
+                    "internal: hunt witness failed independent re-verification"
+                )
             return LowerBoundResult(col, False, mode, step)
-        vs = outcome.cycle.vertices
         i = rng.randrange(len(vs))
         u, v = vs[i], vs[(i + 1) % len(vs)]
         e = (u, v) if u < v else (v, u)
         current = colors[edge_index[e]]
         alternatives = [c for c in range(1, k + 1) if c != current]
         if not alternatives:
-            break
-        colors[edge_index[e]] = rng.choice(alternatives)
+            return LowerBoundResult(None, False, mode, step)
+        new = rng.choice(alternatives)
+        colors[edge_index[e]] = new
+        for c in (current - 1, new - 1):
+            neigh[c][u] ^= 1 << v
+            neigh[c][v] ^= 1 << u
+            found.pop(c, None)
     return LowerBoundResult(None, False, mode, steps_allowed)

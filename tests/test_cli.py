@@ -80,7 +80,8 @@ def test_search_rejects_non_positive_counts(capsys, flag, value):
 
 def test_checkpoint_prefix_longer_than_edge_order(capsys, tmp_path):
     ck = tmp_path / "ck.txt"
-    ck.write_text("prefix 8 1 2 1 2 1 2 1 2\n")  # K_4 has 6 edges
+    # K_4 has 6 edges
+    ck.write_text("checkpoint 2 5 4 lex\nprefix 8 1 2 1 2 1 2 1 2\n")
     code, out, err = run(
         capsys, "search", "--k", "2", "--n", "5", "--N", "4", "--resume", str(ck)
     )
@@ -235,7 +236,7 @@ def test_search_budget_checkpoint_resume(capsys, tmp_path):
     )
     assert code == 2
     assert "verdict INDETERMINATE" in out
-    assert ck.exists() and ck.read_text().startswith("prefix ")
+    assert ck.exists() and ck.read_text().startswith("checkpoint 2 5 8 lex\nprefix ")
 
     code, out, _ = run(
         capsys,
@@ -243,6 +244,29 @@ def test_search_budget_checkpoint_resume(capsys, tmp_path):
     )
     assert code == 1
     assert "verdict COUNTEREXAMPLE" in out
+
+
+@pytest.mark.parametrize(
+    "k,n,N,order",
+    [("2", "5", "9", "lex"), ("2", "4", "8", "lex"), ("3", "5", "8", "lex"),
+     ("2", "5", "8", "colex")],
+)
+def test_resume_rejects_checkpoint_of_another_instance(
+    capsys, tmp_path, k, n, N, order
+):
+    ck = tmp_path / "ck.txt"
+    run(
+        capsys,
+        "search", "--k", "2", "--n", "5", "--N", "8",
+        "--budget", "50", "--checkpoint", str(ck),
+    )
+    code, out, err = run(
+        capsys,
+        "search", "--k", k, "--n", n, "--N", N, "--order", order,
+        "--resume", str(ck),
+    )
+    assert code == 3
+    assert out == "" and "checkpoint is for k=2 n=5 N=8 order=lex" in err
 
 
 def test_search_json_single_object(capsys):

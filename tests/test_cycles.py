@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 from cycle_ramsey import (
     CycleCertificate,
     CycleTooShort,
+    EdgeColoring,
     ParamOutOfRange,
     TargetTooLarge,
     build_graph,
+    color_class,
     complete_graph,
     components,
     contains_cycle_of_length,
@@ -23,7 +25,9 @@ from cycle_ramsey import (
     induced_subgraph,
     longest_cycle,
     verify_cycle,
+    verify_mono_cycle_free,
 )
+from cycle_ramsey.cycles import _mask_component_cycle
 
 from strategies import (
     brute_cycle_lengths,
@@ -233,6 +237,43 @@ def test_certificates_are_lexicographically_least(G, n):
     at_least = [c for c in cycles if len(c) >= n]
     if at_least:
         assert longest_cycle(G, stop_at=n).vertices == min(at_least)
+
+
+@st.composite
+def split_colorings(draw, max_vertices: int = 9, max_colors: int = 3):
+    """A coloring of a random graph whose edges stay inside up to three
+    random vertex blocks, so every color class splits into components."""
+    v = draw(st.integers(min_value=1, max_value=max_vertices))
+    block = draw(st.lists(st.integers(0, 2), min_size=v, max_size=v))
+    pairs = [(a, b) for a, b in itertools.combinations(range(v), 2)
+             if block[a] == block[b]]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    G = build_graph(v, [p for p, kept in zip(pairs, keep) if kept])
+    k = draw(st.integers(min_value=1, max_value=max_colors))
+    colors = draw(st.lists(st.integers(1, k), min_size=G.edge_count,
+                           max_size=G.edge_count))
+    return EdgeColoring(G, k, tuple(colors))
+
+
+@given(split_colorings(), st.integers(3, 7))
+@settings(max_examples=200)
+def test_component_cycle_matches_checker_witness(col, n):
+    # The hunt's mask helper, run over the colors ascending, must name the
+    # same (color, component, cycle) as the independent checker, for odd
+    # and even n alike.
+    v = col.base.vertex_count
+    got = None
+    for i in range(1, col.color_count + 1):
+        found = _mask_component_cycle(list(color_class(col, i).neighbor_masks), v, n)
+        if found is not None:
+            comp, cycle = found
+            got = (i, tuple(w for w in range(v) if comp >> w & 1), tuple(cycle))
+            break
+    witness = verify_mono_cycle_free(col, n)
+    if witness is True:
+        assert got is None
+    else:
+        assert got == (witness.color, witness.component, witness.cycle.vertices)
 
 
 # --------------------------------------------------------------------------

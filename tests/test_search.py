@@ -4,6 +4,7 @@ counterexample minimization, and the lower-bound hunt."""
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -186,8 +187,9 @@ def test_resume_on_closed_frontier_confirms_all_contain():
 
 def test_checkpoint_format_round_trip(tmp_path):
     path = tmp_path / "ck.txt"
-    path.write_text("prefix 3 1 2 1\n\nprefix 1 1\n")
+    path.write_text("checkpoint 2 5 8 lex\nprefix 3 1 2 1\n\nprefix 1 1\n")
     assert read_checkpoint(str(path)) == ((1, 2, 1), (1,))
+    assert read_checkpoint(str(path), (2, 5, 8, "lex")) == ((1, 2, 1), (1,))
 
 
 @pytest.mark.parametrize(
@@ -202,9 +204,54 @@ def test_checkpoint_format_round_trip(tmp_path):
 )
 def test_checkpoint_rejects_malformed_lines(tmp_path, text):
     path = tmp_path / "bad.txt"
+    path.write_text("checkpoint 2 5 8 lex\n" + text)
+    with pytest.raises(FormatError):
+        read_checkpoint(str(path))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "prefix 1 1\n",                    # no header at all
+        "",                                # empty file
+        "checkpoint 2 5 8\nprefix 1 1\n",  # header without an order
+        "checkpoint 2 x 8 lex\n",          # non-integer n
+    ],
+)
+def test_checkpoint_requires_header(tmp_path, text):
+    path = tmp_path / "bad.txt"
     path.write_text(text)
     with pytest.raises(FormatError):
         read_checkpoint(str(path))
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [(2, 5, 9, "lex"), (2, 4, 8, "lex"), (3, 5, 8, "lex"), (2, 5, 8, "colex")],
+)
+def test_checkpoint_rejects_other_instance(tmp_path, instance):
+    path = tmp_path / "search.ckpt"
+    write_checkpoint(str(path), ramsey_check(2, 5, 8, budget=50))
+    assert path.read_text().startswith("checkpoint 2 5 8 lex\n")
+    with pytest.raises(FormatError, match="checkpoint is for k=2 n=5 N=8"):
+        read_checkpoint(str(path), instance)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ramsey_check(2, 5, 9, budget=-3),
+        lambda: resume_search(2, 5, 9, [(1,)], budget=-1),
+        lambda: lower_bound_witness_search(
+            3, 6, 10, mode=WitnessMode.RANDOMIZED, budget=-5
+        ),
+        lambda: lower_bound_witness_search(2, 5, 8, budget=-1),
+    ],
+    ids=["ramsey_check", "resume_search", "hunt_randomized", "hunt_exhaustive"],
+)
+def test_negative_budgets_are_rejected(call):
+    with pytest.raises(ParamOutOfRange, match="budget -"):
+        call()
 
 
 def test_resume_rejects_non_canonical_prefix():
@@ -302,3 +349,41 @@ def test_randomized_hunt_with_one_color_gives_up():
         1, 3, 4, mode=WitnessMode.RANDOMIZED, seed=1, budget=50
     )
     assert res.coloring is None and not res.exhausted
+    assert res.steps == 0  # no other color to recolor with
+
+
+def hunt_oracle(k, n, N, seed, budget):
+    """The randomized hunt step by step with the independent checker:
+    rebuild the coloring, take the cycle `verify_mono_cycle_free` reports,
+    recolor a random edge of it.  Returns (steps made, witness or None)."""
+    rng = random.Random(seed)
+    base = complete_graph(N)
+    colors = [rng.randint(1, k) for _ in range(base.edge_count)]
+    edge_index = {e: i for i, e in enumerate(base.sorted_edges)}
+    for step in range(budget):
+        col = EdgeColoring(base, k, tuple(colors))
+        outcome = verify_mono_cycle_free(col, n)
+        if outcome is True:
+            return step, col
+        vs = outcome.cycle.vertices
+        i = rng.randrange(len(vs))
+        u, v = vs[i], vs[(i + 1) % len(vs)]
+        e = edge_index[(u, v) if u < v else (v, u)]
+        alternatives = [c for c in range(1, k + 1) if c != colors[e]]
+        if not alternatives:
+            return step, None
+        colors[e] = rng.choice(alternatives)
+    return budget, None
+
+
+@pytest.mark.parametrize(
+    "k,n,N",
+    [(3, 6, 9), (3, 6, 10), (3, 6, 11), (2, 5, 8), (2, 7, 12), (3, 3, 5),
+     (4, 4, 10), (1, 3, 4)],
+)
+def test_randomized_hunt_follows_the_checker(k, n, N):
+    for seed in range(6):
+        res = lower_bound_witness_search(
+            k, n, N, mode=WitnessMode.RANDOMIZED, seed=seed, budget=150
+        )
+        assert (res.steps, res.coloring) == hunt_oracle(k, n, N, seed, 150)
