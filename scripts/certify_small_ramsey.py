@@ -8,8 +8,9 @@ does not (COUNTEREXAMPLE, re-verified independently).
 
     R_2(C_3) = 6    R_2(C_4) = 6    R_2(C_6) = 8    R_2(C_5) = 9
 
-The C_5 instance is the slow one; with default settings the whole run
-takes well under a minute on one core.
+Each line gives the node count and nodes/s of both searches.  The C_5
+and C_6 instances take nearly all the time; with default settings the
+whole run takes about 4 s on one core (Python 3.11, 2-core VM).
 """
 
 from __future__ import annotations
@@ -20,6 +21,10 @@ import time
 from cycle_ramsey import SearchVerdict, ramsey_check, verify_mono_cycle_free
 
 CASES = ((3, 6), (4, 6), (6, 8), (5, 9))
+
+
+def rate(res) -> str:
+    return f"{res.stats.nodes} nodes, {res.stats.nodes / res.stats.wall_time:,.0f} nodes/s"
 
 
 def certify(n: int, value: int, threads: int) -> bool:
@@ -35,8 +40,8 @@ def certify(n: int, value: int, threads: int) -> bool:
     status = "certified" if ok else "FAILED"
     print(
         f"R_2(C_{n}) = {value}: {status}  "
-        f"[all-contain at {value}: {upper.stats.nodes} nodes; "
-        f"counterexample at {value - 1}: {below.stats.nodes} nodes; "
+        f"[all-contain at {value}: {rate(upper)}; "
+        f"counterexample at {value - 1}: {rate(below)}; "
         f"{elapsed:.1f}s]"
     )
     return ok

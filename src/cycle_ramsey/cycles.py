@@ -14,13 +14,16 @@ the component rule of `verify_mono_cycle_free` for one colour class:
 components ordered by smallest vertex, the first one that holds a C_n,
 and the kernel's cycle within it.  The randomized hunt uses it on its
 incremental per-colour masks, so it recolours exactly the cycle the
-checker would report.  Two narrower tests stay
-separate because folding them into the kernel measured slower
-(perfbench, reference-normalised cost): the search's closure test
-`_has_path_exact`, ~85% of search self-time, where a path-tracking
-variant took `R_2(C_5) <= 9` from 7,129 to 7,709 ref (+8%); and the
-n = 3 forest test `_mask_has_cycle`, which the DFS made 8–15% slower on
-the v = 1..6 sweep.
+checker would report.  Two narrower tests stay separate from the
+kernel.  The search's closure test, `_closure_test(length)`, asks
+whether a simple a..b path of exactly `length` edges exists, which is
+whether colouring the edge ab closes a C_(length+1).  Lengths 2..5
+(C_3..C_6) have bitset tests, which loop over the first length - 2
+interior vertices and find the last one by intersecting neighbour
+masks; longer lengths use the DFS `_has_path_exact`.  The tests assume symmetric, loop-free masks and
+a != b, which the search guarantees.  The n = 3 forest test
+`_mask_has_cycle` stays separate because the kernel made the v = 1..6
+sweep 8–15% slower.
 """
 
 from __future__ import annotations
@@ -240,6 +243,88 @@ def _has_path_exact(neigh: list[int], a: int, b: int, length: int) -> bool:
             cand ^= low
             stack.append((low.bit_length() - 1, mask | low, rem - 1))
     return False
+
+
+# Closure tests for lengths 2..5: is there a simple a..b path a-x-b,
+# a-x-y-b, a-x-m-y-b or a-x-p-q-y-b?  Each assumes symmetric, loop-free
+# masks and a != b, which the search guarantees; then no vertex is its
+# own neighbour, and only the exclusions written out are needed.
+
+
+def _closes_2(neigh: list[int], a: int, b: int) -> bool:
+    return neigh[a] & neigh[b] != 0
+
+
+def _closes_3(neigh: list[int], a: int, b: int) -> bool:
+    ys = neigh[b] & ~(1 << a)
+    if not ys:
+        return False
+    xs = neigh[a] & ~(1 << b)
+    while xs:
+        xl = xs & -xs
+        xs ^= xl
+        if neigh[xl.bit_length() - 1] & ys:
+            return True
+    return False
+
+
+def _closes_4(neigh: list[int], a: int, b: int) -> bool:
+    # x and y must differ: a lone common neighbour of a and b is no path
+    not_ab = ~(1 << a | 1 << b)
+    ys_all = neigh[b] & not_ab
+    if not ys_all:
+        return False
+    xs = neigh[a] & not_ab
+    while xs:
+        xl = xs & -xs
+        xs ^= xl
+        ms = neigh[xl.bit_length() - 1] & not_ab
+        ys = ys_all & ~xl
+        while ys:
+            yl = ys & -ys
+            ys ^= yl
+            if neigh[yl.bit_length() - 1] & ms:
+                return True
+    return False
+
+
+def _closes_5(neigh: list[int], a: int, b: int) -> bool:
+    not_ab = ~(1 << a | 1 << b)
+    ys_all = neigh[b] & not_ab
+    if not ys_all:
+        return False
+    xs = neigh[a] & not_ab
+    while xs:
+        xl = xs & -xs
+        xs ^= xl
+        ps_all = neigh[xl.bit_length() - 1] & not_ab
+        ys = ys_all & ~xl
+        while ys:
+            yl = ys & -ys
+            ys ^= yl
+            qs = neigh[yl.bit_length() - 1] & not_ab & ~xl
+            if not qs:
+                continue
+            ps = ps_all & ~yl
+            while ps:
+                pl = ps & -ps
+                ps ^= pl
+                if neigh[pl.bit_length() - 1] & qs:
+                    return True
+    return False
+
+
+_CLOSURE_TESTS = {2: _closes_2, 3: _closes_3, 4: _closes_4, 5: _closes_5}
+
+
+def _closure_test(length: int):
+    """The test `closes(neigh, a, b)`: is there a simple a..b path of
+    exactly `length` edges?  Bitset tests for lengths 2..5 (C_3..C_6),
+    `_has_path_exact` otherwise.  Masks must be symmetric and loop-free,
+    and a != b."""
+    if length in _CLOSURE_TESTS:
+        return _CLOSURE_TESTS[length]
+    return lambda neigh, a, b: _has_path_exact(neigh, a, b, length)
 
 
 def _mask_has_cycle(neigh: list[int], nverts: int) -> bool:

@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 
 from .constructions import verify_mono_cycle_free
-from .cycles import _has_path_exact, _mask_component_cycle
+from .cycles import _closure_test, _mask_component_cycle
 from .errors import (
     CycleRamseyError,
     CycleTooShort,
@@ -99,10 +99,11 @@ class _Stats:
 
 
 _FOUND, _DONE, _CUTOFF = 0, 1, 2
+_UNLIMITED = 1 << 62  # the node limit of an unbudgeted search
 
 
 def _replay_prefix(
-    k: int, N: int, n: int, edges, prefix
+    k: int, N: int, closes, edges, prefix
 ) -> tuple[list[list[int]], int] | None:
     """Rebuild per-color adjacency masks for a color prefix.
 
@@ -124,7 +125,7 @@ def _replay_prefix(
             )
         u, v = edges[i]
         masks = neigh[color - 1]
-        if _has_path_exact(masks, u, v, n - 1):
+        if closes(masks, u, v):
             return None
         masks[u] |= 1 << v
         masks[v] |= 1 << u
@@ -145,41 +146,54 @@ def _search_subtree(
     """Exhaust one subtree.  Returns (_FOUND, full color path) when a
     complete mono-C_n-free coloring exists below the prefix, else
     (_DONE, None) or (_CUTOFF, None) with open subtrees appended to
-    `open_out`."""
+    `open_out`.
+
+    A non-empty prefix's last color is a node its parent deferred (a
+    cutoff or a parallel split reports it uncounted), so it is counted
+    here, with its cycle prune when the replay closes a cycle.
+    """
     edges = edge_order(N, scheme)
     M = len(edges)
-    state = _replay_prefix(k, N, n, edges, prefix)
+    closes = _closure_test(n - 1)
+    limit = _UNLIMITED if budget is None else budget
+    if prefix:
+        stats.nodes += 1
+    state = _replay_prefix(k, N, closes, edges, prefix)
     if state is None:
         stats.cycle_prunes += 1
         return _DONE, None
     neigh, maxused0 = state
     path = list(prefix)
+    bits = [(u, v, 1 << u, 1 << v) for u, v in edges]
+    # local counters: cheaper per node than attributes of `stats`
+    nodes, prunes, sym = stats.nodes, stats.cycle_prunes, stats.symmetry_prunes
 
     def rec(i: int, maxused: int) -> int:
+        nonlocal nodes, prunes, sym
         if i == M:
             return _FOUND
-        u, v = edges[i]
-        top = min(k, maxused + 1)
-        stats.symmetry_prunes += k - top
+        u, v, bu, bv = bits[i]
+        top = k if maxused >= k else maxused + 1
+        sym += k - top
         for c in range(top):
-            if budget is not None and stats.nodes >= budget:
+            if nodes >= limit:
                 for cc in range(c, top):
                     open_out.append(tuple(path) + (cc + 1,))
                 return _CUTOFF
-            stats.nodes += 1
+            nodes += 1
             masks = neigh[c]
-            if _has_path_exact(masks, u, v, n - 1):
-                stats.cycle_prunes += 1
+            if closes(masks, u, v):
+                prunes += 1
                 continue
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
+            masks[u] |= bv
+            masks[v] |= bu
             path.append(c + 1)
-            r = rec(i + 1, max(maxused, c + 1))
+            r = rec(i + 1, c + 1 if c == maxused else maxused)
             if r == _FOUND:
                 return _FOUND
             path.pop()
-            masks[u] &= ~(1 << v)
-            masks[v] &= ~(1 << u)
+            masks[u] ^= bv
+            masks[v] ^= bu
             if r == _CUTOFF:
                 for cc in range(c + 1, top):
                     open_out.append(tuple(path) + (cc + 1,))
@@ -187,6 +201,7 @@ def _search_subtree(
         return _DONE
 
     r = rec(len(prefix), maxused0)
+    stats.nodes, stats.cycle_prunes, stats.symmetry_prunes = nodes, prunes, sym
     return r, tuple(path) if r == _FOUND else None
 
 
@@ -214,25 +229,43 @@ def _coloring_from_path(
 
 def _split_prefixes(
     k: int, n: int, N: int, scheme: str, want: int
-) -> list[tuple[int, ...]]:
-    """Expand the root into enough valid prefixes for parallel workers,
-    preserving DFS order so aggregation stays deterministic."""
+) -> tuple[list[tuple[int, ...]], list[tuple[int, int]]]:
+    """Expand the root breadth-first into subtrees for parallel workers,
+    until `want` of them are live or depth 6, in DFS order.
+
+    Returns the prefixes and, for each, the (nodes, symmetry prunes) of
+    the expanded ancestors it is the first descendant of: work the DFS
+    does before that subtree and no worker counts.  A prefix that closes
+    a cycle is kept, so its worker counts it.  Folding the lists in order
+    therefore gives the sequential counters, also when a subtree yields a
+    coloring and the later entries are left out.
+    """
     edges = edge_order(N, scheme)
-    level: list[tuple[int, ...]] = [()]
+    closes = _closure_test(n - 1)
+    # entries: (prefix, live, ancestor nodes, ancestor symmetry prunes)
+    level = [((), True, 0, 0)]
+    live = 1
     depth = 0
-    while len(level) < want and depth < min(6, len(edges)):
-        nxt: list[tuple[int, ...]] = []
-        for prefix in level:
-            maxused = max(prefix, default=0)
-            for c in range(1, min(k, maxused + 1) + 1):
+    while 0 < live < want and depth < min(6, len(edges)):
+        nxt = []
+        live = 0
+        for entry in level:
+            prefix, alive, nodes, sym = entry
+            if not alive:
+                nxt.append(entry)
+                continue
+            top = min(k, max(prefix, default=0) + 1)
+            nodes += 1 if prefix else 0  # the root is no color assignment
+            sym += k - top
+            for c in range(1, top + 1):
                 candidate = prefix + (c,)
-                if _replay_prefix(k, N, n, edges, candidate) is not None:
-                    nxt.append(candidate)
-        if not nxt:
-            return level
+                alive = _replay_prefix(k, N, closes, edges, candidate) is not None
+                live += alive
+                nxt.append((candidate, alive, nodes, sym))
+                nodes = sym = 0
         level = nxt
         depth += 1
-    return level
+    return [e[0] for e in level], [(e[2], e[3]) for e in level]
 
 
 def _aggregate(
@@ -244,8 +277,15 @@ def _aggregate(
     budget: int | None,
     threads: int,
     t0: float,
+    lead: list[tuple[int, int]] | None = None,
 ) -> SearchResult:
-    """Run subtrees (in order) and fold their outcomes into one result."""
+    """Run subtrees (in order) and fold their outcomes into one result.
+
+    Sequentially, the budget is shared: once it is spent, the remaining
+    prefixes pass to the open frontier unchanged, though the first one
+    is always searched so that every leg of a chain makes progress.
+    `lead` adds `_split_prefixes`' ancestor counts before each subtree.
+    """
     nodes = cyc = sym = 0
     open_all: list[tuple[int, ...]] = []
     found_path: tuple[int, ...] | None = None
@@ -253,12 +293,15 @@ def _aggregate(
 
     if threads <= 1:
         stats = _Stats()
-        for prefix in prefixes:
-            open_out: list[tuple[int, ...]] = []
+        limit = _UNLIMITED if budget is None else budget
+        for j, prefix in enumerate(prefixes):
+            if j and stats.nodes >= limit:
+                open_all.append(prefix)
+                cut = True
+                continue
             status, path = _search_subtree(
-                k, n, N, scheme, prefix, budget, stats, open_out
+                k, n, N, scheme, prefix, budget, stats, open_all
             )
-            open_all.extend(open_out)
             if status == _CUTOFF:
                 cut = True
             if status == _FOUND:
@@ -266,14 +309,17 @@ def _aggregate(
                 break
         nodes, cyc, sym = stats.nodes, stats.cycle_prunes, stats.symmetry_prunes
     else:
+        if lead is None:
+            lead = [(0, 0)] * len(prefixes)
         per_budget = None if budget is None else max(1, budget // len(prefixes))
         args = [(k, n, N, scheme, p, per_budget) for p in prefixes]
         ctx = multiprocessing.get_context()
         with ctx.Pool(processes=threads) as pool:
-            for status, path, wn, wc, ws, wopen in pool.imap(_worker, args):
-                nodes += wn
+            results = zip(pool.imap(_worker, args), lead)
+            for (status, path, wn, wc, ws, wopen), (ln, ls) in results:
+                nodes += ln + wn
                 cyc += wc
-                sym += ws
+                sym += ls + ws
                 open_all.extend(wopen)
                 if status == _CUTOFF:
                     cut = True
@@ -338,17 +384,18 @@ def ramsey_check(
     `budget` caps explored nodes (color assignments); on exhaustion the
     verdict is INDETERMINATE and the open frontier is reported.  With
     `threads` > 1 the root splits into independent subtrees whose
-    results are folded in DFS order, so unbudgeted verdicts — and the
-    returned counterexample — match the single-threaded run.
+    results are folded in DFS order, so unbudgeted verdicts, counters
+    and the returned counterexample match the single-threaded run.
     """
     _validate_instance(k, n, N)
     _validate_budget(budget)
     t0 = time.perf_counter()
     if threads <= 1:
         prefixes: list[tuple[int, ...]] = [()]
+        lead = None
     else:
-        prefixes = _split_prefixes(k, n, N, order, want=4 * threads)
-    return _aggregate(k, n, N, order, prefixes, budget, threads, t0)
+        prefixes, lead = _split_prefixes(k, n, N, order, want=4 * threads)
+    return _aggregate(k, n, N, order, prefixes, budget, threads, t0, lead)
 
 
 def resume_search(
@@ -365,7 +412,9 @@ def resume_search(
 
     The verdict covers only the given subtrees: ALL_CONTAIN here plus
     the interrupted run's explored portion (which found nothing) yields
-    the overall proof.
+    the overall proof.  Each prefix's last color is counted here, as the
+    node its run deferred, so the node and prune totals of a chain of
+    budgeted runs equal those of one unbudgeted run.
     """
     _validate_instance(k, n, N)
     _validate_budget(budget)

@@ -27,9 +27,10 @@ from cycle_ramsey import (
     verify_cycle,
     verify_mono_cycle_free,
 )
-from cycle_ramsey.cycles import _mask_component_cycle
+from cycle_ramsey.cycles import _closure_test, _mask_component_cycle
 
 from strategies import (
+    all_pairs,
     brute_cycle_lengths,
     brute_is_bipartite,
     brute_matching_number,
@@ -274,6 +275,43 @@ def test_component_cycle_matches_checker_witness(col, n):
         assert got is None
     else:
         assert got == (witness.color, witness.component, witness.cycle.vertices)
+
+
+@st.composite
+def path_test_graphs(draw):
+    """Graphs on 2..9 vertices with up to 2v edges, so that sparse graphs,
+    where paths of a given length are rare, come up as often as dense."""
+    v = draw(st.integers(min_value=2, max_value=9))
+    edges = draw(st.lists(st.sampled_from(all_pairs(v)), max_size=2 * v, unique=True))
+    return build_graph(v, edges)
+
+
+def brute_path_ends(G, length: int) -> set[tuple[int, int]]:
+    """Every ordered (a, b) joined by a simple path of exactly `length`
+    edges, from the permutations of its length - 1 interior vertices."""
+    v = G.vertex_count
+    ends = set()
+    for inner in itertools.permutations(range(v), length - 1):
+        if not all(G.has_edge(p, q) for p, q in zip(inner, inner[1:])):
+            continue
+        rest = [w for w in range(v) if w not in inner]
+        for a, b in itertools.permutations(rest, 2):
+            if (G.has_edge(a, b) if not inner else
+                    G.has_edge(a, inner[0]) and G.has_edge(inner[-1], b)):
+                ends.add((a, b))
+    return ends
+
+
+@given(path_test_graphs(), st.integers(1, 7))
+@settings(max_examples=200, deadline=None)
+def test_closure_test_matches_path_oracle(G, length):
+    # The search's closure test, bitset or DFS, against brute force on
+    # every ordered pair a != b.
+    closes = _closure_test(length)
+    masks = list(G.neighbor_masks)
+    ends = brute_path_ends(G, length)
+    for a, b in itertools.permutations(range(G.vertex_count), 2):
+        assert bool(closes(masks, a, b)) == ((a, b) in ends), (a, b)
 
 
 # --------------------------------------------------------------------------

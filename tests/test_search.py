@@ -38,6 +38,11 @@ from cycle_ramsey import (
 from strategies import brute_cycle_lengths
 
 
+def counters(res) -> tuple[int, int, int]:
+    s = res.stats
+    return s.nodes, s.cycle_prunes, s.symmetry_prunes
+
+
 def naive_all_contain(k: int, n: int, N: int) -> bool:
     """Total enumeration of every k-coloring of K_N, no pruning at all."""
     base = complete_graph(N)
@@ -141,6 +146,23 @@ def test_determinism_and_stats():
     assert a.stats.cycle_prunes > 0 and a.stats.symmetry_prunes > 0
 
 
+@pytest.mark.parametrize(
+    "n,N,triple",
+    [
+        (3, 6, (987, 494, 1)),
+        (3, 5, (71, 33, 1)),
+        (4, 6, (2083, 1042, 1)),
+        (4, 5, (59, 27, 1)),
+        (6, 7, (30, 9, 1)),
+        (5, 8, (23001, 11494, 1)),
+    ],
+)
+def test_certify_counters_are_pinned(n, N, triple):
+    # (nodes, cycle prunes, symmetry prunes) of the two-colour searches:
+    # a faster closure test must leave the search tree as it is.
+    assert counters(ramsey_check(2, n, N)) == triple
+
+
 def test_colex_order_agrees_on_verdicts():
     assert ramsey_check(2, 3, 6, order="colex").verdict is SearchVerdict.ALL_CONTAIN
     res = ramsey_check(2, 5, 8, order="colex")
@@ -183,6 +205,33 @@ def test_resume_on_closed_frontier_confirms_all_contain():
     # prefix (1,) covers the whole tree
     res = resume_search(2, 3, 6, [(1,)])
     assert res.verdict is SearchVerdict.ALL_CONTAIN
+
+
+@pytest.mark.parametrize("budget", [0, 1, 7, 50, 1000])
+@pytest.mark.parametrize("k,n,N", [(2, 4, 6), (2, 5, 8), (3, 3, 5)])
+def test_checkpoint_chain_counts_the_one_shot_search(k, n, N, budget):
+    # Resuming each leg's open frontier until a verdict visits exactly the
+    # one-shot tree: the same node, cycle-prune and symmetry-prune totals,
+    # verdict and counterexample.  A budget of 0 still makes progress.
+    one = ramsey_check(k, n, N)
+    res = ramsey_check(k, n, N, budget=budget)
+    legs = [res]
+    while res.verdict is SearchVerdict.INDETERMINATE:
+        res = resume_search(k, n, N, res.open_prefixes, budget=budget)
+        legs.append(res)
+    totals = tuple(map(sum, zip(*(counters(leg) for leg in legs))))
+    assert totals == counters(one)
+    assert (res.verdict, res.counterexample) == (one.verdict, one.counterexample)
+
+
+def test_spent_budget_passes_prefixes_through():
+    # Once the leg's budget is spent, later prefixes are neither replayed
+    # nor expanded: the frontier stays as small as the input.
+    first = ramsey_check(2, 5, 8, budget=50)
+    res = resume_search(2, 5, 8, first.open_prefixes, budget=1)
+    rest = first.open_prefixes[1:]
+    assert res.stats.nodes == 1 and rest
+    assert res.open_prefixes[-len(rest):] == rest
 
 
 def test_checkpoint_format_round_trip(tmp_path):
@@ -269,6 +318,14 @@ def test_parallel_matches_sequential_counterexample():
     par = ramsey_check(2, 5, 8, threads=2)
     assert par.verdict is SearchVerdict.COUNTEREXAMPLE
     assert par.counterexample == seq.counterexample
+    assert counters(par) == counters(seq)
+
+
+def test_parallel_reports_the_sequential_counters():
+    # the split's own nodes and prunes are counted, once
+    par = ramsey_check(2, 4, 6, threads=2)
+    assert par.verdict is SearchVerdict.ALL_CONTAIN
+    assert counters(par) == counters(ramsey_check(2, 4, 6))
 
 
 def test_parallel_all_contain():
