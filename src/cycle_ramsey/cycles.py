@@ -20,10 +20,14 @@ whether a simple a..b path of exactly `length` edges exists, which is
 whether colouring the edge ab closes a C_(length+1).  Lengths 2..5
 (C_3..C_6) have bitset tests, which loop over the first length - 2
 interior vertices and find the last one by intersecting neighbour
-masks; longer lengths use the DFS `_has_path_exact`.  The tests assume symmetric, loop-free masks and
-a != b, which the search guarantees.  The n = 3 forest test
-`_mask_has_cycle` stays separate because the kernel made the v = 1..6
-sweep 8–15% slower.
+masks; longer lengths use the DFS `_has_path_exact`.  The tests assume
+symmetric, loop-free masks and a != b, which the search guarantees.
+
+The Erdős–Gallai sweep uses no theorem to skip a graph.  It accepts a
+checked graph only when the graph holds an explicit cycle of length
+>= n, found by the kernel on an earlier graph and with none of its
+edges removed since; every violation is decided by the kernel on the
+current graph.
 """
 
 from __future__ import annotations
@@ -327,34 +331,6 @@ def _closure_test(length: int):
     return lambda neigh, a, b: _has_path_exact(neigh, a, b, length)
 
 
-def _mask_has_cycle(neigh: list[int], nverts: int) -> bool:
-    """Forest test by iterative leaf stripping; True iff a cycle survives."""
-    adj = list(neigh)
-    deg = [m.bit_count() for m in adj]
-    stack = [v for v in range(nverts) if deg[v] == 1]
-    alive = (1 << nverts) - 1
-    while stack:
-        v = stack.pop()
-        if not alive >> v & 1 or deg[v] != 1:
-            continue
-        alive &= ~(1 << v)
-        rest = adj[v] & alive
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            w = low.bit_length() - 1
-            adj[w] &= ~(1 << v)
-            deg[w] -= 1
-            if deg[w] == 1:
-                stack.append(w)
-    while alive:
-        low = alive & -alive
-        alive ^= low
-        if deg[low.bit_length() - 1] >= 2:
-            return True
-    return False
-
-
 # ---------------------------------------------------------------------------
 # Cycle searches on Graph objects
 
@@ -404,6 +380,7 @@ class SweepReport:
     for some target length yet has no cycle that long; `violations`
     keeps at most the first few offending (length, edge list) pairs
     while `violation_count` is the full tally (expected: zero).
+    `cycle_searches` counts the kernel calls the sweep made.
     """
 
     vertex_count: int
@@ -412,6 +389,7 @@ class SweepReport:
     graphs_checked: int
     violation_count: int
     violations: tuple[tuple[int, tuple[Edge, ...]], ...]
+    cycle_searches: int
 
     @property
     def ok(self) -> bool:
@@ -430,7 +408,13 @@ def erdos_gallai_sweep(vertex_count: int, lengths=None) -> SweepReport:
     e(G) >= eg_threshold(n, v) must imply a cycle of length >= n.  Only
     the largest applicable n is searched per graph — a cycle that long
     witnesses every smaller target too.  Enumeration walks a Gray code
-    over edge subsets so each step toggles one adjacency bit.
+    over edge subsets so each step toggles one adjacency bit, and the
+    sweep keeps the last cycle the kernel found (as a mask over the
+    Gray code's edge bits) until one of its edges is toggled off; while
+    it is long enough, checked graphs need no search (nine in ten at
+    v = 7).  The masks store vertex x as v-1-x, so the kernel's least
+    cycle runs through high-index edges, which the Gray code toggles
+    rarely; natural labels need twice the searches.
     """
     v = vertex_count
     if v < 1:
@@ -457,38 +441,46 @@ def erdos_gallai_sweep(vertex_count: int, lengths=None) -> SweepReport:
             if e >= eg_threshold(n, v):
                 binding[e] = max(binding[e], n)
 
+    flips = []  # per edge bit: its reversed labels p, q and their masks
+    edge_bit = {}
+    for j, (a, b) in enumerate(edges):
+        p, q = v - 1 - a, v - 1 - b
+        flips.append((p, q, 1 << p, 1 << q))
+        edge_bit[p, q] = edge_bit[q, p] = 1 << j
     neigh = [0] * v
-    ecount = 0
-    checked = 0
-    violation_count = 0
+    checked = searches = violation_count = 0
     kept: list[tuple[int, tuple[Edge, ...]]] = []
+    witness = witness_len = 0  # the kept cycle's edge bits and length
     total = 1 << ne
     # Gray code: graph after step i is i ^ (i >> 1); the flipped edge at
     # step i is the lowest set bit of i.  Step 0, the empty graph, never
     # meets a threshold (they are all >= 1).
     for i in range(1, total):
-        a, b = edges[(i & -i).bit_length() - 1]
-        if neigh[a] >> b & 1:
-            neigh[a] &= ~(1 << b)
-            neigh[b] &= ~(1 << a)
-            ecount -= 1
-        else:
-            neigh[a] |= 1 << b
-            neigh[b] |= 1 << a
-            ecount += 1
-        n = binding[ecount]
+        low = i & -i
+        p, q, pm, qm = flips[low.bit_length() - 1]
+        neigh[p] ^= qm
+        neigh[q] ^= pm
+        if witness & low and not neigh[p] & qm:
+            witness = witness_len = 0
+        graph = i ^ (i >> 1)
+        n = binding[graph.bit_count()]
         if n == 0:
             continue
         checked += 1
-        if n == 3:
-            ok = _mask_has_cycle(neigh, v)
-        else:
-            ok = _mask_cycle(neigh, v, n, v) is not None
-        if not ok:
+        if witness_len >= n:
+            continue
+        searches += 1
+        found = _mask_cycle(neigh, v, n, v)
+        if found is None:
             violation_count += 1
             if len(kept) < _SWEEP_KEEP_VIOLATIONS:
-                edge_list = tuple(
-                    (p, q) for p, q in edges if neigh[p] >> q & 1
-                )
+                edge_list = tuple(e for j, e in enumerate(edges) if graph >> j & 1)
                 kept.append((n, edge_list))
-    return SweepReport(v, lengths, total, checked, violation_count, tuple(kept))
+        else:
+            witness = edge_bit[found[-1], found[0]]
+            for x, y in zip(found, found[1:]):
+                witness |= edge_bit[x, y]
+            witness_len = len(found)
+    return SweepReport(
+        v, lengths, total, checked, violation_count, tuple(kept), searches
+    )

@@ -291,7 +291,7 @@ def _aggregate(
     found_path: tuple[int, ...] | None = None
     cut = False
 
-    if threads <= 1:
+    if threads <= 1 or not prefixes:  # no pool for an empty frontier
         stats = _Stats()
         limit = _UNLIMITED if budget is None else budget
         for j, prefix in enumerate(prefixes):
@@ -422,14 +422,24 @@ def resume_search(
 
 
 def write_checkpoint(path: str, result: SearchResult) -> None:
-    """Persist open subtrees after a `checkpoint <k> <n> <N> <order>`
-    header line, one `prefix <edge-index> <color-list>` line each."""
+    """Persist the open subtrees of an INDETERMINATE result: a
+    `checkpoint <k> <n> <N> <order>` header line, one `prefix
+    <edge-index> <color-list>` line each, then `end <count>`.
+
+    Only an interrupted run has a frontier to resume; a finished one
+    would write an empty frontier, which would resume into a proof.
+    """
+    if result.verdict is not SearchVerdict.INDETERMINATE:
+        raise ParamOutOfRange(
+            f"only an INDETERMINATE result has a checkpoint, not {result.verdict.value}"
+        )
     with open(path, "w", encoding="ascii") as fh:
         fh.write(
             f"checkpoint {result.k} {result.n} {result.N} {result.order_scheme}\n"
         )
         for p in result.open_prefixes:
             fh.write(f"prefix {len(p)} {' '.join(str(c) for c in p)}\n")
+        fh.write(f"end {len(result.open_prefixes)}\n")
 
 
 def read_checkpoint(
@@ -439,7 +449,10 @@ def read_checkpoint(
 
     The first line must be the `checkpoint <k> <n> <N> <order>` header;
     with `instance` given, it must name that (k, n, N, order), since a
-    frontier resumed on any other instance proves nothing about it.
+    frontier resumed on any other instance proves nothing about it.  The
+    last non-empty line must be `end <count>` with the number of prefix
+    lines, and that number must be positive: a frontier that lost lines,
+    or an empty one, would resume into a false proof.
     """
     prefixes: list[tuple[int, ...]] = []
     with open(path, encoding="ascii") as fh:
@@ -455,11 +468,21 @@ def read_checkpoint(
                 "checkpoint is for k={} n={} N={} order={}, not k={} n={} N={} "
                 "order={}".format(*written, *instance)
             )
+        ended = False
         for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
             parts = line.split()
+            if not parts:
+                continue
+            if ended:
+                raise FormatError(f"line {lineno}: text after the 'end' line")
+            if parts[0] == "end":
+                if parts[1:] != [str(len(prefixes))]:
+                    raise FormatError(
+                        f"line {lineno}: expected 'end {len(prefixes)}' after "
+                        f"{len(prefixes)} prefix lines"
+                    )
+                ended = True
+                continue
             if parts[0] != "prefix" or len(parts) < 2:
                 raise FormatError(f"line {lineno}: expected 'prefix <index> <colors>'")
             try:
@@ -474,6 +497,10 @@ def read_checkpoint(
             if any(c < 1 for c in colors):
                 raise FormatError(f"line {lineno}: colors must be >= 1")
             prefixes.append(colors)
+    if not ended:
+        raise FormatError("no 'end <count>' line: the checkpoint is truncated")
+    if not prefixes:
+        raise FormatError("checkpoint has no prefixes: an open frontier is never empty")
     return tuple(prefixes)
 
 

@@ -81,7 +81,7 @@ def test_search_rejects_non_positive_counts(capsys, flag, value):
 def test_checkpoint_prefix_longer_than_edge_order(capsys, tmp_path):
     ck = tmp_path / "ck.txt"
     # K_4 has 6 edges
-    ck.write_text("checkpoint 2 5 4 lex\nprefix 8 1 2 1 2 1 2 1 2\n")
+    ck.write_text("checkpoint 2 5 4 lex\nprefix 8 1 2 1 2 1 2 1 2\nend 1\n")
     code, out, err = run(
         capsys, "search", "--k", "2", "--n", "5", "--N", "4", "--resume", str(ck)
     )
@@ -244,6 +244,18 @@ def test_search_budget_checkpoint_resume(capsys, tmp_path):
     )
     assert code == 1
     assert "verdict COUNTEREXAMPLE" in out
+
+
+def test_resume_of_header_only_checkpoint_is_no_proof(capsys, tmp_path):
+    # (2, 5, 8) has a counterexample; a frontier that lost its prefix
+    # lines must not resume into ALL_CONTAIN.
+    ck = tmp_path / "ck.txt"
+    ck.write_text("checkpoint 2 5 8 lex\n")
+    code, out, err = run(
+        capsys, "search", "--k", "2", "--n", "5", "--N", "8", "--resume", str(ck)
+    )
+    assert code == 3
+    assert out == "" and "truncated" in err
 
 
 @pytest.mark.parametrize(

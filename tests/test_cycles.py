@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from cycle_ramsey import (
     verify_cycle,
     verify_mono_cycle_free,
 )
+from cycle_ramsey import cycles
 from cycle_ramsey.cycles import _closure_test, _mask_component_cycle
 
 from strategies import (
@@ -326,11 +328,62 @@ def test_sweep_small_orders_clean():
         assert rep.graphs_enumerated == 1 << (v * (v - 1) // 2)
 
 
-def test_sweep_checked_count_v4():
+@pytest.mark.parametrize(
+    "v,checked,searches",
+    [(1, 0, 0), (2, 0, 0), (3, 1, 1), (4, 22, 19), (5, 638, 280), (6, 27824, 6865)],
+)
+def test_sweep_checked_count(v, checked, searches):
     # thresholds on 4 vertices: length 3 needs 4 edges, length 4 needs 5.
     # Graphs on >= 4 of the 6 possible edges: C(6,4)+C(6,5)+C(6,6) = 22.
-    rep = erdos_gallai_sweep(4)
-    assert rep.graphs_checked == 22
+    # Most checked graphs reuse the last cycle found, so the kernel runs
+    # far less often than once per checked graph.
+    rep = erdos_gallai_sweep(v)
+    assert (rep.graphs_checked, rep.cycle_searches) == (checked, searches)
+
+
+def _sweep_by_fresh_search(v, lengths):
+    """Reference sweep: the same Gray-code walk in natural labels, with
+    one kernel call on every checked graph."""
+    lengths = tuple(range(3, v + 1)) if lengths is None else lengths
+    edges = list(itertools.combinations(range(v), 2))
+    binding = [
+        max([n for n in lengths if e >= cycles.eg_threshold(n, v)], default=0)
+        for e in range(len(edges) + 1)
+    ]
+    neigh = [0] * v
+    checked = count = 0
+    kept = []
+    for i in range(1, 1 << len(edges)):
+        a, b = edges[(i & -i).bit_length() - 1]
+        neigh[a] ^= 1 << b
+        neigh[b] ^= 1 << a
+        graph = i ^ (i >> 1)
+        n = binding[graph.bit_count()]
+        if n == 0:
+            continue
+        checked += 1
+        if cycles._mask_cycle(neigh, v, n, v) is None:
+            count += 1
+            if len(kept) < 20:
+                edge_list = tuple(e for j, e in enumerate(edges) if graph >> j & 1)
+                kept.append((n, edge_list))
+    total = 1 << len(edges)
+    return cycles.SweepReport(v, lengths, total, checked, count, tuple(kept), checked)
+
+
+@pytest.mark.parametrize("lengths", [None, (4,), (3, 6)], ids=["all", "4", "3-6"])
+@pytest.mark.parametrize("v", [3, 4, 5, 6])
+def test_sweep_matches_fresh_search_below_threshold(monkeypatch, v, lengths):
+    # One below the real thresholds, graphs without a long enough cycle
+    # get checked, so a kept cycle that outlived one of its edges would
+    # hide a violation; the real thresholds never show one.
+    real = cycles.eg_threshold
+    monkeypatch.setattr(cycles, "eg_threshold", lambda n, v: max(1, real(n, v) - 1))
+    want = _sweep_by_fresh_search(v, lengths)
+    rep = erdos_gallai_sweep(v, lengths)
+    assert replace(rep, cycle_searches=want.cycle_searches) == want
+    assert rep.cycle_searches <= want.cycle_searches
+    assert rep.violation_count > 0
 
 
 def test_sweep_respects_length_subset():

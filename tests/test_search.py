@@ -4,7 +4,9 @@ counterexample minimization, and the lower-bound hunt."""
 from __future__ import annotations
 
 import itertools
+import multiprocessing
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -236,7 +238,7 @@ def test_spent_budget_passes_prefixes_through():
 
 def test_checkpoint_format_round_trip(tmp_path):
     path = tmp_path / "ck.txt"
-    path.write_text("checkpoint 2 5 8 lex\nprefix 3 1 2 1\n\nprefix 1 1\n")
+    path.write_text("checkpoint 2 5 8 lex\nprefix 3 1 2 1\n\nprefix 1 1\nend 2\n")
     assert read_checkpoint(str(path)) == ((1, 2, 1), (1,))
     assert read_checkpoint(str(path), (2, 5, 8, "lex")) == ((1, 2, 1), (1,))
 
@@ -253,8 +255,8 @@ def test_checkpoint_format_round_trip(tmp_path):
 )
 def test_checkpoint_rejects_malformed_lines(tmp_path, text):
     path = tmp_path / "bad.txt"
-    path.write_text("checkpoint 2 5 8 lex\n" + text)
-    with pytest.raises(FormatError):
+    path.write_text("checkpoint 2 5 8 lex\n" + text + "end 1\n")
+    with pytest.raises(FormatError, match="line 2"):
         read_checkpoint(str(path))
 
 
@@ -270,8 +272,57 @@ def test_checkpoint_rejects_malformed_lines(tmp_path, text):
 def test_checkpoint_requires_header(tmp_path, text):
     path = tmp_path / "bad.txt"
     path.write_text(text)
+    with pytest.raises(FormatError, match="line 1"):
+        read_checkpoint(str(path))
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "",                                    # header only
+        "prefix 1 1\n",                        # no end line
+        "prefix 1 1\nprefix 2 1 2\nend 1\n",   # end disagrees with the count
+        "prefix 1 1\nend 1\nprefix 2 1 2\n",   # end is not the last line
+        "prefix 1 1\nend 1\nend 1\n",          # a second end line
+        "prefix 1 1\nend\n",                   # end without a count
+        "end 0\n",                             # empty frontier
+    ],
+    ids=["header-only", "no-end", "miscount", "not-last", "two-ends", "bare-end",
+         "empty"],
+)
+def test_checkpoint_rejects_truncated_frontier(tmp_path, body):
+    path = tmp_path / "bad.txt"
+    path.write_text("checkpoint 2 5 8 lex\n" + body)
     with pytest.raises(FormatError):
         read_checkpoint(str(path))
+
+
+def test_checkpoint_with_a_dropped_prefix_line_is_rejected(tmp_path):
+    path = tmp_path / "search.ckpt"
+    write_checkpoint(str(path), ramsey_check(2, 5, 8, budget=50))
+    lines = path.read_text().splitlines(keepends=True)
+    assert lines[-1].startswith("end ") and len(lines) > 3
+    path.write_text("".join(lines[:1] + lines[2:]))
+    with pytest.raises(FormatError, match="expected 'end"):
+        read_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("N", [5, 6], ids=["counterexample", "all-contain"])
+def test_finished_result_has_no_checkpoint(tmp_path, N):
+    path = tmp_path / "search.ckpt"
+    with pytest.raises(ParamOutOfRange, match="INDETERMINATE"):
+        write_checkpoint(str(path), ramsey_check(2, 4, N))
+    assert not path.exists()
+
+
+def test_parallel_resume_of_empty_frontier_starts_no_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    res = resume_search(2, 5, 8, [], threads=2, budget=5)
+    assert res == replace(resume_search(2, 5, 8, []), stats=res.stats)
+    assert res.verdict is SearchVerdict.ALL_CONTAIN and counters(res) == (0, 0, 0)
 
 
 @pytest.mark.parametrize(
