@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .constructions import (
@@ -33,7 +32,7 @@ from .engine import (
     lemma4_inequality_check,
     pk_witness_search,
 )
-from .errors import CycleRamseyError
+from .errors import CycleRamseyError, ascii_text
 from .formats import (
     parse_coloring,
     parse_graph,
@@ -71,26 +70,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise _UsageError(message)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one invocation needs, decoded from flags."""
-
-    subcommand: str
-    input_path: str | None = None
-    output_path: str | None = None
-    k: int | None = None
-    n: int | None = None
-    N: int | None = None
-    eps: Fraction | None = None
-    parity: str | None = None
-    order: str = "lex"
-    threads: int = 1
-    budget: int | None = None
-    checkpoint: str | None = None
-    resume: str | None = None
-    json_output: bool = False
 
 
 def _rational_arg(text: str) -> Fraction:
@@ -168,37 +147,11 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
-    for flag in ("threads", "budget"):
-        value = getattr(args, flag, None)
-        if value is not None and value < 1:
-            raise _UsageError(f"--{flag} must be >= 1, got {value}")
-    threads = getattr(args, "threads", None)
-    if threads is None:
-        threads = _default_threads()
-    return RunConfig(
-        subcommand=args.subcommand,
-        input_path=getattr(args, "input_path", None),
-        output_path=getattr(args, "output_path", None),
-        k=getattr(args, "k", None),
-        n=getattr(args, "n", None),
-        N=getattr(args, "N", None),
-        eps=getattr(args, "eps", None),
-        parity=getattr(args, "parity", None),
-        order=getattr(args, "order", "lex"),
-        threads=threads,
-        budget=getattr(args, "budget", None),
-        checkpoint=getattr(args, "checkpoint", None),
-        resume=getattr(args, "resume", None),
-        json_output=getattr(args, "json_output", False),
-    )
-
-
 def _read_text(path: str | None) -> str:
     if path is None or path == "-":
-        return sys.stdin.read()
-    with open(path, encoding="ascii") as fh:
-        return fh.read()
+        return ascii_text(sys.stdin.buffer.read())
+    with open(path, "rb") as fh:
+        return ascii_text(fh.read())
 
 
 def _emit(text: str, path: str | None = None) -> None:
@@ -213,43 +166,43 @@ def _json_line(obj) -> str:
     return json.dumps(to_jsonable(obj), sort_keys=True) + "\n"
 
 
-def _cmd_construct(cfg: RunConfig) -> int:
-    col = bondy_erdos_coloring(cfg.k, cfg.n)
-    out = _json_line(col) if cfg.json_output else serialize_coloring(col)
-    _emit(out, cfg.output_path)
+def _cmd_construct(args: argparse.Namespace) -> int:
+    col = bondy_erdos_coloring(args.k, args.n)
+    out = _json_line(col) if args.json_output else serialize_coloring(col)
+    _emit(out, args.output_path)
     return 0
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    col = parse_coloring(_read_text(cfg.input_path))
+def _cmd_verify(args: argparse.Namespace) -> int:
+    col = parse_coloring(_read_text(args.input_path))
     chunks = []
-    if cfg.n % 2 == 1:
-        cert = structural_certificate(col, cfg.n)
+    if args.n % 2 == 1:
+        cert = structural_certificate(col, args.n)
         chunks.append(
-            _json_line(cert) if cfg.json_output
+            _json_line(cert) if args.json_output
             else serialize_structural_certificate(cert)
         )
-    outcome = verify_mono_cycle_free(col, cfg.n)
+    outcome = verify_mono_cycle_free(col, args.n)
     if outcome is True:
         chunks.append(
-            _json_line({"free": True}) if cfg.json_output
+            _json_line({"free": True}) if args.json_output
             else "mono-cycle-free true\n"
         )
         _emit("".join(chunks))
         return 0
     chunks.append(
-        _json_line(outcome) if cfg.json_output else serialize_witness(outcome)
+        _json_line(outcome) if args.json_output else serialize_witness(outcome)
     )
     _emit("".join(chunks))
     return 1
 
 
-def _cmd_decompose(cfg: RunConfig) -> int:
-    col = parse_coloring(_read_text(cfg.input_path))
+def _cmd_decompose(args: argparse.Namespace) -> int:
+    col = parse_coloring(_read_text(args.input_path))
     chunks = []
     for i in range(1, col.color_count + 1):
-        dec = fl_decompose(color_class(col, i), cfg.n)
-        if cfg.json_output:
+        dec = fl_decompose(color_class(col, i), args.n)
+        if args.json_output:
             obj = to_jsonable(dec)
             obj["color"] = i
             chunks.append(json.dumps(obj, sort_keys=True) + "\n")
@@ -259,58 +212,59 @@ def _cmd_decompose(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_peel(cfg: RunConfig) -> int:
-    G = parse_graph(_read_text(cfg.input_path))
-    res = min_degree_peel(G, cfg.N)
-    if cfg.json_output:
+def _cmd_peel(args: argparse.Namespace) -> int:
+    G = parse_graph(_read_text(args.input_path))
+    res = min_degree_peel(G, args.N)
+    if args.json_output:
         _emit(_json_line(res))
     else:
         _emit(serialize_peel(res) + serialize_graph(res.graph))
     return 0
 
 
-def _cmd_engine(cfg: RunConfig) -> int:
-    col = parse_coloring(_read_text(cfg.input_path))
-    if cfg.n % 2 == 1:
-        params = PkParameters.for_lemma(col.color_count, cfg.n, cfg.eps)
-        outcome = lemma4_execute(col, cfg.n, params)
+def _cmd_engine(args: argparse.Namespace) -> int:
+    col = parse_coloring(_read_text(args.input_path))
+    if args.n % 2 == 1:
+        params = PkParameters.for_lemma(col.color_count, args.n, args.eps)
+        outcome = lemma4_execute(col, args.n, params)
         if isinstance(outcome, Lemma4Trace):
             _emit(
-                _json_line(outcome) if cfg.json_output
+                _json_line(outcome) if args.json_output
                 else serialize_lemma4_trace(outcome)
             )
             return 1
     else:
-        outcome = even_engine(col, cfg.n, cfg.eps)
+        outcome = even_engine(col, args.n, args.eps)
         if isinstance(outcome, EvenCaseReport):
             _emit(
-                _json_line(outcome) if cfg.json_output
+                _json_line(outcome) if args.json_output
                 else serialize_even_report(outcome)
             )
             return 1
-    _emit(_json_line(outcome) if cfg.json_output else serialize_witness(outcome))
+    _emit(_json_line(outcome) if args.json_output else serialize_witness(outcome))
     return 0
 
 
-def _cmd_ineq(cfg: RunConfig) -> int:
-    rep = lemma4_inequality_check(cfg.k, cfg.eps, cfg.n)
-    _emit(_json_line(rep) if cfg.json_output else serialize_chain_report(rep))
+def _cmd_ineq(args: argparse.Namespace) -> int:
+    rep = lemma4_inequality_check(args.k, args.eps, args.n)
+    _emit(_json_line(rep) if args.json_output else serialize_chain_report(rep))
     return 0 if rep.holds else 1
 
 
-def _cmd_search(cfg: RunConfig) -> int:
-    if cfg.resume is not None:
-        prefixes = read_checkpoint(cfg.resume, (cfg.k, cfg.n, cfg.N, cfg.order))
+def _cmd_search(args: argparse.Namespace) -> int:
+    threads = _default_threads() if args.threads is None else args.threads
+    if args.resume is not None:
+        prefixes = read_checkpoint(args.resume, (args.k, args.n, args.N, args.order))
         res = resume_search(
-            cfg.k, cfg.n, cfg.N, prefixes,
-            order=cfg.order, budget=cfg.budget, threads=cfg.threads,
+            args.k, args.n, args.N, prefixes,
+            order=args.order, budget=args.budget, threads=threads,
         )
     else:
         res = ramsey_check(
-            cfg.k, cfg.n, cfg.N,
-            order=cfg.order, budget=cfg.budget, threads=cfg.threads,
+            args.k, args.n, args.N,
+            order=args.order, budget=args.budget, threads=threads,
         )
-    if cfg.json_output:
+    if args.json_output:
         _emit(_json_line(res))
     else:
         out = serialize_search_result(res)
@@ -318,26 +272,26 @@ def _cmd_search(cfg: RunConfig) -> int:
             out += serialize_coloring(res.counterexample)
         _emit(out)
     if res.verdict is SearchVerdict.INDETERMINATE:
-        if cfg.checkpoint is not None:
-            write_checkpoint(cfg.checkpoint, res)
+        if args.checkpoint is not None:
+            write_checkpoint(args.checkpoint, res)
         return 2
     return 0 if res.verdict is SearchVerdict.ALL_CONTAIN else 1
 
 
-def _cmd_witness(cfg: RunConfig) -> int:
-    col = parse_coloring(_read_text(cfg.input_path))
-    if cfg.parity is None:
-        parity = Parity.ODD if cfg.n % 2 == 1 else Parity.EVEN
+def _cmd_witness(args: argparse.Namespace) -> int:
+    col = parse_coloring(_read_text(args.input_path))
+    if args.parity is None:
+        parity = Parity.ODD if args.n % 2 == 1 else Parity.EVEN
     else:
-        parity = Parity.ODD if cfg.parity == "odd" else Parity.EVEN
-    w = pk_witness_search(col, cfg.n, parity)
+        parity = Parity.ODD if args.parity == "odd" else Parity.EVEN
+    w = pk_witness_search(col, args.n, parity)
     if w is None:
         _emit(
-            _json_line({"witness": None}) if cfg.json_output
+            _json_line({"witness": None}) if args.json_output
             else "witness none\n"
         )
         return 1
-    _emit(_json_line(w) if cfg.json_output else serialize_witness(w))
+    _emit(_json_line(w) if args.json_output else serialize_witness(w))
     return 0
 
 
@@ -357,8 +311,11 @@ def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = _config(args)
-        return _HANDLERS[cfg.subcommand](cfg)
+        for flag in ("threads", "budget"):
+            value = getattr(args, flag, None)
+            if value is not None and value < 1:
+                raise _UsageError(f"--{flag} must be >= 1, got {value}")
+        return _HANDLERS[args.subcommand](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -123,43 +123,27 @@ def structural_certificate(col: EdgeColoring, n: int) -> StructuralCertificate:
     return StructuralCertificate(n, col.color_count, tuple(tagged))
 
 
-def _exhaustive_component_search(
-    col: EdgeColoring, n: int, color: int, comp_vertices: tuple[int, ...]
-) -> StructureWitness | None:
-    Gi = color_class(col, color)
-    sub, kept = induced_subgraph(Gi, comp_vertices)
-    cert = contains_cycle_of_length(sub, n)
-    if cert is None:
-        return None
-    lifted = CycleCertificate(tuple(kept[v] for v in cert.vertices))
-    return StructureWitness(
-        WitnessKind.MONO_CYCLE, color, comp_vertices, cycle=lifted
-    )
-
-
 def verify_mono_cycle_free(col: EdgeColoring, n: int) -> bool | StructureWitness:
     """True iff no color class of `col` contains a C_n; otherwise a
     witness naming the offending color and cycle.
 
-    For odd n the structural certificate goes first and exhaustive
-    search runs only inside UNTAGGED components; for even n every
-    component large enough to host a C_n is searched.  The scan is
-    deterministic: colors ascending, components in discovery order.
+    One scan, colors ascending and components in discovery order,
+    searches every component that could host a C_n: at least n vertices
+    and, for odd n, not bipartite (the components `structural_certificate`
+    leaves UNTAGGED).  The first cycle found is the witness.
     """
     if n < 3:
         raise CycleTooShort(f"cycle length {n} < 3")
-    if n % 2 == 1:
-        cert = structural_certificate(col, n)
-        for t in cert.untagged():
-            found = _exhaustive_component_search(col, n, t.color, t.vertices)
-            if found is not None:
-                return found
-        return True
     for i in range(1, col.color_count + 1):
-        for comp in components(color_class(col, i)).components:
-            if len(comp.vertices) < n:
+        Gi = color_class(col, i)
+        for comp in components(Gi).components:
+            if len(comp.vertices) < n or (n % 2 == 1 and comp.is_bipartite):
                 continue
-            found = _exhaustive_component_search(col, n, i, comp.vertices)
-            if found is not None:
-                return found
+            sub, kept = induced_subgraph(Gi, comp.vertices)
+            cert = contains_cycle_of_length(sub, n)
+            if cert is not None:
+                cycle = CycleCertificate(tuple(kept[v] for v in cert.vertices))
+                return StructureWitness(
+                    WitnessKind.MONO_CYCLE, i, comp.vertices, cycle=cycle
+                )
     return True

@@ -1,6 +1,10 @@
 """Structural oracles: components, bipartiteness, cycles, and the
 Erdős–Gallai threshold.
 
+`components` finds each component's bipartition or odd cycle by BFS.
+A component's maximum matching is computed on first use of its
+`matching`, so callers that need only the structure run no blossom.
+
 Everything here is exact, and all bitmask cycle code lives here, over
 per-vertex neighbour masks, for graphs of a few dozen vertices.  One
 kernel, `_mask_cycle`, finds cycles: it returns the first cycle with
@@ -33,9 +37,10 @@ current graph.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
-from .certificates import CycleCertificate
+from .certificates import CycleCertificate, MatchingCertificate
 from .errors import CycleTooShort, ParamOutOfRange, TargetTooLarge
 from .graphs import Edge, Graph, induced_subgraph
 from .matching import max_matching
@@ -64,14 +69,28 @@ class ComponentInfo:
 
     `parts` is a bipartition (A, B) with the component's smallest vertex
     in A, or None for non-bipartite components; `odd_cycle` certifies
-    non-bipartiteness when the flag is False.
+    non-bipartiteness when the flag is False.  `graph` is the graph the
+    component came from; `matching` is computed from it on first read.
     """
 
     vertices: tuple[int, ...]
     is_bipartite: bool
     parts: tuple[tuple[int, ...], tuple[int, ...]] | None
-    matching_size: int
     odd_cycle: CycleCertificate | None
+    graph: Graph = field(compare=False, repr=False)
+
+    @cached_property
+    def matching(self) -> MatchingCertificate:
+        """A maximum matching of the component, in the host graph's labels."""
+        sub, kept = induced_subgraph(self.graph, self.vertices)
+        # kept is ascending, so lifted edges stay normalized (u < v)
+        return MatchingCertificate(
+            frozenset((kept[a], kept[b]) for a, b in max_matching(sub).edges)
+        )
+
+    @property
+    def matching_size(self) -> int:
+        return self.matching.size
 
 
 @dataclass(frozen=True)
@@ -84,14 +103,6 @@ class ComponentReport:
 
     component_id: tuple[int, ...]
     components: tuple[ComponentInfo, ...]
-
-    @property
-    def bipartite_components(self) -> tuple[ComponentInfo, ...]:
-        return tuple(c for c in self.components if c.is_bipartite)
-
-    @property
-    def non_bipartite_components(self) -> tuple[ComponentInfo, ...]:
-        return tuple(c for c in self.components if not c.is_bipartite)
 
 
 def _odd_cycle_from_conflict(
@@ -117,8 +128,8 @@ def _odd_cycle_from_conflict(
 
 
 def components(G: Graph) -> ComponentReport:
-    """Connected components with bipartiteness, bipartition or odd-cycle
-    witness, and the maximum matching size of each component."""
+    """Connected components with bipartiteness and a bipartition or
+    odd-cycle witness; no matching is computed until one is read."""
     n = G.vertex_count
     comp_id = [-1] * n
     infos: list[ComponentInfo] = []
@@ -149,14 +160,12 @@ def components(G: Graph) -> ComponentReport:
             if odd_cycle is not None:
                 break
         verts = tuple(sorted(order))
-        sub, _ = induced_subgraph(G, verts)
-        msize = max_matching(sub).size
         if odd_cycle is None:
             side_a = tuple(v for v in verts if depth[v] % 2 == 0)
             side_b = tuple(v for v in verts if depth[v] % 2 == 1)
-            infos.append(ComponentInfo(verts, True, (side_a, side_b), msize, None))
+            infos.append(ComponentInfo(verts, True, (side_a, side_b), None, G))
         else:
-            infos.append(ComponentInfo(verts, False, None, msize, odd_cycle))
+            infos.append(ComponentInfo(verts, False, None, odd_cycle, G))
     return ComponentReport(tuple(comp_id), tuple(infos))
 
 

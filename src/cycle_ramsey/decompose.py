@@ -91,7 +91,7 @@ def fl_decompose(G: Graph, n: int) -> FLDecomposition:
             v2.extend(side_b)
         else:
             v3.extend(comp.vertices)
-            if comp.matching_size >= need:
+            if hypothesis and comp.matching_size >= need:
                 hypothesis = False
     v3_sorted = tuple(sorted(v3))
     sub3, _ = induced_subgraph(G, v3_sorted)

@@ -42,10 +42,8 @@ from .graphs import (
     EdgeColoring,
     color_class,
     induced_coloring,
-    induced_subgraph,
     normalize_edge,
 )
-from .matching import max_matching
 
 
 def _exact(q) -> Fraction:
@@ -119,29 +117,22 @@ def pk_witness_search(
     """
     need = matching_threshold(n)
     for i in range(1, col.color_count + 1):
-        Gi = color_class(col, i)
-        for comp in components(Gi).components:
+        for comp in components(color_class(col, i)).components:
             if parity is Parity.ODD and comp.is_bipartite:
                 continue
             if comp.matching_size < need:
                 continue
-            sub, kept = induced_subgraph(Gi, comp.vertices)
-            local = max_matching(sub)
-            lifted = MatchingCertificate(
-                frozenset(
-                    normalize_edge(kept[a], kept[b]) for a, b in local.edges
-                )
-            )
             if parity is Parity.ODD:
                 return StructureWitness(
                     WitnessKind.NONBIP_COMPONENT_MATCHING,
                     i,
                     comp.vertices,
-                    matching=lifted,
+                    matching=comp.matching,
                     odd_cycle=comp.odd_cycle,
                 )
             return StructureWitness(
-                WitnessKind.COMPONENT_MATCHING, i, comp.vertices, matching=lifted
+                WitnessKind.COMPONENT_MATCHING, i, comp.vertices,
+                matching=comp.matching,
             )
     return None
 

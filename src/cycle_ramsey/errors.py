@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the ASCII decoding
+that every input reader goes through."""
 
 
 class CycleRamseyError(Exception):
@@ -51,3 +52,15 @@ class NotACounterexample(CycleRamseyError):
 
 class FormatError(CycleRamseyError):
     """Malformed graph/coloring file or rational literal."""
+
+
+def ascii_text(data: bytes) -> str:
+    """`data` decoded as ASCII; any other byte is a FormatError naming
+    its line."""
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise FormatError(
+            f"line {line}: non-ASCII byte 0x{data[exc.start]:02x}"
+        ) from None

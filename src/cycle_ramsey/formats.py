@@ -57,9 +57,12 @@ def serialize_coloring(col: EdgeColoring) -> str:
 
 
 def _data_lines(text: str) -> list[tuple[int, list[str]]]:
-    """Numbered token lists of the non-blank lines; `#` starts a comment."""
+    """Numbered token lists of the non-blank lines; `#` starts a comment.
+    Files are ASCII, so a line with any other character is rejected."""
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        if not raw.isascii():
+            raise FormatError(f"line {lineno}: non-ASCII character")
         line = raw.split("#", 1)[0].strip()
         if line:
             out.append((lineno, line.split()))

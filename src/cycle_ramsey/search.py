@@ -27,6 +27,7 @@ from .errors import (
     NotACounterexample,
     ParamOutOfRange,
     TargetTooLarge,
+    ascii_text,
 )
 from .graphs import (
     Edge,
@@ -454,49 +455,50 @@ def read_checkpoint(
     lines, and that number must be positive: a frontier that lost lines,
     or an empty one, would resume into a false proof.
     """
+    with open(path, "rb") as fh:
+        lines = ascii_text(fh.read()).splitlines()
+    header = lines[0].split() if lines else []
+    if len(header) != 5 or header[0] != "checkpoint":
+        raise FormatError("line 1: expected 'checkpoint <k> <n> <N> <order>'")
+    try:
+        written = (int(header[1]), int(header[2]), int(header[3]), header[4])
+    except ValueError as exc:
+        raise FormatError(f"line 1: {exc}") from None
+    if instance is not None and written != tuple(instance):
+        raise FormatError(
+            "checkpoint is for k={} n={} N={} order={}, not k={} n={} N={} "
+            "order={}".format(*written, *instance)
+        )
     prefixes: list[tuple[int, ...]] = []
-    with open(path, encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 5 or header[0] != "checkpoint":
-            raise FormatError("line 1: expected 'checkpoint <k> <n> <N> <order>'")
-        try:
-            written = (int(header[1]), int(header[2]), int(header[3]), header[4])
-        except ValueError as exc:
-            raise FormatError(f"line 1: {exc}") from None
-        if instance is not None and written != tuple(instance):
-            raise FormatError(
-                "checkpoint is for k={} n={} N={} order={}, not k={} n={} N={} "
-                "order={}".format(*written, *instance)
-            )
-        ended = False
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.split()
-            if not parts:
-                continue
-            if ended:
-                raise FormatError(f"line {lineno}: text after the 'end' line")
-            if parts[0] == "end":
-                if parts[1:] != [str(len(prefixes))]:
-                    raise FormatError(
-                        f"line {lineno}: expected 'end {len(prefixes)}' after "
-                        f"{len(prefixes)} prefix lines"
-                    )
-                ended = True
-                continue
-            if parts[0] != "prefix" or len(parts) < 2:
-                raise FormatError(f"line {lineno}: expected 'prefix <index> <colors>'")
-            try:
-                index = int(parts[1])
-                colors = tuple(int(t) for t in parts[2:])
-            except ValueError as exc:
-                raise FormatError(f"line {lineno}: {exc}") from None
-            if index != len(colors):
+    ended = False
+    for lineno, line in enumerate(lines[1:], start=2):
+        parts = line.split()
+        if not parts:
+            continue
+        if ended:
+            raise FormatError(f"line {lineno}: text after the 'end' line")
+        if parts[0] == "end":
+            if parts[1:] != [str(len(prefixes))]:
                 raise FormatError(
-                    f"line {lineno}: edge index {index} != {len(colors)} colors"
+                    f"line {lineno}: expected 'end {len(prefixes)}' after "
+                    f"{len(prefixes)} prefix lines"
                 )
-            if any(c < 1 for c in colors):
-                raise FormatError(f"line {lineno}: colors must be >= 1")
-            prefixes.append(colors)
+            ended = True
+            continue
+        if parts[0] != "prefix" or len(parts) < 2:
+            raise FormatError(f"line {lineno}: expected 'prefix <index> <colors>'")
+        try:
+            index = int(parts[1])
+            colors = tuple(int(t) for t in parts[2:])
+        except ValueError as exc:
+            raise FormatError(f"line {lineno}: {exc}") from None
+        if index != len(colors):
+            raise FormatError(
+                f"line {lineno}: edge index {index} != {len(colors)} colors"
+            )
+        if any(c < 1 for c in colors):
+            raise FormatError(f"line {lineno}: colors must be >= 1")
+        prefixes.append(colors)
     if not ended:
         raise FormatError("no 'end <count>' line: the checkpoint is truncated")
     if not prefixes:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import io
 import json
+import sys
 
 import pytest
 
@@ -87,6 +89,33 @@ def test_checkpoint_prefix_longer_than_edge_order(capsys, tmp_path):
     )
     assert code == 3
     assert out == "" and "exceeds the 6 edges" in err
+
+
+def test_non_ascii_checkpoint_exits_three(capsys, tmp_path):
+    ck = tmp_path / "ck.txt"
+    ck.write_bytes(b"checkpoint 2 5 8 lex\nprefix 1 \xff\nend 1\n")
+    code, out, err = run(
+        capsys, "search", "--k", "2", "--n", "5", "--N", "8", "--resume", str(ck)
+    )
+    assert code == 3
+    assert out == "" and "line 2: non-ASCII byte 0xff" in err
+
+
+def test_non_ascii_input_file_exits_three(capsys, tmp_path):
+    path = tmp_path / "col.txt"
+    path.write_bytes(b"coloring 3 1\ne 0 1 1\ne 0 2 \xe9\ne 1 2 1\n")
+    code, out, err = run(capsys, "verify", "--n", "3", "--in", str(path))
+    assert code == 3
+    assert out == "" and "line 3: non-ASCII byte 0xe9" in err
+
+
+def test_full_width_digit_on_stdin_exits_three(capsys, monkeypatch):
+    # int() takes a full-width 1 as colour 1; the reader must refuse it
+    text = "coloring 3 1\ne 0 1 1\ne 0 2 \uff11\ne 1 2 1\n"
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(text.encode())))
+    code, out, err = run(capsys, "verify", "--n", "3")
+    assert code == 3
+    assert out == "" and "line 3: non-ASCII byte 0xef" in err
 
 
 # --------------------------------------------------------------------------

@@ -14,19 +14,27 @@ from cycle_ramsey import (
     CycleTooShort,
     EdgeColoring,
     ParamOutOfRange,
+    StructureWitness,
     TargetTooLarge,
     build_graph,
+    check_decomposition,
     color_class,
     complete_graph,
     components,
+    constant_coloring,
     contains_cycle_of_length,
     cycle_graph,
     eg_threshold,
     erdos_gallai_sweep,
+    even_engine,
+    fl_decompose,
     induced_subgraph,
     longest_cycle,
+    structural_certificate,
     verify_cycle,
+    verify_matching,
     verify_mono_cycle_free,
+    verify_witness,
 )
 from cycle_ramsey import cycles
 from cycle_ramsey.cycles import _closure_test, _mask_component_cycle
@@ -100,9 +108,28 @@ def test_components_concrete_example():
     assert tri.odd_cycle is not None and tri.odd_cycle.length == 3
     assert edge.vertices == (3, 4) and edge.is_bipartite
     assert edge.parts == ((3,), (4,)) and edge.matching_size == 1
-    assert single.vertices == (5,) and single.parts == ((5,), ())
-    assert rep.non_bipartite_components == (tri,)
-    assert rep.bipartite_components == (edge, single)
+    assert single.vertices == (5,) and single.is_bipartite
+    assert single.parts == ((5,), ())
+
+
+def test_component_scans_run_no_matching(monkeypatch):
+    # Only a read of `matching` may run blossom; these callers never do.
+    col = constant_coloring(complete_graph(8), 2)
+    G = color_class(col, 1)
+    dec = fl_decompose(G, 5)  # reads matchings, so it runs before the patch
+
+    def no_blossom(_):
+        raise AssertionError("blossom matching ran")
+
+    monkeypatch.setattr(cycles, "max_matching", no_blossom)
+    assert len(components(G).components) == 1
+    assert not structural_certificate(col, 5).all_tagged
+    odd = verify_mono_cycle_free(col, 5)
+    assert odd.cycle.length == 5
+    assert verify_mono_cycle_free(col, 6).cycle.length == 6
+    assert check_decomposition(G, 5, dec).all_ok
+    assert isinstance(even_engine(col, 4, 1), StructureWitness)
+    assert verify_witness(col, 5, odd)
 
 
 @given(graphs(max_vertices=9))
@@ -116,7 +143,9 @@ def test_components_invariants(G):
         assert all(rep.component_id[v] == cid for v in comp.vertices)
         sub, kept = induced_subgraph(G, comp.vertices)
         assert comp.is_bipartite == brute_is_bipartite(sub)
-        assert comp.matching_size == brute_matching_number(sub)
+        assert verify_matching(G, comp.matching)
+        assert all(set(e) <= set(comp.vertices) for e in comp.matching.edges)
+        assert comp.matching_size == comp.matching.size == brute_matching_number(sub)
         if comp.is_bipartite:
             a, b = comp.parts
             assert tuple(sorted(a + b)) == comp.vertices

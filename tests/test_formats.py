@@ -136,6 +136,14 @@ def test_parse_coloring_rejects_malformed(text):
         parse_coloring(text)
 
 
+def test_non_ascii_line_is_rejected_with_its_number():
+    # int() would read a full-width digit as 1; the files are ASCII only
+    with pytest.raises(FormatError, match="line 3: non-ASCII"):
+        parse_coloring("coloring 3 1\ne 0 1 1\ne 0 2 \uff11\ne 1 2 1\n")
+    with pytest.raises(FormatError, match="line 1: non-ASCII"):
+        parse_graph("graph 3 # caf\u00e9\n")
+
+
 def test_whole_line_comments_are_ignored():
     G = parse_graph("# a comment\ngraph 3\n  # indented\ne 0 1\n")
     assert G == build_graph(3, [(0, 1)])
