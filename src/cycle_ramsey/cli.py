@@ -4,17 +4,17 @@ Exit codes: 0 definite positive result, 1 counterexample or negative
 witness outcome, 2 indeterminate (budget exhausted), 3 usage error, 4
 internal error (a bug, never a verdict).
 Reports go to stdout in the line formats from `formats`; `--json`
-switches every report to one JSON object per line.  Rational flags take
-exact `p/q` strings — decimals are rejected.
+switches every report to one JSON object per line.  Integer flags take
+plain ASCII digits (`-?[0-9]+`) and rational flags exact `p/q` strings;
+anything else, decimals included, is a usage error.  `search` colors the
+edges in colex order, the one order its checkpoints name.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from fractions import Fraction
 
 from .constructions import (
     bondy_erdos_coloring,
@@ -32,7 +32,7 @@ from .engine import (
     lemma4_inequality_check,
     pk_witness_search,
 )
-from .errors import CycleRamseyError, ascii_text
+from .errors import CycleRamseyError, ascii_int, ascii_text
 from .formats import (
     parse_coloring,
     parse_graph,
@@ -58,9 +58,6 @@ from .search import (
     write_checkpoint,
 )
 
-THREADS_ENV = "CYCLE_RAMSEY_THREADS"
-
-
 class _UsageError(Exception):
     pass
 
@@ -72,19 +69,20 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _rational_arg(text: str) -> Fraction:
-    try:
-        return parse_rational(text)
-    except CycleRamseyError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _flag_type(parse):
+    """An argparse `type` that reports a parse error as a usage error."""
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except CycleRamseyError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
 
 
-def _default_threads() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+_int_arg = _flag_type(ascii_int)
+_rational_arg = _flag_type(parse_rational)
 
 
 def build_parser() -> _Parser:
@@ -100,47 +98,46 @@ def build_parser() -> _Parser:
             )
 
     p = sub.add_parser("construct", help="emit the doubling lower-bound coloring")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--k", type=_int_arg, required=True)
+    p.add_argument("--n", type=_int_arg, required=True)
     p.add_argument("--out", dest="output_path", default=None)
     common(p)
 
     p = sub.add_parser("verify", help="check a coloring for monochromatic C_n")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_arg, required=True)
     common(p, needs_input=True)
 
     p = sub.add_parser("decompose", help="decompose each color class")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_arg, required=True)
     common(p, needs_input=True)
 
     p = sub.add_parser("peel", help="min-degree peel a graph")
-    p.add_argument("--target", dest="N", type=int, required=True)
+    p.add_argument("--target", dest="N", type=_int_arg, required=True)
     common(p, needs_input=True)
 
     p = sub.add_parser("engine", help="run the odd/even proof engine on a coloring")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_arg, required=True)
     p.add_argument("--eps", type=_rational_arg, required=True)
     common(p, needs_input=True)
 
     p = sub.add_parser("ineq", help="verify the odd-case inequality chain")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_int_arg, required=True)
     p.add_argument("--eps", type=_rational_arg, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_arg, required=True)
     common(p)
 
     p = sub.add_parser("search", help="exhaustive monochromatic-C_n search on K_N")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--order", choices=("lex", "colex"), default="lex")
+    p.add_argument("--k", type=_int_arg, required=True)
+    p.add_argument("--n", type=_int_arg, required=True)
+    p.add_argument("--N", type=_int_arg, required=True)
+    p.add_argument("--budget", type=_int_arg, default=None)
+    p.add_argument("--threads", type=_int_arg, default=1)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--resume", default=None)
     common(p)
 
     p = sub.add_parser("witness", help="look for the density property's structure")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_arg, required=True)
     p.add_argument("--parity", choices=("odd", "even"), default=None)
     common(p, needs_input=True)
 
@@ -252,17 +249,15 @@ def _cmd_ineq(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    threads = _default_threads() if args.threads is None else args.threads
     if args.resume is not None:
-        prefixes = read_checkpoint(args.resume, (args.k, args.n, args.N, args.order))
+        prefixes = read_checkpoint(args.resume, (args.k, args.n, args.N))
         res = resume_search(
             args.k, args.n, args.N, prefixes,
-            order=args.order, budget=args.budget, threads=threads,
+            budget=args.budget, threads=args.threads,
         )
     else:
         res = ramsey_check(
-            args.k, args.n, args.N,
-            order=args.order, budget=args.budget, threads=threads,
+            args.k, args.n, args.N, budget=args.budget, threads=args.threads
         )
     if args.json_output:
         _emit(_json_line(res))

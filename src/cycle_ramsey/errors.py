@@ -1,5 +1,5 @@
 """Exception types shared across the toolkit, and the ASCII decoding
-that every input reader goes through."""
+and integer parsing that every input reader goes through."""
 
 
 class CycleRamseyError(Exception):
@@ -64,3 +64,14 @@ def ascii_text(data: bytes) -> str:
         raise FormatError(
             f"line {line}: non-ASCII byte 0x{data[exc.start]:02x}"
         ) from None
+
+
+def ascii_int(token: str) -> int:
+    """`token` as an integer if it is plain ASCII `-?[0-9]+`, else a
+    FormatError.  `int()` alone also takes `+`, `_` separators and
+    non-ASCII digits, which would turn a typo into another instance."""
+    if token.isascii() and (
+        token.isdigit() or token[:1] == "-" and token[1:].isdigit()
+    ):
+        return int(token)
+    raise FormatError(f"bad integer {token!r}: expected ASCII digits")

@@ -21,16 +21,16 @@ from .constructions import ComponentTag, StructuralCertificate
 from .cycles import SweepReport
 from .decompose import FLDecomposition, PeelResult
 from .engine import ChainReport, EvenCaseReport, Lemma4Trace
-from .errors import FormatError
+from .errors import FormatError, ascii_int
 from .graphs import EdgeColoring, Graph, build_graph, make_coloring
-from .search import SearchResult, SearchVerdict
+from .search import EDGE_ORDER, SearchResult, SearchVerdict
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse a strict `p/q` (or integer) literal; decimals are rejected."""
-    if not _RATIONAL_RE.match(text):
+    if not _RATIONAL_RE.fullmatch(text):
         raise FormatError(
             f"bad rational {text!r}: expected 'p/q' or an integer "
             "(decimals are not accepted)"
@@ -71,9 +71,9 @@ def _data_lines(text: str) -> list[tuple[int, list[str]]]:
 
 def _ints(tokens: list[str], lineno: int) -> list[int]:
     try:
-        return [int(t) for t in tokens]
-    except ValueError:
-        raise FormatError(f"line {lineno}: non-integer token") from None
+        return [ascii_int(t) for t in tokens]
+    except FormatError as exc:
+        raise FormatError(f"line {lineno}: {exc}") from None
 
 
 def parse_graph(text: str) -> Graph:
@@ -283,7 +283,7 @@ def serialize_even_report(rep: EvenCaseReport) -> str:
 def serialize_search_result(res: SearchResult) -> str:
     """Stable search report; wall time is deliberately omitted."""
     lines = [
-        f"search k {res.k} n {res.n} N {res.N} order {res.order_scheme}",
+        f"search k {res.k} n {res.n} N {res.N} order {EDGE_ORDER}",
         f"verdict {res.verdict.value}",
         f"nodes {res.stats.nodes}",
         f"cycle-prunes {res.stats.cycle_prunes}",

@@ -1,12 +1,14 @@
 """Pruned exhaustive search over k-colorings of K_N for monochromatic C_n.
 
-The search assigns colors to the edges of K_N one at a time in a fixed
-order, with two prunes: color symmetry (color c may first appear only
-after colors 1..c-1 have) and incremental cycle detection (assigning an
-edge a color that closes a monochromatic C_n kills the branch).  In
-exhaustive mode an ALL_CONTAIN verdict is a proof that R_k(C_n) <= N;
-every COUNTEREXAMPLE is re-verified by the independent checker before
-being returned.
+The search assigns colors to the edges of K_N one at a time in colex
+order (see `edge_order`), with two prunes: color symmetry (color c may
+first appear only after colors 1..c-1 have) and incremental cycle
+detection (assigning an edge a color that closes a monochromatic C_n
+kills the branch).  In exhaustive mode an ALL_CONTAIN verdict is a proof
+that R_k(C_n) <= N; every COUNTEREXAMPLE is re-verified by the
+independent checker before being returned.  Checkpoints and reports
+name the order (`EDGE_ORDER`), since a color prefix means nothing
+without it.
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ from .errors import (
     CycleRamseyError,
     CycleTooShort,
     FormatError,
-    InvalidParams,
     NotACounterexample,
     ParamOutOfRange,
     TargetTooLarge,
+    ascii_int,
     ascii_text,
 )
 from .graphs import (
@@ -39,19 +41,18 @@ from .graphs import (
 
 _MAX_HOST = 18  # binom(18,2) = 153 edges; far beyond that the DFS is hopeless
 
+# The name of the edge order, written into checkpoints and reports so a
+# file states which edges its color prefixes index.
+EDGE_ORDER = "colex"
 
-def edge_order(N: int, scheme: str = "lex") -> tuple[Edge, ...]:
-    """The fixed edge enumeration the DFS colors along.
 
-    "lex" orders by (min endpoint, max endpoint); "colex" by (max, min),
-    which completes each K_m before touching vertex m+1 and often prunes
-    earlier.  Both are exhaustive; "lex" is the default everywhere.
+def edge_order(N: int) -> tuple[Edge, ...]:
+    """The fixed edge enumeration the DFS colors along: colex, that is by
+    (max endpoint, min endpoint).  It completes each K_m before touching
+    vertex m, so the cycle prune already cuts inside small complete
+    graphs.
     """
-    if scheme == "lex":
-        return tuple((u, v) for u in range(N) for v in range(u + 1, N))
-    if scheme == "colex":
-        return tuple((u, v) for v in range(N) for u in range(v))
-    raise InvalidParams(f"unknown edge order {scheme!r}")
+    return tuple((u, v) for v in range(N) for u in range(v))
 
 
 class SearchVerdict(enum.Enum):
@@ -84,7 +85,6 @@ class SearchResult:
     k: int
     n: int
     N: int
-    order_scheme: str
     counterexample: EdgeColoring | None
     stats: SearchStats
     open_prefixes: tuple[tuple[int, ...], ...] = ()
@@ -138,7 +138,6 @@ def _search_subtree(
     k: int,
     n: int,
     N: int,
-    scheme: str,
     prefix: tuple[int, ...],
     budget: int | None,
     stats: _Stats,
@@ -153,7 +152,7 @@ def _search_subtree(
     cutoff or a parallel split reports it uncounted), so it is counted
     here, with its cycle prune when the replay closes a cycle.
     """
-    edges = edge_order(N, scheme)
+    edges = edge_order(N)
     M = len(edges)
     closes = _closure_test(n - 1)
     limit = _UNLIMITED if budget is None else budget
@@ -207,10 +206,10 @@ def _search_subtree(
 
 
 def _worker(args) -> tuple[int, tuple[int, ...] | None, int, int, int, list]:
-    k, n, N, scheme, prefix, budget = args
+    k, n, N, prefix, budget = args
     stats = _Stats()
     open_out: list[tuple[int, ...]] = []
-    status, path = _search_subtree(k, n, N, scheme, prefix, budget, stats, open_out)
+    status, path = _search_subtree(k, n, N, prefix, budget, stats, open_out)
     return (
         status,
         path,
@@ -221,15 +220,12 @@ def _worker(args) -> tuple[int, tuple[int, ...] | None, int, int, int, list]:
     )
 
 
-def _coloring_from_path(
-    k: int, N: int, scheme: str, path: tuple[int, ...]
-) -> EdgeColoring:
-    edges = edge_order(N, scheme)
-    return make_coloring(complete_graph(N), k, dict(zip(edges, path)))
+def _coloring_from_path(k: int, N: int, path: tuple[int, ...]) -> EdgeColoring:
+    return make_coloring(complete_graph(N), k, dict(zip(edge_order(N), path)))
 
 
 def _split_prefixes(
-    k: int, n: int, N: int, scheme: str, want: int
+    k: int, n: int, N: int, want: int
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, int]]]:
     """Expand the root breadth-first into subtrees for parallel workers,
     until `want` of them are live or depth 6, in DFS order.
@@ -241,7 +237,7 @@ def _split_prefixes(
     therefore gives the sequential counters, also when a subtree yields a
     coloring and the later entries are left out.
     """
-    edges = edge_order(N, scheme)
+    edges = edge_order(N)
     closes = _closure_test(n - 1)
     # entries: (prefix, live, ancestor nodes, ancestor symmetry prunes)
     level = [((), True, 0, 0)]
@@ -273,7 +269,6 @@ def _aggregate(
     k: int,
     n: int,
     N: int,
-    scheme: str,
     prefixes,
     budget: int | None,
     threads: int,
@@ -300,9 +295,7 @@ def _aggregate(
                 open_all.append(prefix)
                 cut = True
                 continue
-            status, path = _search_subtree(
-                k, n, N, scheme, prefix, budget, stats, open_all
-            )
+            status, path = _search_subtree(k, n, N, prefix, budget, stats, open_all)
             if status == _CUTOFF:
                 cut = True
             if status == _FOUND:
@@ -313,7 +306,7 @@ def _aggregate(
         if lead is None:
             lead = [(0, 0)] * len(prefixes)
         per_budget = None if budget is None else max(1, budget // len(prefixes))
-        args = [(k, n, N, scheme, p, per_budget) for p in prefixes]
+        args = [(k, n, N, p, per_budget) for p in prefixes]
         ctx = multiprocessing.get_context()
         with ctx.Pool(processes=threads) as pool:
             results = zip(pool.imap(_worker, args), lead)
@@ -331,26 +324,17 @@ def _aggregate(
 
     stats_out = SearchStats(nodes, cyc, sym, time.perf_counter() - t0)
     if found_path is not None:
-        col = _coloring_from_path(k, N, scheme, found_path)
+        col = _coloring_from_path(k, N, found_path)
         if verify_mono_cycle_free(col, n) is not True:
             raise CycleRamseyError(
                 "internal: counterexample failed independent re-verification"
             )
-        return SearchResult(
-            SearchVerdict.COUNTEREXAMPLE, k, n, N, scheme, col, stats_out
-        )
+        return SearchResult(SearchVerdict.COUNTEREXAMPLE, k, n, N, col, stats_out)
     if cut:
         return SearchResult(
-            SearchVerdict.INDETERMINATE,
-            k,
-            n,
-            N,
-            scheme,
-            None,
-            stats_out,
-            tuple(open_all),
+            SearchVerdict.INDETERMINATE, k, n, N, None, stats_out, tuple(open_all)
         )
-    return SearchResult(SearchVerdict.ALL_CONTAIN, k, n, N, scheme, None, stats_out)
+    return SearchResult(SearchVerdict.ALL_CONTAIN, k, n, N, None, stats_out)
 
 
 def _validate_instance(k: int, n: int, N: int) -> None:
@@ -374,7 +358,6 @@ def ramsey_check(
     n: int,
     N: int,
     *,
-    order: str = "lex",
     budget: int | None = None,
     threads: int = 1,
 ) -> SearchResult:
@@ -395,8 +378,8 @@ def ramsey_check(
         prefixes: list[tuple[int, ...]] = [()]
         lead = None
     else:
-        prefixes, lead = _split_prefixes(k, n, N, order, want=4 * threads)
-    return _aggregate(k, n, N, order, prefixes, budget, threads, t0, lead)
+        prefixes, lead = _split_prefixes(k, n, N, want=4 * threads)
+    return _aggregate(k, n, N, prefixes, budget, threads, t0, lead)
 
 
 def resume_search(
@@ -405,7 +388,6 @@ def resume_search(
     N: int,
     prefixes,
     *,
-    order: str = "lex",
     budget: int | None = None,
     threads: int = 1,
 ) -> SearchResult:
@@ -419,12 +401,12 @@ def resume_search(
     """
     _validate_instance(k, n, N)
     _validate_budget(budget)
-    return _aggregate(k, n, N, order, list(prefixes), budget, threads, time.perf_counter())
+    return _aggregate(k, n, N, list(prefixes), budget, threads, time.perf_counter())
 
 
 def write_checkpoint(path: str, result: SearchResult) -> None:
     """Persist the open subtrees of an INDETERMINATE result: a
-    `checkpoint <k> <n> <N> <order>` header line, one `prefix
+    `checkpoint <k> <n> <N> colex` header line, one `prefix
     <edge-index> <color-list>` line each, then `end <count>`.
 
     Only an interrupted run has a frontier to resume; a finished one
@@ -435,39 +417,45 @@ def write_checkpoint(path: str, result: SearchResult) -> None:
             f"only an INDETERMINATE result has a checkpoint, not {result.verdict.value}"
         )
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(
-            f"checkpoint {result.k} {result.n} {result.N} {result.order_scheme}\n"
-        )
+        fh.write(f"checkpoint {result.k} {result.n} {result.N} {EDGE_ORDER}\n")
         for p in result.open_prefixes:
             fh.write(f"prefix {len(p)} {' '.join(str(c) for c in p)}\n")
         fh.write(f"end {len(result.open_prefixes)}\n")
 
 
 def read_checkpoint(
-    path: str, instance: tuple[int, int, int, str] | None = None
+    path: str, instance: tuple[int, int, int] | None = None
 ) -> tuple[tuple[int, ...], ...]:
     """The open prefixes of a checkpoint file.
 
-    The first line must be the `checkpoint <k> <n> <N> <order>` header;
-    with `instance` given, it must name that (k, n, N, order), since a
-    frontier resumed on any other instance proves nothing about it.  The
-    last non-empty line must be `end <count>` with the number of prefix
-    lines, and that number must be positive: a frontier that lost lines,
-    or an empty one, would resume into a false proof.
+    The first line must be the `checkpoint <k> <n> <N> colex` header: a
+    prefix indexes the edges in that order, so a file naming any other
+    order is refused.  With `instance` given, the header must name that
+    (k, n, N), since a frontier resumed on any other instance proves
+    nothing about it.  The last non-empty line must be `end <count>`
+    with the number of prefix lines, and that number must be positive: a
+    frontier that lost lines, or an empty one, would resume into a false
+    proof.  Integers are plain ASCII digits, as in `formats`.
     """
     with open(path, "rb") as fh:
         lines = ascii_text(fh.read()).splitlines()
     header = lines[0].split() if lines else []
     if len(header) != 5 or header[0] != "checkpoint":
-        raise FormatError("line 1: expected 'checkpoint <k> <n> <N> <order>'")
+        raise FormatError(f"line 1: expected 'checkpoint <k> <n> <N> {EDGE_ORDER}'")
     try:
-        written = (int(header[1]), int(header[2]), int(header[3]), header[4])
-    except ValueError as exc:
+        written = tuple(ascii_int(t) for t in header[1:4])
+    except FormatError as exc:
         raise FormatError(f"line 1: {exc}") from None
+    if header[4] != EDGE_ORDER:
+        raise FormatError(
+            f"line 1: edge order {header[4]!r}; this search resumes only "
+            f"{EDGE_ORDER!r} checkpoints"
+        )
     if instance is not None and written != tuple(instance):
         raise FormatError(
-            "checkpoint is for k={} n={} N={} order={}, not k={} n={} N={} "
-            "order={}".format(*written, *instance)
+            "checkpoint is for k={} n={} N={}, not k={} n={} N={}".format(
+                *written, *instance
+            )
         )
     prefixes: list[tuple[int, ...]] = []
     ended = False
@@ -488,9 +476,9 @@ def read_checkpoint(
         if parts[0] != "prefix" or len(parts) < 2:
             raise FormatError(f"line {lineno}: expected 'prefix <index> <colors>'")
         try:
-            index = int(parts[1])
-            colors = tuple(int(t) for t in parts[2:])
-        except ValueError as exc:
+            index = ascii_int(parts[1])
+            colors = tuple(ascii_int(t) for t in parts[2:])
+        except FormatError as exc:
             raise FormatError(f"line {lineno}: {exc}") from None
         if index != len(colors):
             raise FormatError(

@@ -83,7 +83,7 @@ def test_search_rejects_non_positive_counts(capsys, flag, value):
 def test_checkpoint_prefix_longer_than_edge_order(capsys, tmp_path):
     ck = tmp_path / "ck.txt"
     # K_4 has 6 edges
-    ck.write_text("checkpoint 2 5 4 lex\nprefix 8 1 2 1 2 1 2 1 2\nend 1\n")
+    ck.write_text("checkpoint 2 5 4 colex\nprefix 8 1 2 1 2 1 2 1 2\nend 1\n")
     code, out, err = run(
         capsys, "search", "--k", "2", "--n", "5", "--N", "4", "--resume", str(ck)
     )
@@ -93,7 +93,7 @@ def test_checkpoint_prefix_longer_than_edge_order(capsys, tmp_path):
 
 def test_non_ascii_checkpoint_exits_three(capsys, tmp_path):
     ck = tmp_path / "ck.txt"
-    ck.write_bytes(b"checkpoint 2 5 8 lex\nprefix 1 \xff\nend 1\n")
+    ck.write_bytes(b"checkpoint 2 5 8 colex\nprefix 1 \xff\nend 1\n")
     code, out, err = run(
         capsys, "search", "--k", "2", "--n", "5", "--N", "8", "--resume", str(ck)
     )
@@ -116,6 +116,38 @@ def test_full_width_digit_on_stdin_exits_three(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "--n", "3")
     assert code == 3
     assert out == "" and "line 3: non-ASCII byte 0xef" in err
+
+
+@pytest.mark.parametrize(
+    "argv,text",
+    [
+        (("peel", "--target", "3"), "graph 1_2\n"),
+        (("verify", "--n", "3"), "coloring 3 1\ne 0 1 +1\ne 0 2 1\ne 1 2 1\n"),
+    ],
+    ids=["separator-in-order", "signed-color"],
+)
+def test_non_plain_integer_in_file_exits_three(capsys, tmp_path, argv, text):
+    # int() would read these as 12 vertices and colour 1
+    path = tmp_path / "in.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, *argv, "--in", str(path))
+    assert code == 3
+    assert out == "" and "bad integer" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("search", "--k", "2", "--n", "5", "--N", "1_0"),
+        ("search", "--k", "\uff12", "--n", "5", "--N", "6"),
+        ("ineq", "--k", "4", "--eps", "\u0661/2", "--n", "5"),
+    ],
+    ids=["separator-in-N", "full-width-k", "arabic-indic-eps"],
+)
+def test_non_plain_integer_flag_exits_three(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == "" and "bad " in err
 
 
 # --------------------------------------------------------------------------
@@ -265,7 +297,7 @@ def test_search_budget_checkpoint_resume(capsys, tmp_path):
     )
     assert code == 2
     assert "verdict INDETERMINATE" in out
-    assert ck.exists() and ck.read_text().startswith("checkpoint 2 5 8 lex\nprefix ")
+    assert ck.exists() and ck.read_text().startswith("checkpoint 2 5 8 colex\nprefix ")
 
     code, out, _ = run(
         capsys,
@@ -279,7 +311,7 @@ def test_resume_of_header_only_checkpoint_is_no_proof(capsys, tmp_path):
     # (2, 5, 8) has a counterexample; a frontier that lost its prefix
     # lines must not resume into ALL_CONTAIN.
     ck = tmp_path / "ck.txt"
-    ck.write_text("checkpoint 2 5 8 lex\n")
+    ck.write_text("checkpoint 2 5 8 colex\n")
     code, out, err = run(
         capsys, "search", "--k", "2", "--n", "5", "--N", "8", "--resume", str(ck)
     )
@@ -288,13 +320,9 @@ def test_resume_of_header_only_checkpoint_is_no_proof(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "k,n,N,order",
-    [("2", "5", "9", "lex"), ("2", "4", "8", "lex"), ("3", "5", "8", "lex"),
-     ("2", "5", "8", "colex")],
+    "k,n,N", [("2", "5", "9"), ("2", "4", "8"), ("3", "5", "8")]
 )
-def test_resume_rejects_checkpoint_of_another_instance(
-    capsys, tmp_path, k, n, N, order
-):
+def test_resume_rejects_checkpoint_of_another_instance(capsys, tmp_path, k, n, N):
     ck = tmp_path / "ck.txt"
     run(
         capsys,
@@ -302,12 +330,21 @@ def test_resume_rejects_checkpoint_of_another_instance(
         "--budget", "50", "--checkpoint", str(ck),
     )
     code, out, err = run(
-        capsys,
-        "search", "--k", k, "--n", n, "--N", N, "--order", order,
-        "--resume", str(ck),
+        capsys, "search", "--k", k, "--n", n, "--N", N, "--resume", str(ck)
     )
     assert code == 3
-    assert out == "" and "checkpoint is for k=2 n=5 N=8 order=lex" in err
+    assert out == "" and "checkpoint is for k=2 n=5 N=8, not" in err
+
+
+def test_resume_refuses_lex_checkpoint(capsys, tmp_path):
+    # an older build wrote lex checkpoints; their prefixes index other edges
+    ck = tmp_path / "ck.txt"
+    ck.write_text("checkpoint 2 5 8 lex\nprefix 1 1\nend 1\n")
+    code, out, err = run(
+        capsys, "search", "--k", "2", "--n", "5", "--N", "8", "--resume", str(ck)
+    )
+    assert code == 3
+    assert out == "" and "edge order 'lex'" in err
 
 
 def test_search_json_single_object(capsys):
@@ -320,16 +357,6 @@ def test_search_json_single_object(capsys):
     obj = json.loads(lines[0])
     assert obj["verdict"] == "COUNTEREXAMPLE"
     assert obj["counterexample"]["vertex_count"] == 5
-
-
-def test_threads_env_variable(capsys, monkeypatch):
-    monkeypatch.setenv(cli.THREADS_ENV, "2")
-    code, out, _ = run(capsys, "search", "--k", "2", "--n", "3", "--N", "6")
-    assert code == 0
-    assert "verdict ALL_CONTAIN" in out
-    monkeypatch.setenv(cli.THREADS_ENV, "not-a-number")
-    code, _, _ = run(capsys, "search", "--k", "2", "--n", "3", "--N", "5")
-    assert code == 1  # falls back to one thread rather than crashing
 
 
 # --------------------------------------------------------------------------

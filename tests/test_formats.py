@@ -63,7 +63,8 @@ def test_parse_rational_accepts(text, value):
 
 @pytest.mark.parametrize(
     "text",
-    ["0.5", "1e3", "1/0", "1/-2", "3 / 4", "", "half", "1/2/3", "0x1"],
+    ["0.5", "1e3", "1/0", "1/-2", "3 / 4", "", "half", "1/2/3", "0x1",
+     "1/2\n", "\u0661/2", "1_0/2"],
 )
 def test_parse_rational_rejects(text):
     with pytest.raises(FormatError):

@@ -14,7 +14,6 @@ from cycle_ramsey import (
     CycleTooShort,
     EdgeColoring,
     FormatError,
-    InvalidParams,
     LowerBoundResult,
     NotACounterexample,
     ParamOutOfRange,
@@ -23,7 +22,6 @@ from cycle_ramsey import (
     WitnessMode,
     bondy_erdos_coloring,
     build_graph,
-    color_class,
     complete_graph,
     constant_coloring,
     counterexample_minimize,
@@ -37,8 +35,6 @@ from cycle_ramsey import (
     write_checkpoint,
 )
 
-from strategies import brute_cycle_lengths
-
 
 def counters(res) -> tuple[int, int, int]:
     s = res.stats
@@ -46,14 +42,18 @@ def counters(res) -> tuple[int, int, int]:
 
 
 def naive_all_contain(k: int, n: int, N: int) -> bool:
-    """Total enumeration of every k-coloring of K_N, no pruning at all."""
-    base = complete_graph(N)
-    for combo in itertools.product(range(1, k + 1), repeat=base.edge_count):
-        col = EdgeColoring(base, k, combo)
-        if all(
-            n not in brute_cycle_lengths(color_class(col, i))
-            for i in range(1, k + 1)
-        ):
+    """Total enumeration of every k-coloring of K_N, no pruning at all:
+    each coloring is tested against the edge sets of all C_n in K_N,
+    listed once up front (first vertex smallest, one direction)."""
+    index = {e: i for i, e in enumerate(itertools.combinations(range(N), 2))}
+    cycles = []
+    for first, *rest in itertools.combinations(range(N), n):
+        for perm in itertools.permutations(rest):
+            if perm[0] < perm[-1]:
+                ring = (first, *perm, first)
+                cycles.append([index[min(e), max(e)] for e in zip(ring, ring[1:])])
+    for combo in itertools.product(range(k), repeat=len(index)):
+        if not any(len({combo[e] for e in cycle}) == 1 for cycle in cycles):
             return False
     return True
 
@@ -63,14 +63,10 @@ def naive_all_contain(k: int, n: int, N: int) -> bool:
 
 
 def test_edge_orders():
-    assert edge_order(4, "lex") == (
-        (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
-    )
-    assert edge_order(4, "colex") == (
+    # colex: K_m is complete before vertex m is touched
+    assert edge_order(4) == (
         (0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3),
     )
-    with pytest.raises(InvalidParams):
-        edge_order(4, "random")
 
 
 def test_instance_validation():
@@ -129,6 +125,8 @@ def test_monotone_in_host_order():
         (3, 3, 4),
         (3, 4, 4),
         (1, 4, 4),
+        (2, 3, 6),
+        (2, 4, 6),
     ],
 )
 def test_agrees_with_total_enumeration(k, n, N):
@@ -144,32 +142,25 @@ def test_determinism_and_stats():
     b = ramsey_check(2, 5, 8)
     assert a.verdict is SearchVerdict.COUNTEREXAMPLE
     assert a.counterexample == b.counterexample
-    assert a.stats.nodes == b.stats.nodes == 23001
+    assert a.stats.nodes == b.stats.nodes == 285
     assert a.stats.cycle_prunes > 0 and a.stats.symmetry_prunes > 0
 
 
 @pytest.mark.parametrize(
     "n,N,triple",
     [
-        (3, 6, (987, 494, 1)),
-        (3, 5, (71, 33, 1)),
-        (4, 6, (2083, 1042, 1)),
-        (4, 5, (59, 27, 1)),
-        (6, 7, (30, 9, 1)),
-        (5, 8, (23001, 11494, 1)),
+        (3, 6, (325, 163, 1)),
+        (3, 5, (47, 21, 1)),
+        (4, 6, (1059, 530, 1)),
+        (4, 5, (19, 7, 1)),
+        (6, 7, (29, 8, 1)),
+        (5, 8, (285, 136, 1)),
     ],
 )
 def test_certify_counters_are_pinned(n, N, triple):
     # (nodes, cycle prunes, symmetry prunes) of the two-colour searches:
     # a faster closure test must leave the search tree as it is.
     assert counters(ramsey_check(2, n, N)) == triple
-
-
-def test_colex_order_agrees_on_verdicts():
-    assert ramsey_check(2, 3, 6, order="colex").verdict is SearchVerdict.ALL_CONTAIN
-    res = ramsey_check(2, 5, 8, order="colex")
-    assert res.verdict is SearchVerdict.COUNTEREXAMPLE
-    assert verify_mono_cycle_free(res.counterexample, 5) is True
 
 
 # --------------------------------------------------------------------------
@@ -238,9 +229,9 @@ def test_spent_budget_passes_prefixes_through():
 
 def test_checkpoint_format_round_trip(tmp_path):
     path = tmp_path / "ck.txt"
-    path.write_text("checkpoint 2 5 8 lex\nprefix 3 1 2 1\n\nprefix 1 1\nend 2\n")
+    path.write_text("checkpoint 2 5 8 colex\nprefix 3 1 2 1\n\nprefix 1 1\nend 2\n")
     assert read_checkpoint(str(path)) == ((1, 2, 1), (1,))
-    assert read_checkpoint(str(path), (2, 5, 8, "lex")) == ((1, 2, 1), (1,))
+    assert read_checkpoint(str(path), (2, 5, 8)) == ((1, 2, 1), (1,))
 
 
 @pytest.mark.parametrize(
@@ -249,13 +240,15 @@ def test_checkpoint_format_round_trip(tmp_path):
         "prefix 2 1\n",          # count mismatch
         "subtree 1 1\n",          # wrong keyword
         "prefix x 1\n",           # non-integer index
+        "prefix 1 +1\n",          # sign on a color
+        "prefix 1_0 1\n",         # digit separator in the index
         "prefix 1 0\n",           # colors must be >= 1
         "prefix\n",               # missing index
     ],
 )
 def test_checkpoint_rejects_malformed_lines(tmp_path, text):
     path = tmp_path / "bad.txt"
-    path.write_text("checkpoint 2 5 8 lex\n" + text + "end 1\n")
+    path.write_text("checkpoint 2 5 8 colex\n" + text + "end 1\n")
     with pytest.raises(FormatError, match="line 2"):
         read_checkpoint(str(path))
 
@@ -266,7 +259,8 @@ def test_checkpoint_rejects_malformed_lines(tmp_path, text):
         "prefix 1 1\n",                    # no header at all
         "",                                # empty file
         "checkpoint 2 5 8\nprefix 1 1\n",  # header without an order
-        "checkpoint 2 x 8 lex\n",          # non-integer n
+        "checkpoint 2 x 8 colex\n",        # non-integer n
+        "checkpoint 2 5 +8 colex\n",       # signed N
     ],
 )
 def test_checkpoint_requires_header(tmp_path, text):
@@ -292,7 +286,7 @@ def test_checkpoint_requires_header(tmp_path, text):
 )
 def test_checkpoint_rejects_truncated_frontier(tmp_path, body):
     path = tmp_path / "bad.txt"
-    path.write_text("checkpoint 2 5 8 lex\n" + body)
+    path.write_text("checkpoint 2 5 8 colex\n" + body)
     with pytest.raises(FormatError):
         read_checkpoint(str(path))
 
@@ -326,14 +320,23 @@ def test_parallel_resume_of_empty_frontier_starts_no_pool(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "instance",
-    [(2, 5, 9, "lex"), (2, 4, 8, "lex"), (3, 5, 8, "lex"), (2, 5, 8, "colex")],
+    "instance", [(2, 5, 9), (2, 4, 8), (3, 5, 8), (2, 6, 8)]
 )
 def test_checkpoint_rejects_other_instance(tmp_path, instance):
     path = tmp_path / "search.ckpt"
     write_checkpoint(str(path), ramsey_check(2, 5, 8, budget=50))
-    assert path.read_text().startswith("checkpoint 2 5 8 lex\n")
+    assert path.read_text().startswith("checkpoint 2 5 8 colex\n")
     with pytest.raises(FormatError, match="checkpoint is for k=2 n=5 N=8"):
+        read_checkpoint(str(path), instance)
+
+
+@pytest.mark.parametrize("instance", [None, (2, 5, 8)])
+def test_checkpoint_of_another_edge_order_is_refused(tmp_path, instance):
+    # a prefix indexes edges in the order its header names; resuming a
+    # lex frontier over colex edges would search the wrong subtrees
+    path = tmp_path / "old.ckpt"
+    path.write_text("checkpoint 2 5 8 lex\nprefix 1 1\nend 1\n")
+    with pytest.raises(FormatError, match="line 1: edge order 'lex'"):
         read_checkpoint(str(path), instance)
 
 
