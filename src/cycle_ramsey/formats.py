@@ -288,6 +288,7 @@ def serialize_search_result(res: SearchResult) -> str:
         f"nodes {res.stats.nodes}",
         f"cycle-prunes {res.stats.cycle_prunes}",
         f"symmetry-prunes {res.stats.symmetry_prunes}",
+        f"orderly-prunes {res.stats.orderly_prunes}",
     ]
     if res.verdict is SearchVerdict.INDETERMINATE:
         for prefix in res.open_prefixes:

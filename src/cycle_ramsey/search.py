@@ -1,14 +1,31 @@
 """Pruned exhaustive search over k-colorings of K_N for monochromatic C_n.
 
 The search assigns colors to the edges of K_N one at a time in colex
-order (see `edge_order`), with two prunes: color symmetry (color c may
-first appear only after colors 1..c-1 have) and incremental cycle
-detection (assigning an edge a color that closes a monochromatic C_n
-kills the branch).  In exhaustive mode an ALL_CONTAIN verdict is a proof
-that R_k(C_n) <= N; every COUNTEREXAMPLE is re-verified by the
-independent checker before being returned.  Checkpoints and reports
-name the order (`EDGE_ORDER`), since a color prefix means nothing
-without it.
+order (see `edge_order`), so each K_m is complete before vertex m is
+touched.  Three prunes cut a branch:
+
+* color symmetry: color c may first appear only after colors 1..c-1
+  have, so every color string is numbered by first appearance;
+* cycles: assigning an edge a color that closes a monochromatic C_n;
+* orderly (isomorph rejection): once the edge (m-2, m-1) completes K_m,
+  for 3 <= m < N, the branch is cut unless that K_m coloring is
+  canonical, that is, no vertex relabelling gives a strictly smaller
+  colex color string, colors renamed by first appearance (see
+  `_canonical`).
+
+Why the orderly prune keeps the search complete: the string of K_{m-1}
+is a prefix of the string of K_m, and a relabelling of K_{m-1} extends
+to K_m by fixing m-1, so every prefix of a least string is itself least.
+Each isomorphism class of mono-C_n-free colorings of K_N therefore keeps
+its least member, which no prune cuts.  This is orderly generation after
+R. C. Read, "Every one a winner", Ann. Discrete Math. 2 (1978), and
+B. D. McKay, "Isomorph-free exhaustive generation", J. Algorithms 26
+(1998).
+
+In exhaustive mode an ALL_CONTAIN verdict is a proof that R_k(C_n) <= N;
+every COUNTEREXAMPLE is re-verified by the independent checker before
+being returned.  Checkpoints and reports name the order (`EDGE_ORDER`),
+since a color prefix means nothing without it.
 """
 
 from __future__ import annotations
@@ -66,6 +83,7 @@ class SearchStats:
     nodes: int
     cycle_prunes: int
     symmetry_prunes: int
+    orderly_prunes: int
     wall_time: float
 
 
@@ -91,27 +109,157 @@ class SearchResult:
 
 
 class _Stats:
-    __slots__ = ("nodes", "cycle_prunes", "symmetry_prunes")
+    __slots__ = ("nodes", "cycle_prunes", "symmetry_prunes", "orderly_prunes")
 
     def __init__(self) -> None:
         self.nodes = 0
         self.cycle_prunes = 0
         self.symmetry_prunes = 0
+        self.orderly_prunes = 0
 
 
 _FOUND, _DONE, _CUTOFF = 0, 1, 2
 _UNLIMITED = 1 << 62  # the node limit of an unbudgeted search
 
 
+def _completes(N: int) -> tuple[int, ...]:
+    """For each colex edge index, the m whose K_m that edge completes
+    when the orderly test runs there (3 <= m < N), else 0."""
+    return tuple(
+        v + 1 if u == v - 1 and 3 <= v + 1 < N else 0 for u, v in edge_order(N)
+    )
+
+
+def _canonical(neigh: list[list[int]], m: int, path) -> bool:
+    """Whether no vertex relabelling of a K_m coloring gives a strictly
+    smaller colex color string, colors renamed by first appearance.
+
+    `neigh[c][x]` is the mask of x's neighbours in color c + 1 and holds
+    exactly the edges of K_m; `path` starts with its string (colors
+    1..k in first-appearance order).  The relabelling is built one label
+    at a time: choosing the vertex for label j fixes the string's j
+    positions (0, j), ..., (j-1, j).  The candidates for label j are
+    bitsets, filtered position by position: a candidate whose color is
+    smaller there gives a smaller string (return at once), a larger one
+    is cut, and ties go on.  Where the string introduces a new color,
+    the ties split by the unnamed color they carry, since each naming
+    is a different renaming.
+
+    A full relabelling that ties is an automorphism up to a color
+    permutation, and composing with it maps the subtree of label j = x
+    onto that of its image with the same strings.  So once x is
+    exhausted, its orbit under the automorphisms found so far that fix
+    the labels chosen before j needs no search.
+    """
+    k = len(neigh)
+    full = (1 << m) - 1
+    sigma: list[int] = []  # sigma[j]: the vertex given label j
+    # automorphisms found, each with the mask of the vertices it fixes
+    autos: list[tuple[list[int], int]] = []
+    bases = [j * (j - 1) // 2 for j in range(m)]
+    tables: dict[tuple[int, ...], tuple[list, list]] = {}
+
+    def table(named: tuple[int, ...]) -> tuple[list, list]:
+        """For the renaming that numbers color index named[t-1] as t:
+        eq[t][s], the mask of s's neighbours whose edge gets number t,
+        and lt[t][s], of those whose edge gets a smaller number."""
+        if named in tables:
+            return tables[named]
+        eq = [None] + [neigh[c] for c in named]
+        lt = [None]
+        below = [0] * m
+        for row in eq[1:]:
+            lt.append(below)
+            below = [x | y for x, y in zip(below, row)]
+        lt.append(below)
+        tables[named] = eq, lt
+        return eq, lt
+
+    def smaller(j, a, cand, used, named, eq, lt) -> bool:
+        """Filter `cand` through positions (a, j), ..., (j-1, j), then
+        search below each tie; True once a smaller string is found.
+        `eq` and `lt` are the tables of the renaming `named`."""
+        base = bases[j]
+        nnamed = len(named)
+        while a < j:
+            s = sigma[a]
+            t = path[base + a]
+            if cand & lt[t][s]:
+                return True
+            if t <= nnamed:
+                cand &= eq[t][s]
+                if not cand:
+                    return False
+                a += 1
+                continue
+            # t is the string's next new color: each unnamed one may be it
+            for c in range(k):
+                sub = cand & neigh[c][s]
+                if sub and c not in named:
+                    more = named + (c,)
+                    if smaller(j, a + 1, sub, used, more, *table(more)):
+                        return True
+            return False
+        if j + 1 == m:  # cand is the last vertex: the relabelling ties
+            g = sigma + [cand.bit_length() - 1]
+            fixed = sum(1 << x for x in range(m) if g[x] == x)
+            if fixed != full:
+                autos.append((g, fixed))
+            return False
+        gens: list[list[int]] = []
+        known = seen = 0
+        while cand:
+            b = cand & -cand
+            cand ^= b
+            if seen & b:
+                continue
+            sigma.append(b.bit_length() - 1)
+            found = smaller(j + 1, 0, full & ~(used | b), used | b, named, eq, lt)
+            sigma.pop()
+            if found:
+                return True
+            if not cand:
+                return False
+            todo = b
+            if len(autos) > known:
+                gens += [g for g, fixed in autos[known:] if not used & ~fixed]
+                known = len(autos)
+                todo |= seen
+            seen = _orbit_closure(seen | b, todo, gens) if gens else seen | b
+        return False
+
+    return not smaller(0, 0, full, 0, (), *table(()))
+
+
+def _orbit_closure(mask: int, todo: int, gens: list[list[int]]) -> int:
+    """The smallest superset of `mask` closed under the permutations,
+    given that the vertices of `mask` outside `todo` need no images."""
+    while todo:
+        b = todo & -todo
+        todo ^= b
+        x = b.bit_length() - 1
+        for g in gens:
+            w = 1 << g[x]
+            if not mask & w:
+                mask |= w
+                todo |= w
+    return mask
+
+
 def _replay_prefix(
     k: int, N: int, closes, edges, prefix
-) -> tuple[list[list[int]], int] | None:
-    """Rebuild per-color adjacency masks for a color prefix.
+) -> tuple[list[list[int]], int] | str:
+    """Rebuild per-color adjacency masks for a color prefix, applying
+    the search's prunes along the way.
 
-    Returns None if the prefix already closes a monochromatic C_n (its
-    subtree is empty).  Raises FormatError on a prefix longer than the
-    edge order or on colors that break the canonical first-appearance
-    rule — such a prefix cannot have come from this search.
+    Returns the name of the `_Stats` counter of the prune that cuts the
+    prefix, if one does (its subtree is empty): "cycle_prunes" when it
+    closes a monochromatic C_n, "orderly_prunes" when it completes a
+    non-canonical K_m.  A checkpoint written before the orderly prune
+    existed may hold such a prefix, and its subtree holds no class's
+    least member.  Raises FormatError on a prefix longer than the edge
+    order or on colors that break the canonical first-appearance rule —
+    such a prefix cannot have come from this search.
     """
     if len(prefix) > len(edges):
         raise FormatError(
@@ -119,6 +267,7 @@ def _replay_prefix(
         )
     neigh = [[0] * N for _ in range(k)]
     maxused = 0
+    completes = _completes(N)
     for i, color in enumerate(prefix):
         if not 1 <= color <= min(k, maxused + 1):
             raise FormatError(
@@ -127,10 +276,12 @@ def _replay_prefix(
         u, v = edges[i]
         masks = neigh[color - 1]
         if closes(masks, u, v):
-            return None
+            return "cycle_prunes"
         masks[u] |= 1 << v
         masks[v] |= 1 << u
         maxused = max(maxused, color)
+        if completes[i] and not _canonical(neigh, completes[i], prefix):
+            return "orderly_prunes"
     return neigh, maxused
 
 
@@ -150,7 +301,7 @@ def _search_subtree(
 
     A non-empty prefix's last color is a node its parent deferred (a
     cutoff or a parallel split reports it uncounted), so it is counted
-    here, with its cycle prune when the replay closes a cycle.
+    here, with the prune that cuts it when the replay hits one.
     """
     edges = edge_order(N)
     M = len(edges)
@@ -159,20 +310,21 @@ def _search_subtree(
     if prefix:
         stats.nodes += 1
     state = _replay_prefix(k, N, closes, edges, prefix)
-    if state is None:
-        stats.cycle_prunes += 1
+    if isinstance(state, str):
+        setattr(stats, state, getattr(stats, state) + 1)
         return _DONE, None
     neigh, maxused0 = state
     path = list(prefix)
-    bits = [(u, v, 1 << u, 1 << v) for u, v in edges]
+    bits = [(u, v, 1 << u, 1 << v, m) for (u, v), m in zip(edges, _completes(N))]
     # local counters: cheaper per node than attributes of `stats`
     nodes, prunes, sym = stats.nodes, stats.cycle_prunes, stats.symmetry_prunes
+    orderly = stats.orderly_prunes
 
     def rec(i: int, maxused: int) -> int:
-        nonlocal nodes, prunes, sym
+        nonlocal nodes, prunes, sym, orderly
         if i == M:
             return _FOUND
-        u, v, bu, bv = bits[i]
+        u, v, bu, bv, m = bits[i]
         top = k if maxused >= k else maxused + 1
         sym += k - top
         for c in range(top):
@@ -188,9 +340,13 @@ def _search_subtree(
             masks[u] |= bv
             masks[v] |= bu
             path.append(c + 1)
-            r = rec(i + 1, c + 1 if c == maxused else maxused)
-            if r == _FOUND:
-                return _FOUND
+            if m and not _canonical(neigh, m, path):
+                orderly += 1
+                r = _DONE
+            else:
+                r = rec(i + 1, c + 1 if c == maxused else maxused)
+                if r == _FOUND:
+                    return _FOUND
             path.pop()
             masks[u] ^= bv
             masks[v] ^= bu
@@ -202,22 +358,16 @@ def _search_subtree(
 
     r = rec(len(prefix), maxused0)
     stats.nodes, stats.cycle_prunes, stats.symmetry_prunes = nodes, prunes, sym
+    stats.orderly_prunes = orderly
     return r, tuple(path) if r == _FOUND else None
 
 
-def _worker(args) -> tuple[int, tuple[int, ...] | None, int, int, int, list]:
+def _worker(args) -> tuple[int, tuple[int, ...] | None, _Stats, list]:
     k, n, N, prefix, budget = args
     stats = _Stats()
     open_out: list[tuple[int, ...]] = []
     status, path = _search_subtree(k, n, N, prefix, budget, stats, open_out)
-    return (
-        status,
-        path,
-        stats.nodes,
-        stats.cycle_prunes,
-        stats.symmetry_prunes,
-        open_out,
-    )
+    return status, path, stats, open_out
 
 
 def _coloring_from_path(k: int, N: int, path: tuple[int, ...]) -> EdgeColoring:
@@ -232,10 +382,10 @@ def _split_prefixes(
 
     Returns the prefixes and, for each, the (nodes, symmetry prunes) of
     the expanded ancestors it is the first descendant of: work the DFS
-    does before that subtree and no worker counts.  A prefix that closes
-    a cycle is kept, so its worker counts it.  Folding the lists in order
-    therefore gives the sequential counters, also when a subtree yields a
-    coloring and the later entries are left out.
+    does before that subtree and no worker counts.  A prefix that a
+    prune cuts is kept, so its worker counts it and its prune.  Folding
+    the lists in order therefore gives the sequential counters, also
+    when a subtree yields a coloring and the later entries are left out.
     """
     edges = edge_order(N)
     closes = _closure_test(n - 1)
@@ -256,7 +406,8 @@ def _split_prefixes(
             sym += k - top
             for c in range(1, top + 1):
                 candidate = prefix + (c,)
-                alive = _replay_prefix(k, N, closes, edges, candidate) is not None
+                state = _replay_prefix(k, N, closes, edges, candidate)
+                alive = not isinstance(state, str)
                 live += alive
                 nxt.append((candidate, alive, nodes, sym))
                 nodes = sym = 0
@@ -282,26 +433,24 @@ def _aggregate(
     is always searched so that every leg of a chain makes progress.
     `lead` adds `_split_prefixes`' ancestor counts before each subtree.
     """
-    nodes = cyc = sym = 0
+    total = _Stats()
     open_all: list[tuple[int, ...]] = []
     found_path: tuple[int, ...] | None = None
     cut = False
 
     if threads <= 1 or not prefixes:  # no pool for an empty frontier
-        stats = _Stats()
         limit = _UNLIMITED if budget is None else budget
         for j, prefix in enumerate(prefixes):
-            if j and stats.nodes >= limit:
+            if j and total.nodes >= limit:
                 open_all.append(prefix)
                 cut = True
                 continue
-            status, path = _search_subtree(k, n, N, prefix, budget, stats, open_all)
+            status, path = _search_subtree(k, n, N, prefix, budget, total, open_all)
             if status == _CUTOFF:
                 cut = True
             if status == _FOUND:
                 found_path = path
                 break
-        nodes, cyc, sym = stats.nodes, stats.cycle_prunes, stats.symmetry_prunes
     else:
         if lead is None:
             lead = [(0, 0)] * len(prefixes)
@@ -310,10 +459,11 @@ def _aggregate(
         ctx = multiprocessing.get_context()
         with ctx.Pool(processes=threads) as pool:
             results = zip(pool.imap(_worker, args), lead)
-            for (status, path, wn, wc, ws, wopen), (ln, ls) in results:
-                nodes += ln + wn
-                cyc += wc
-                sym += ls + ws
+            for (status, path, part, wopen), (ln, ls) in results:
+                total.nodes += ln + part.nodes
+                total.cycle_prunes += part.cycle_prunes
+                total.symmetry_prunes += ls + part.symmetry_prunes
+                total.orderly_prunes += part.orderly_prunes
                 open_all.extend(wopen)
                 if status == _CUTOFF:
                     cut = True
@@ -322,7 +472,13 @@ def _aggregate(
                     pool.terminate()
                     break
 
-    stats_out = SearchStats(nodes, cyc, sym, time.perf_counter() - t0)
+    stats_out = SearchStats(
+        total.nodes,
+        total.cycle_prunes,
+        total.symmetry_prunes,
+        total.orderly_prunes,
+        time.perf_counter() - t0,
+    )
     if found_path is not None:
         col = _coloring_from_path(k, N, found_path)
         if verify_mono_cycle_free(col, n) is not True:

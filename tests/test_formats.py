@@ -250,6 +250,20 @@ def test_search_report_omits_wall_time_and_lists_frontier():
         assert tuple(int(c) for c in parts[2:]) == prefix
 
 
+def test_search_report_counts_every_prune():
+    # the README's R_2(C_5) = 9 sample; JSON carries the same counters
+    res = ramsey_check(2, 5, 9)
+    assert serialize_search_result(res).splitlines()[1:] == [
+        "verdict ALL_CONTAIN",
+        "nodes 1027",
+        "cycle-prunes 392",
+        "symmetry-prunes 1",
+        "orderly-prunes 122",
+    ]
+    stats = to_jsonable(res)["stats"]
+    assert (stats["symmetry_prunes"], stats["orderly_prunes"]) == (1, 122)
+
+
 # --------------------------------------------------------------------------
 # JSON
 

@@ -1,5 +1,6 @@
-"""Exhaustive coloring search: verdicts, budgets, checkpoints, parallelism,
-counterexample minimization, and the lower-bound hunt."""
+"""Exhaustive coloring search: verdicts, the orderly canonicity test,
+budgets, checkpoints, parallelism, counterexample minimization, and the
+lower-bound hunt."""
 
 from __future__ import annotations
 
@@ -9,6 +10,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycle_ramsey import (
     CycleTooShort,
@@ -34,17 +37,20 @@ from cycle_ramsey import (
     verify_mono_cycle_free,
     write_checkpoint,
 )
+from cycle_ramsey.search import _canonical
 
 
-def counters(res) -> tuple[int, int, int]:
+def counters(res) -> tuple[int, int, int, int]:
     s = res.stats
-    return s.nodes, s.cycle_prunes, s.symmetry_prunes
+    return s.nodes, s.cycle_prunes, s.symmetry_prunes, s.orderly_prunes
 
 
-def naive_all_contain(k: int, n: int, N: int) -> bool:
+def naive_free_colorings(k: int, n: int, N: int):
     """Total enumeration of every k-coloring of K_N, no pruning at all:
     each coloring is tested against the edge sets of all C_n in K_N,
-    listed once up front (first vertex smallest, one direction)."""
+    listed once up front (first vertex smallest, one direction).  Yields
+    the colorings with no monochromatic C_n, as color tuples (0..k-1)
+    over the edges of K_N in lexicographic order."""
     index = {e: i for i, e in enumerate(itertools.combinations(range(N), 2))}
     cycles = []
     for first, *rest in itertools.combinations(range(N), n):
@@ -54,8 +60,53 @@ def naive_all_contain(k: int, n: int, N: int) -> bool:
                 cycles.append([index[min(e), max(e)] for e in zip(ring, ring[1:])])
     for combo in itertools.product(range(k), repeat=len(index)):
         if not any(len({combo[e] for e in cycle}) == 1 for cycle in cycles):
-            return False
-    return True
+            yield combo
+
+
+def naive_all_contain(k: int, n: int, N: int) -> bool:
+    return next(naive_free_colorings(k, n, N), None) is None
+
+
+def relabelled_string(color, m: int, perm) -> tuple[int, ...]:
+    """The colex color string of K_m with vertex perm[j] given label j,
+    colors renamed by first appearance; `color` maps edges (u < v)."""
+    names: dict = {}
+    return tuple(
+        names.setdefault(color[min(perm[a], perm[b]), max(perm[a], perm[b])],
+                         len(names) + 1)
+        for a, b in edge_order(m)
+    )
+
+
+def least_string(color, m: int) -> tuple[int, ...]:
+    return min(relabelled_string(color, m, p) for p in itertools.permutations(range(m)))
+
+
+def brute_canonical(string, m: int) -> bool:
+    """The oracle: no one of the m! relabellings gives a smaller string."""
+    color = dict(zip(edge_order(m), string))
+    return least_string(color, m) == tuple(string)
+
+
+def orderly_test(k: int, m: int, string) -> bool:
+    """`_canonical` on the K_m coloring whose colex string is `string`."""
+    neigh = [[0] * m for _ in range(k)]
+    for (u, v), c in zip(edge_order(m), string):
+        neigh[c - 1][u] |= 1 << v
+        neigh[c - 1][v] |= 1 << u
+    return _canonical(neigh, m, string)
+
+
+@st.composite
+def first_appearance_strings(draw, max_order: int = 6, max_colors: int = 3):
+    """(k, m, string): a colex string of a k-coloring of K_m with colors
+    numbered by first appearance, as the search writes them."""
+    k = draw(st.integers(1, max_colors))
+    m = draw(st.integers(3, max_order))
+    size = m * (m - 1) // 2
+    raw = draw(st.lists(st.integers(1, k), min_size=size, max_size=size))
+    names: dict[int, int] = {}
+    return k, m, tuple(names.setdefault(c, len(names) + 1) for c in raw)
 
 
 # --------------------------------------------------------------------------
@@ -142,25 +193,111 @@ def test_determinism_and_stats():
     b = ramsey_check(2, 5, 8)
     assert a.verdict is SearchVerdict.COUNTEREXAMPLE
     assert a.counterexample == b.counterexample
-    assert a.stats.nodes == b.stats.nodes == 285
+    assert a.stats.nodes == b.stats.nodes == 233
     assert a.stats.cycle_prunes > 0 and a.stats.symmetry_prunes > 0
+    assert a.stats.orderly_prunes > 0
 
 
 @pytest.mark.parametrize(
     "n,N,triple",
     [
-        (3, 6, (325, 163, 1)),
-        (3, 5, (47, 21, 1)),
-        (4, 6, (1059, 530, 1)),
-        (4, 5, (19, 7, 1)),
-        (6, 7, (29, 8, 1)),
-        (5, 8, (285, 136, 1)),
+        (3, 6, (75, 35, 1, 3)),
+        (3, 5, (47, 21, 1, 0)),
+        (4, 6, (115, 47, 1, 11)),
+        (4, 5, (19, 7, 1, 0)),
+        (6, 7, (29, 8, 1, 0)),
+        (5, 8, (233, 107, 1, 3)),
     ],
 )
 def test_certify_counters_are_pinned(n, N, triple):
-    # (nodes, cycle prunes, symmetry prunes) of the two-colour searches:
-    # a faster closure test must leave the search tree as it is.
+    # `triple`: (nodes, cycle prunes, symmetry prunes) of the two-colour
+    # searches, then orderly prunes.  A faster closure or canonicity test
+    # must leave the search tree as it is.
     assert counters(ramsey_check(2, n, N)) == triple
+
+
+@pytest.mark.parametrize(
+    "k,n,N", [(3, 4, 10), (3, 6, 10), (3, 6, 11), (2, 7, 11), (2, 8, 10)]
+)
+def test_orderly_search_keeps_the_counterexamples(k, n, N):
+    # the plain colex search finds a coloring on each of these hosts
+    res = ramsey_check(k, n, N)
+    assert res.verdict is SearchVerdict.COUNTEREXAMPLE
+    assert res.counterexample.base.vertex_count == N
+    assert verify_mono_cycle_free(res.counterexample, n) is True
+    chain = ramsey_check(k, n, N, budget=100)
+    while chain.verdict is SearchVerdict.INDETERMINATE:
+        chain = resume_search(k, n, N, chain.open_prefixes, budget=100)
+    assert (chain.verdict, chain.counterexample) == (res.verdict, res.counterexample)
+
+
+@pytest.mark.parametrize("n,N", [(5, 9), (6, 8)])
+def test_orderly_search_certifies_in_few_nodes(n, N):
+    # the plain colex search needed 57,181 and 449,121 nodes
+    res = ramsey_check(2, n, N)
+    assert res.verdict is SearchVerdict.ALL_CONTAIN
+    assert res.stats.nodes <= 5000 and res.stats.orderly_prunes > 0
+
+
+# --------------------------------------------------------------------------
+# the orderly canonicity test
+
+
+@given(first_appearance_strings())
+@settings(max_examples=100, deadline=None)
+def test_canonicity_matches_brute_force(case):
+    k, m, string = case
+    assert orderly_test(k, m, string) == brute_canonical(string, m)
+    least = least_string(dict(zip(edge_order(m), string)), m)
+    assert orderly_test(k, m, least)
+
+
+@given(first_appearance_strings())
+@settings(max_examples=100, deadline=None)
+def test_canonical_colorings_have_canonical_prefixes(case):
+    # the hereditary lemma behind the prune's completeness
+    k, m, string = case
+    least = least_string(dict(zip(edge_order(m), string)), m)
+    for s in (string, least):
+        if orderly_test(k, m, s):
+            assert orderly_test(k, m - 1, s[: (m - 1) * (m - 2) // 2])
+
+
+@pytest.mark.parametrize("k,m", [(3, 4), (3, 5), (2, 6)])
+def test_canonicity_is_exact_on_every_small_coloring(k, m):
+    # Every first-appearance string of K_m: the canonical ones are the
+    # least of their relabelling orbits, found by listing each orbit once.
+    perms = list(itertools.permutations(range(m)))
+    strings = set()
+    for raw in itertools.product(range(1, k + 1), repeat=m * (m - 1) // 2 - 1):
+        names: dict[int, int] = {1: 1}
+        strings.add((1,) + tuple(names.setdefault(c, len(names) + 1) for c in raw))
+    least, seen = set(), set()
+    for s in sorted(strings):
+        if s not in seen:
+            color = dict(zip(edge_order(m), s))
+            orbit = {relabelled_string(color, m, p) for p in perms}
+            seen |= orbit
+            least.add(min(orbit))
+    assert {s for s in strings if orderly_test(k, m, s)} == least
+
+
+@pytest.mark.parametrize(
+    "k,n,N", [(2, 3, 5), (2, 4, 5), (3, 3, 4), (3, 4, 4)]
+)
+def test_least_member_of_every_class_survives_the_prune(k, n, N):
+    # Completeness: each C_n-free coloring's least relabelled string is
+    # canonical at every K_m boundary, so the search never cuts it.
+    lex = list(itertools.combinations(range(N), 2))
+    seen = set()
+    for combo in naive_free_colorings(k, n, N):
+        least = least_string(dict(zip(lex, combo)), N)
+        if least in seen:
+            continue
+        seen.add(least)
+        for m in range(3, N + 1):
+            assert orderly_test(k, m, least[: m * (m - 1) // 2])
+    assert seen
 
 
 # --------------------------------------------------------------------------
@@ -316,7 +453,7 @@ def test_parallel_resume_of_empty_frontier_starts_no_pool(monkeypatch):
     monkeypatch.setattr(multiprocessing, "get_context", no_pool)
     res = resume_search(2, 5, 8, [], threads=2, budget=5)
     assert res == replace(resume_search(2, 5, 8, []), stats=res.stats)
-    assert res.verdict is SearchVerdict.ALL_CONTAIN and counters(res) == (0, 0, 0)
+    assert res.verdict is SearchVerdict.ALL_CONTAIN and counters(res) == (0, 0, 0, 0)
 
 
 @pytest.mark.parametrize(
@@ -357,6 +494,21 @@ def test_negative_budgets_are_rejected(call):
         call()
 
 
+def test_checkpoint_prefix_with_non_canonical_inner_k_m_resumes_empty(tmp_path):
+    # A checkpoint written before the orderly prune existed may hold a
+    # prefix whose inner K_3 is not canonical: the triangle (1, 2, 1)
+    # relabels to (1, 1, 2).  Its subtree holds no class's least member,
+    # so it resumes as one node cut by one orderly prune.
+    path = tmp_path / "old.ckpt"
+    path.write_text("checkpoint 2 5 8 colex\nprefix 5 1 2 1 1 2\nend 1\n")
+    res = resume_search(2, 5, 8, read_checkpoint(str(path), (2, 5, 8)))
+    assert res.verdict is SearchVerdict.ALL_CONTAIN
+    assert counters(res) == (1, 0, 0, 1)
+    # cut at its last edge, the same triangle is the search's own prune
+    assert counters(resume_search(2, 5, 8, [(1, 2, 1)])) == (1, 0, 0, 1)
+    assert counters(resume_search(2, 5, 8, [(1, 1, 2)])) != (1, 0, 0, 1)
+
+
 def test_resume_rejects_non_canonical_prefix():
     # color 2 cannot appear before color 1 has
     with pytest.raises(FormatError):
@@ -380,6 +532,15 @@ def test_parallel_reports_the_sequential_counters():
     par = ramsey_check(2, 4, 6, threads=2)
     assert par.verdict is SearchVerdict.ALL_CONTAIN
     assert counters(par) == counters(ramsey_check(2, 4, 6))
+
+
+def test_parallel_counts_the_orderly_prunes_of_split_prefixes():
+    # split prefixes that complete a non-canonical K_3 or K_4 are cut by
+    # their worker's replay, which counts the prune
+    par = ramsey_check(2, 6, 8, threads=2)
+    assert par.verdict is SearchVerdict.ALL_CONTAIN
+    assert counters(par) == counters(ramsey_check(2, 6, 8))
+    assert par.stats.orderly_prunes > 0
 
 
 def test_parallel_all_contain():
