@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import enum
 import multiprocessing
+import os
 import random
 import time
 from dataclasses import dataclass
@@ -456,8 +457,10 @@ def _aggregate(
             lead = [(0, 0)] * len(prefixes)
         per_budget = None if budget is None else max(1, budget // len(prefixes))
         args = [(k, n, N, p, per_budget) for p in prefixes]
+        # more workers than prefixes or cores would only idle
+        workers = min(threads, len(prefixes), os.cpu_count() or 1)
         ctx = multiprocessing.get_context()
-        with ctx.Pool(processes=threads) as pool:
+        with ctx.Pool(processes=workers) as pool:
             results = zip(pool.imap(_worker, args), lead)
             for (status, path, part, wopen), (ln, ls) in results:
                 total.nodes += ln + part.nodes

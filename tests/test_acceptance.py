@@ -62,6 +62,7 @@ def test_criterion_1_erdos_gallai_oracle(capsys):
     for v in range(1, 8):
         rep = erdos_gallai_sweep(v, lengths=range(3, 8))
         ok = ok and rep.ok and rep.graphs_enumerated == 1 << (v * (v - 1) // 2)
+    ok = ok and rep.graphs_checked == 2_014_992  # v = 7
     ok = ok and (time.perf_counter() - t0) < 300
     _report(capsys, 1, "erdos-gallai oracle suite", ok, t0)
 

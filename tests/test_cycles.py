@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -359,13 +361,13 @@ def test_sweep_small_orders_clean():
 
 @pytest.mark.parametrize(
     "v,checked,searches",
-    [(1, 0, 0), (2, 0, 0), (3, 1, 1), (4, 22, 19), (5, 638, 280), (6, 27824, 6865)],
+    [(1, 0, 0), (2, 0, 0), (3, 1, 1), (4, 22, 13), (5, 638, 171), (6, 27824, 3529)],
 )
 def test_sweep_checked_count(v, checked, searches):
     # thresholds on 4 vertices: length 3 needs 4 edges, length 4 needs 5.
     # Graphs on >= 4 of the 6 possible edges: C(6,4)+C(6,5)+C(6,6) = 22.
-    # Most checked graphs reuse the last cycle found, so the kernel runs
-    # far less often than once per checked graph.
+    # Most checked graphs contain a cycle found earlier, so the kernel
+    # runs far less often than once per checked graph.
     rep = erdos_gallai_sweep(v)
     assert (rep.graphs_checked, rep.cycle_searches) == (checked, searches)
 
@@ -428,3 +430,22 @@ def test_sweep_rejects_bad_params():
         erdos_gallai_sweep(0)
     with pytest.raises(CycleTooShort):
         erdos_gallai_sweep(5, lengths=[2])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--max-vertices", "9"], ["--max-vertices", "0"], ["--lengths", "4", "2"]],
+)
+def test_sweep_script_rejects_bad_args_before_sweeping(monkeypatch, argv):
+    path = Path(__file__).resolve().parent.parent / "scripts" / "erdos_gallai_sweep.py"
+    spec = importlib.util.spec_from_file_location("erdos_gallai_sweep_script", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(script, "erdos_gallai_sweep", no_sweep)
+    with pytest.raises(SystemExit) as exc:
+        script.main(argv)
+    assert exc.value.code == 2

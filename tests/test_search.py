@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
+import os
 import random
 from dataclasses import replace
 
@@ -37,7 +38,7 @@ from cycle_ramsey import (
     verify_mono_cycle_free,
     write_checkpoint,
 )
-from cycle_ramsey.search import _canonical
+from cycle_ramsey.search import _canonical, _split_prefixes
 
 
 def counters(res) -> tuple[int, int, int, int]:
@@ -545,6 +546,47 @@ def test_parallel_counts_the_orderly_prunes_of_split_prefixes():
 
 def test_parallel_all_contain():
     assert ramsey_check(2, 3, 6, threads=2).verdict is SearchVerdict.ALL_CONTAIN
+
+
+class _InlineContext:
+    """Stands in for a multiprocessing context: each pool records its
+    size and runs `imap` in this process, so no worker is started."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def Pool(self, processes):
+        self.sizes.append(processes)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def imap(self, fn, args):
+        return map(fn, args)
+
+    def terminate(self):
+        pass
+
+
+@pytest.mark.parametrize("cores", [3, 1000, None])
+def test_worker_pool_is_capped_by_prefixes_and_cores(monkeypatch, cores):
+    ctx = _InlineContext()
+    monkeypatch.setattr(multiprocessing, "get_context", lambda *a: ctx)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    seq = ramsey_check(2, 5, 8)
+    par = ramsey_check(2, 5, 8, threads=100_000)
+    assert par.counterexample == seq.counterexample
+    assert counters(par) == counters(seq)
+    frontier = ramsey_check(2, 5, 8, budget=50).open_prefixes[:2]
+    res = resume_search(2, 5, 8, frontier, threads=100_000)
+    assert counters(res) == counters(resume_search(2, 5, 8, frontier))
+    split, _ = _split_prefixes(2, 5, 8, want=4 * 100_000)
+    cap = cores or 1
+    assert ctx.sizes == [min(len(split), cap), min(len(frontier), cap)]
 
 
 # --------------------------------------------------------------------------
