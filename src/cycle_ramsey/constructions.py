@@ -18,13 +18,12 @@ from .certificates import CycleCertificate, StructureWitness, WitnessKind
 from .cycles import components, contains_cycle_of_length
 from .errors import CycleTooShort, EvenCycleLength, InvalidParams, TargetTooLarge
 from .graphs import (
+    _MAX_ORDER,
     EdgeColoring,
     color_class,
     complete_graph,
     induced_subgraph,
 )
-
-_MAX_ORDER = 512  # K_512 builds in well under a second and ~36 MiB
 
 
 def bondy_erdos_coloring(k: int, n: int) -> EdgeColoring:

@@ -21,8 +21,15 @@ from .constructions import ComponentTag, StructuralCertificate
 from .cycles import SweepReport
 from .decompose import FLDecomposition, PeelResult
 from .engine import ChainReport, EvenCaseReport, Lemma4Trace
-from .errors import FormatError, ascii_int
-from .graphs import EdgeColoring, Graph, build_graph, make_coloring
+from .errors import (
+    DuplicateEdge,
+    FormatError,
+    LoopEdge,
+    TargetTooLarge,
+    VertexOutOfRange,
+    ascii_int,
+)
+from .graphs import _MAX_ORDER, Edge, EdgeColoring, Graph
 from .search import EDGE_ORDER, SearchResult, SearchVerdict
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
@@ -56,19 +63,6 @@ def serialize_coloring(col: EdgeColoring) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _data_lines(text: str) -> list[tuple[int, list[str]]]:
-    """Numbered token lists of the non-blank lines; `#` starts a comment.
-    Files are ASCII, so a line with any other character is rejected."""
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if not raw.isascii():
-            raise FormatError(f"line {lineno}: non-ASCII character")
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append((lineno, line.split()))
-    return out
-
-
 def _ints(tokens: list[str], lineno: int) -> list[int]:
     try:
         return [ascii_int(t) for t in tokens]
@@ -76,41 +70,86 @@ def _ints(tokens: list[str], lineno: int) -> list[int]:
         raise FormatError(f"line {lineno}: {exc}") from None
 
 
+def _edge_file(text: str, colored: bool) -> tuple[int, list[int], dict[Edge, int]]:
+    """(V, header numbers, edge -> color) of a coloring file, or of a
+    graph file when not `colored` (its edges then map to 0).
+
+    One pass over the lines; a line that is not blank once `#` and what
+    follows are stripped is data, and the first is the header.  A format
+    error is raised where it is met.  A loop, an endpoint outside
+    0..V-1 or a repeated edge (in either orientation) is raised only
+    once the whole file has parsed, the first in line order.  A header
+    asking for more than `_MAX_ORDER` vertices is refused before any
+    line after it is read.
+    """
+    if not text.isascii():
+        # name the first such line; non-ASCII line breaks alone are no fault
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            if not raw.isascii():
+                raise FormatError(f"line {lineno}: non-ASCII character")
+    if colored:
+        kind, usage, line_usage = "coloring", "coloring <V> <k>", "e <u> <v> <c>"
+    else:
+        kind, usage, line_usage = "graph", "graph <V>", "e <u> <v>"
+    width = 4 if colored else 3
+    header = None
+    v = 0
+    edges: dict[Edge, int] = {}
+    fault = None  # the first graph error, raised after the format checks
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split("#", 1)[0].split() if "#" in raw else raw.split()
+        if not tokens:
+            continue
+        if header is None:
+            if len(tokens) != width - 1 or tokens[0] != kind:
+                raise FormatError(f"line {lineno}: expected '{usage}'")
+            header = _ints(tokens[1:], lineno)
+            v = header[0]
+            if v > _MAX_ORDER:
+                raise TargetTooLarge(
+                    f"line {lineno}: {v} vertices; files are capped at {_MAX_ORDER}"
+                )
+            continue
+        if len(tokens) != width or tokens[0] != "e":
+            raise FormatError(f"line {lineno}: expected '{line_usage}'")
+        a, b = tokens[1], tokens[2]
+        c = tokens[3] if colored else "0"
+        if (a + b + c).isdigit():  # plain digits need no per-token check
+            a, b, c = int(a), int(b), int(c)
+        else:
+            nums = _ints(tokens[1:], lineno)
+            a, b = nums[0], nums[1]
+            c = nums[2] if colored else 0
+        if fault is not None:
+            continue
+        if a == b:
+            fault = LoopEdge(f"self-loop at vertex {a}")
+        elif not (0 <= a < v and 0 <= b < v):
+            fault = VertexOutOfRange(
+                f"edge ({a},{b}) outside vertex range 0..{v - 1}"
+            )
+        else:
+            e = (a, b) if a < b else (b, a)
+            if e in edges:
+                fault = DuplicateEdge(f"edge {e} listed twice")
+            else:
+                edges[e] = c
+    if header is None:
+        raise FormatError(f"empty {kind} file")
+    if fault is not None:
+        raise fault
+    return v, header, edges
+
+
 def parse_graph(text: str) -> Graph:
-    lines = _data_lines(text)
-    if not lines:
-        raise FormatError("empty graph file")
-    lineno, header = lines[0]
-    if len(header) != 2 or header[0] != "graph":
-        raise FormatError(f"line {lineno}: expected 'graph <V>'")
-    (v,) = _ints(header[1:], lineno)
-    edges = []
-    for lineno, tokens in lines[1:]:
-        if len(tokens) != 3 or tokens[0] != "e":
-            raise FormatError(f"line {lineno}: expected 'e <u> <v>'")
-        a, b = _ints(tokens[1:], lineno)
-        edges.append((a, b))
-    return build_graph(v, edges)
+    v, _, edges = _edge_file(text, colored=False)
+    return Graph(v, frozenset(edges))
 
 
 def parse_coloring(text: str) -> EdgeColoring:
-    lines = _data_lines(text)
-    if not lines:
-        raise FormatError("empty coloring file")
-    lineno, header = lines[0]
-    if len(header) != 3 or header[0] != "coloring":
-        raise FormatError(f"line {lineno}: expected 'coloring <V> <k>'")
-    v, k = _ints(header[1:], lineno)
-    assignment = {}
-    edges = []
-    for lineno, tokens in lines[1:]:
-        if len(tokens) != 4 or tokens[0] != "e":
-            raise FormatError(f"line {lineno}: expected 'e <u> <v> <c>'")
-        a, b, c = _ints(tokens[1:], lineno)
-        edges.append((a, b))
-        assignment[(a, b)] = c
-    base = build_graph(v, edges)
-    return make_coloring(base, k, assignment)
+    v, (_, k), colors = _edge_file(text, colored=True)
+    base = Graph(v, frozenset(colors))
+    return EdgeColoring(base, k, tuple(colors[e] for e in base.sorted_edges))
 
 
 # ---------------------------------------------------------------------------

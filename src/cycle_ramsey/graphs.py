@@ -4,6 +4,10 @@ Vertices are dense 0-indexed integers.  Equality is by (vertex count,
 edge set); isomorphism never enters the core semantics.  Edges are
 stored as normalized pairs (u, v) with u < v, so the edge set can never
 hold a duplicate or a reversed copy of an edge.
+
+Derived views are built once and shared: a graph caches its sorted
+edges, masks and neighbour lists, a coloring caches all of its color
+classes, and a slice that keeps every vertex is the object itself.
 """
 
 from __future__ import annotations
@@ -20,6 +24,10 @@ from .errors import (
 )
 
 Edge = tuple[int, int]
+
+# Largest vertex count a construction or an input file may ask for;
+# K_512 builds in well under a second and ~36 MiB.
+_MAX_ORDER = 512
 
 
 def normalize_edge(u: int, v: int) -> Edge:
@@ -65,18 +73,29 @@ class Graph:
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Per-vertex sorted neighbor lists, consistent with the edge set."""
+        """Per-vertex sorted neighbor lists, consistent with the edge set.
+
+        Filled in sorted edge order, each list is already ascending: a
+        vertex's lower neighbours all arrive before its higher ones."""
         lists: list[list[int]] = [[] for _ in range(self.vertex_count)]
         for u, v in self.sorted_edges:
             lists[u].append(v)
             lists[v].append(u)
-        return tuple(tuple(sorted(ns)) for ns in lists)
+        return tuple(map(tuple, lists))
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
     def has_edge(self, u: int, v: int) -> bool:
         return normalize_edge(u, v) in self.edges
+
+
+def _sorted_graph(vertex_count: int, sorted_edges: list[Edge]) -> Graph:
+    """A Graph from normalized edges already in ascending order, which
+    seed its `sorted_edges` cache instead of being sorted again."""
+    G = Graph(vertex_count, frozenset(sorted_edges))
+    G.__dict__["sorted_edges"] = tuple(sorted_edges)
+    return G
 
 
 def build_graph(vertex_count: int, edge_list) -> Graph:
@@ -117,19 +136,28 @@ def induced_subgraph(G: Graph, W) -> tuple[Graph, tuple[int, ...]]:
 
     Returns (subgraph, kept) where kept[i] is the original id of new
     vertex i, so witnesses found in the subgraph can be lifted back.
+    When W covers every vertex the subgraph is G itself.
     """
     kept = tuple(sorted(set(W)))
     for w in kept:
         if w < 0 or w >= G.vertex_count:
             raise VertexOutOfRange(f"vertex {w} not in graph of order {G.vertex_count}")
+    if len(kept) == G.vertex_count:
+        return G, kept
     index = {w: i for i, w in enumerate(kept)}
-    inside = set(kept)
-    edges = frozenset(
-        normalize_edge(index[u], index[v])
-        for u, v in G.edges
-        if u in inside and v in inside
-    )
-    return Graph(len(kept), edges), kept
+    inside = 0
+    for w in kept:
+        inside |= 1 << w
+    masks = G.neighbor_masks
+    edges = []
+    for i, w in enumerate(kept):
+        # kept neighbours above w, ascending: new labels come out sorted
+        rest = masks[w] & inside & -(2 << w)
+        while rest:
+            low = rest & -rest
+            edges.append((i, index[low.bit_length() - 1]))
+            rest ^= low
+    return _sorted_graph(len(kept), edges), kept
 
 
 @dataclass(frozen=True)
@@ -155,6 +183,22 @@ class EdgeColoring:
         for c in self.colors:
             if not 1 <= c <= self.color_count:
                 raise ColorOutOfRange(f"color {c} outside 1..{self.color_count}")
+
+    @cached_property
+    def _classes(self) -> dict[int, Graph]:
+        """The nonempty color classes by color, built in one pass over the
+        sorted edges, and under key 0 one edgeless graph that stands for
+        every empty class (so a huge unused palette costs nothing)."""
+        buckets: dict[int, list[Edge]] = {}
+        for e, c in zip(self.base.sorted_edges, self.colors):
+            if c in buckets:
+                buckets[c].append(e)
+            else:
+                buckets[c] = [e]
+        v = self.base.vertex_count
+        classes = {c: _sorted_graph(v, edges) for c, edges in buckets.items()}
+        classes[0] = Graph(v, frozenset())
+        return classes
 
     @cached_property
     def assignment(self) -> dict[Edge, int]:
@@ -189,21 +233,22 @@ def constant_coloring(base: Graph, color_count: int = 1, color: int = 1) -> Edge
 
 
 def color_class(col: EdgeColoring, i: int) -> Graph:
-    """Spanning subgraph of the base carrying exactly the color-i edges."""
+    """Spanning subgraph of the base carrying exactly the color-i edges.
+
+    The same Graph object on every call, so its cached views are shared."""
     if not 1 <= i <= col.color_count:
         raise ColorOutOfRange(f"color {i} outside 1..{col.color_count}")
-    edges = frozenset(
-        e for e, c in zip(col.base.sorted_edges, col.colors) if c == i
-    )
-    return Graph(col.base.vertex_count, edges)
+    classes = col._classes
+    return classes[i] if i in classes else classes[0]
 
 
 def induced_coloring(col: EdgeColoring, W) -> tuple[EdgeColoring, tuple[int, ...]]:
-    """Restrict a coloring to the subgraph induced on W (relabeled)."""
+    """Restrict a coloring to the subgraph induced on W (relabeled); `col`
+    itself when W covers every vertex."""
     sub, kept = induced_subgraph(col.base, W)
-    index = {w: i for i, w in enumerate(kept)}
-    assignment = {}
-    for (u, v), c in col.assignment.items():
-        if u in index and v in index:
-            assignment[normalize_edge(index[u], index[v])] = c
-    return make_coloring(sub, col.color_count, assignment), kept
+    if sub is col.base:
+        return col, kept
+    color = col.assignment
+    # kept is ascending, so lifted edges stay normalized
+    colors = tuple(color[kept[a], kept[b]] for a, b in sub.sorted_edges)
+    return EdgeColoring(sub, col.color_count, colors), kept

@@ -71,6 +71,24 @@ def test_malformed_coloring_file(capsys, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "argv,text",
+    [
+        (("verify", "--n", "5"), "coloring 513 2\n"),
+        (("peel", "--target", "3"), "graph 513\n"),
+    ],
+    ids=["coloring", "graph"],
+)
+def test_header_over_the_size_cap_exits_three(capsys, tmp_path, argv, text):
+    # refused at the header; one vertex over the cap keeps a missing cap
+    # a quick failure here, where 10^8 vertices would run out of memory
+    path = tmp_path / "in.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, *argv, "--in", str(path))
+    assert code == 3
+    assert out == "" and "capped at 512" in err
+
+
 @pytest.mark.parametrize("flag,value", [("--threads", "0"), ("--budget", "-5")])
 def test_search_rejects_non_positive_counts(capsys, flag, value):
     code, out, err = run(

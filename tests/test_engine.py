@@ -4,6 +4,7 @@ even-case pigeonhole engine."""
 from __future__ import annotations
 
 import dataclasses
+import gc
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,16 +28,25 @@ from cycle_ramsey import (
     WitnessKind,
     bondy_erdos_coloring,
     build_graph,
+    color_class,
     complete_graph,
+    components,
     constant_coloring,
     even_engine,
+    fl_decompose,
     lemma4_execute,
     lemma4_inequality_check,
     make_coloring,
+    min_degree_peel,
     pk_witness_search,
+    verify_mono_cycle_free,
     verify_witness,
 )
-from cycle_ramsey.formats import serialize_lemma4_trace
+from cycle_ramsey.formats import (
+    parse_coloring,
+    serialize_coloring,
+    serialize_lemma4_trace,
+)
 
 from strategies import colorings
 
@@ -331,3 +341,34 @@ def test_verify_witness_checks_cycle_length():
     )
     assert verify_witness(col, 4, w)
     assert not verify_witness(col, 5, w)  # wrong length for the target
+
+
+def test_coloring_pipeline_leaves_no_reference_cycles():
+    # Shared classes and slices must not tie objects into cycles that only
+    # the cyclic collector can free (a components() cache on Graph would).
+    texts = [
+        (serialize_coloring(bondy_erdos_coloring(3, 5)), 5),
+        (serialize_coloring(bondy_erdos_coloring(2, 6)), 6),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for text, n in texts:
+            col = parse_coloring(text)
+            verify_mono_cycle_free(col, n)
+            for i in range(1, col.color_count + 1):
+                G = color_class(col, i)
+                fl_decompose(G, n)
+                for comp in components(G).components:
+                    comp.matching
+                min_degree_peel(G, G.vertex_count // 2)
+            if n % 2:
+                lemma4_execute(col, n, PkParameters.for_lemma(col.color_count, n, 1))
+                pk_witness_search(col, n, Parity.ODD)
+            else:
+                even_engine(col, n, Fraction(1, 2))
+                pk_witness_search(col, n, Parity.EVEN)
+            del col, G, comp
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -4,25 +4,30 @@ line-oriented reports, JSON conversion."""
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycle_ramsey import (
     FormatError,
+    TargetTooLarge,
     bondy_erdos_coloring,
     build_graph,
     complete_graph,
     constant_coloring,
     fl_decompose,
     lemma4_inequality_check,
+    make_coloring,
     min_degree_peel,
     pk_witness_search,
     ramsey_check,
     structural_certificate,
     erdos_gallai_sweep,
 )
+from cycle_ramsey.errors import ascii_int
 from cycle_ramsey.formats import (
     parse_coloring,
     parse_graph,
@@ -159,6 +164,202 @@ def test_trailing_comments_are_ignored():
     assert serialize_coloring(col) == "coloring 3 2\ne 0 2 1\n"
     with pytest.raises(FormatError):
         parse_coloring("coloring 3 2\ne 0 2 # 1\n")
+
+
+def test_header_over_the_size_cap_is_refused_before_any_edge_line():
+    # a 21-byte file once asked the checker for 10^8 vertices
+    with pytest.raises(TargetTooLarge, match="capped at 512"):
+        parse_coloring("coloring 100000000 2\n")
+    with pytest.raises(TargetTooLarge, match="capped at 512"):
+        parse_graph("graph 2000000\n")
+    # the cap is met before a bad line after the header is read
+    with pytest.raises(TargetTooLarge):
+        parse_coloring("coloring 513 2\ne 0 0 x\n")
+    assert parse_graph("graph 512\n").vertex_count == 512
+    assert parse_coloring("coloring 512 1\ne 0 511 1\n").base.edge_count == 1
+
+
+# --------------------------------------------------------------------------
+# the one-pass parsers against the two-pass reader they replaced
+
+
+def _two_pass_lines(text):
+    out = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if not raw.isascii():
+            raise FormatError(f"line {lineno}: non-ASCII character")
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            out.append((lineno, line.split()))
+    return out
+
+
+def _two_pass_ints(tokens, lineno):
+    try:
+        return [ascii_int(t) for t in tokens]
+    except FormatError as exc:
+        raise FormatError(f"line {lineno}: {exc}") from None
+
+
+def _two_pass_graph(text):
+    lines = _two_pass_lines(text)
+    if not lines:
+        raise FormatError("empty graph file")
+    lineno, header = lines[0]
+    if len(header) != 2 or header[0] != "graph":
+        raise FormatError(f"line {lineno}: expected 'graph <V>'")
+    (v,) = _two_pass_ints(header[1:], lineno)
+    edges = []
+    for lineno, tokens in lines[1:]:
+        if len(tokens) != 3 or tokens[0] != "e":
+            raise FormatError(f"line {lineno}: expected 'e <u> <v>'")
+        edges.append(tuple(_two_pass_ints(tokens[1:], lineno)))
+    return build_graph(v, edges)
+
+
+def _two_pass_coloring(text):
+    lines = _two_pass_lines(text)
+    if not lines:
+        raise FormatError("empty coloring file")
+    lineno, header = lines[0]
+    if len(header) != 3 or header[0] != "coloring":
+        raise FormatError(f"line {lineno}: expected 'coloring <V> <k>'")
+    v, k = _two_pass_ints(header[1:], lineno)
+    assignment = {}
+    edges = []
+    for lineno, tokens in lines[1:]:
+        if len(tokens) != 4 or tokens[0] != "e":
+            raise FormatError(f"line {lineno}: expected 'e <u> <v> <c>'")
+        a, b, c = _two_pass_ints(tokens[1:], lineno)
+        edges.append((a, b))
+        assignment[(a, b)] = c
+    return make_coloring(build_graph(v, edges), k, assignment)
+
+
+def _outcome(parse, text):
+    try:
+        return "ok", parse(text)
+    except Exception as exc:  # the type and the message are compared
+        return type(exc).__name__, str(exc)
+
+
+def _agree(text):
+    assert _outcome(parse_coloring, text) == _outcome(_two_pass_coloring, text)
+
+
+def _agree_graph(text):
+    assert _outcome(parse_graph, text) == _outcome(_two_pass_graph, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "coloring 3 2\ne 1 1 1\n",  # loop
+        "coloring 3 2\ne 0 1 1\ne 0 1 2\n",  # duplicate
+        "coloring 3 2\ne 0 1 1\ne 1 0 2\n",  # duplicate, reversed
+        "coloring 3 2\ne -1 1 1\n",  # negative vertex
+        "coloring 3 2\ne 0 3 1\n",  # vertex out of range
+        "coloring 3 2\ne 2 7 1\ne 0 -4 1\n",
+        "coloring 3 2\ne 0 1 0\n",  # colour 0
+        "coloring 3 2\ne 0 1 3\n",  # colour k+1
+        "coloring 3 2\ne 0 1 -1\n",
+        "coloring 3 0\ne 0 1 1\n",
+        "coloring 3 0\n",
+        "coloring -1 2\n",
+        "coloring -1 2\ne 0 1 1\n",
+        "coloring 0 1\n",
+        "coloring 3 2\ne 0 1\n",  # wrong arity
+        "coloring 3 2\ne 0 1 1 1\n",
+        "coloring 3 2 1\n",
+        "colouring 3 2\n",
+        "coloring 3 2\nf 0 1 1\n",
+        "coloring 3 2\ne 0 1 x\n",  # bad tokens
+        "coloring 3 2\ne 0 1 +1\n",
+        "coloring 3 2\ne 0_1 1 1\n",
+        "coloring 3 2\ne 0 1 --1\n",
+        "coloring 3 2\ne 0 1 -\n",
+        "coloring x 2\n",
+        "coloring 3 2\ne 0 1 \uff11\n",  # non-ASCII
+        "coloring 3 2 # caf\u00e9\ne 0 1 1\n",
+        "coloring 3 2\ne 0 1 1\u2028e 0 2 1\n",  # a non-ASCII line break
+        "# only a comment\n\n",
+        "",
+        # two faults: format errors come first, then graph errors in
+        # line order, then colours in edge order
+        "coloring 3 2\ne 1 1 1\ne 0 1 x\n",
+        "coloring 3 2\ne 0 1 1\ne 1 0 1\ne 0 2 1\ne 1 2\n",
+        "coloring 3 2\ne 0 5 1\ne 1 1 1\n",
+        "coloring 3 2\ne 0 1 1\ne 1 0 1\ne 2 2 1\n",
+        "coloring 3 2\ne 1 2 9\ne 0 1 0\n",
+        "coloring 3 2\ne 1 2 9\ne 1 1 1\n",
+        "coloring 3 2\ne 0 1 x\ne 0 2 \u00e9\n",
+        "coloring 3 0\ne 0 0 1\n",
+        "coloring -1 2\ne 0 0 1\ne 0 5 1\n",
+    ],
+)
+def test_coloring_parser_matches_two_pass_reader_on_faults(text):
+    _agree(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "graph 3\ne 2 2\n",
+        "graph 3\ne 0 1\ne 1 0\n",
+        "graph 3\ne -1 0\n",
+        "graph 3\ne 0 3\ne 1 1\n",
+        "graph 3\ne 0 1 1\n",
+        "graph 3\ne 0\n",
+        "graph -2\n",
+        "graph 3\ne 0 +1\n",
+        "graph 1_2\n",
+        "graph 3\ne 0 1 # caf\u00e9\n",
+        "graph 3\ne 1 1\ne 0 y\n",
+        "graph 3\ne 0 2\ne 2 1\ne 0 2\n",
+        "graph 3\n",
+        "",
+    ],
+)
+def test_graph_parser_matches_two_pass_reader_on_faults(text):
+    _agree_graph(text)
+
+
+_TOKENS = ("e", "0", "1", "2", "3", "-1", "x", "+1", "#", "01", "coloring")
+
+
+@given(
+    st.sampled_from(("coloring 3 2", "graph 3", "coloring 4 1", "graph 0", "")),
+    st.lists(
+        st.lists(st.sampled_from(_TOKENS), max_size=5).map(" ".join), max_size=6
+    ),
+)
+@settings(max_examples=300)
+def test_parsers_match_two_pass_reader_on_token_soup(header, lines):
+    text = "\n".join([header, *lines])
+    _agree(text)
+    _agree_graph(text)
+
+
+@given(colorings(max_vertices=7), st.randoms(use_true_random=False))
+@settings(max_examples=80)
+def test_parsers_match_two_pass_reader_on_valid_files(col, rnd: random.Random):
+    header, *lines = serialize_coloring(col).splitlines()
+    rnd.shuffle(lines)
+    out, graph_out = [header], [f"graph {col.base.vertex_count}"]
+    for line in lines:
+        _, u, v, c = line.split()
+        if rnd.random() < 0.5:
+            u, v = v, u
+        comment = " # a comment" if rnd.random() < 0.3 else ""
+        if rnd.random() < 0.2:
+            out.append("   # a whole-line comment")
+            graph_out.append("#")
+        out.append(f"e {u}  {v}\t{c}{comment}")
+        graph_out.append(f"e {v} {u}{comment}")
+    text = "\r\n".join(out) + "\r\n"
+    assert parse_coloring(text) == _two_pass_coloring(text) == col
+    text = "\r\n".join(graph_out)
+    assert parse_graph(text) == _two_pass_graph(text) == col.base
 
 
 # --------------------------------------------------------------------------

@@ -109,6 +109,36 @@ def test_induced_subgraph_keeps_exactly_inner_edges(G, data):
     # every subgraph edge maps back to a real edge of G
     for u, v in sub.edges:
         assert G.has_edge(kept[u], kept[v])
+    # and the slice equals the edge-scan definition, sorted view included
+    index = {w: i for i, w in enumerate(kept)}
+    scanned = frozenset(
+        normalize_edge(index[u], index[v])
+        for u, v in G.edges
+        if u in inside and v in inside
+    )
+    assert sub == Graph(len(kept), scanned)
+    assert sub.sorted_edges == tuple(sorted(scanned))
+
+
+@given(graphs(max_vertices=9))
+@settings(max_examples=60)
+def test_adjacency_is_ascending_and_matches_masks(G):
+    for v in range(G.vertex_count):
+        ns = G.adjacency[v]
+        assert all(a < b for a, b in zip(ns, ns[1:]))
+        mask = G.neighbor_masks[v]
+        assert ns == tuple(w for w in range(G.vertex_count) if mask >> w & 1)
+
+
+@given(colorings(max_vertices=7))
+@settings(max_examples=60)
+def test_whole_vertex_slices_are_the_object_itself(col):
+    G = col.base
+    everyone = list(range(G.vertex_count))[::-1]
+    sub, kept = induced_subgraph(G, everyone)
+    assert sub is G and kept == tuple(range(G.vertex_count))
+    sub_col, kept = induced_coloring(col, everyone)
+    assert sub_col is col and kept == tuple(range(G.vertex_count))
 
 
 def test_coloring_validation():
@@ -141,6 +171,28 @@ def test_constant_coloring_and_color_class():
         color_class(col, 3)
     with pytest.raises(ColorOutOfRange):
         constant_coloring(G, 1, 2)
+
+
+@given(colorings(max_vertices=7))
+@settings(max_examples=60)
+def test_color_class_is_shared_and_matches_the_filter(col):
+    v = col.base.vertex_count
+    for i in range(1, col.color_count + 1):
+        G = color_class(col, i)
+        assert color_class(col, i) is G
+        filtered = frozenset(
+            e for e, c in zip(col.base.sorted_edges, col.colors) if c == i
+        )
+        assert G == Graph(v, filtered)
+        assert G.sorted_edges == tuple(sorted(filtered))
+
+
+def test_empty_classes_of_a_huge_palette_cost_nothing():
+    # one shared edgeless graph stands for every unused colour
+    col = EdgeColoring(build_graph(3, [(0, 1)]), 10**9, (1,))
+    assert color_class(col, 1).edges == frozenset({(0, 1)})
+    empty = color_class(col, 10**9)
+    assert empty == Graph(3, frozenset()) and color_class(col, 2) is empty
 
 
 @given(colorings(max_vertices=7))
