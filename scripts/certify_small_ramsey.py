@@ -7,11 +7,13 @@ monochromatic C_n (ALL_CONTAIN), while some coloring on R-1 vertices
 does not (COUNTEREXAMPLE, re-verified independently).
 
     R_2(C_3) = 6    R_2(C_4) = 6    R_2(C_6) = 8    R_2(C_5) = 9
+    R_2(C_7) = 13
 
 Each line gives the node count and nodes/s of both searches.  With the
-orderly prune the C_6 upper bound takes 2,431 nodes and the C_5 one
-1,027; with default settings the whole run takes about 0.25 s on one
-core, interpreter start included (Python 3.11, 2-core VM).
+orderly prune the C_6 upper bound takes 2,431 nodes, the C_5 one 1,027
+and the C_7 one 23,037; with default settings the whole run takes
+0.75-0.95 s on one core, interpreter start included (Python 3.11,
+2-core VM).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import time
 
 from cycle_ramsey import SearchVerdict, ramsey_check, verify_mono_cycle_free
 
-CASES = ((3, 6), (4, 6), (6, 8), (5, 9))
+CASES = ((3, 6), (4, 6), (6, 8), (5, 9), (7, 13))
 
 
 def rate(res) -> str:

@@ -18,14 +18,16 @@ the component rule of `verify_mono_cycle_free` for one colour class:
 components ordered by smallest vertex, the first one that holds a C_n,
 and the kernel's cycle within it.  The randomized hunt uses it on its
 incremental per-colour masks, so it recolours exactly the cycle the
-checker would report.  Two narrower tests stay separate from the
-kernel.  The search's closure test, `_closure_test(length)`, asks
+checker would report.  One narrower test stays separate from the
+kernel: the search's closure test `_closes(neigh, a, b, length)` asks
 whether a simple a..b path of exactly `length` edges exists, which is
-whether colouring the edge ab closes a C_(length+1).  Lengths 2..5
-(C_3..C_6) have bitset tests, which loop over the first length - 2
-interior vertices and find the last one by intersecting neighbour
-masks; longer lengths use the DFS `_has_path_exact`.  The tests assume
-symmetric, loop-free masks and a != b, which the search guarantees.
+whether colouring the edge ab closes a C_(length+1).  One rule serves
+every length >= 3: a DFS from a places the first length - 3 interior
+vertices, and the last two, x and y, come from intersecting masks, with
+y a neighbour of b and x a common neighbour of y and the DFS's last
+vertex, both unused.  Length 2 is the one intersection of a's and b's
+masks.  The test assumes symmetric, loop-free masks and a != b, which
+the search guarantees.
 
 The Erdős–Gallai sweep uses no theorem to skip a graph.  It accepts a
 checked graph only when a mask test shows that the graph holds every
@@ -240,107 +242,51 @@ def _mask_component_cycle(
     return None
 
 
-def _has_path_exact(neigh: list[int], a: int, b: int, length: int) -> bool:
+def _closes(neigh: list[int], a: int, b: int, length: int) -> bool:
     """True iff the mask graph has a simple a..b path of exactly `length`
-    edges avoiding b internally."""
-    if length == 1:
-        return bool(neigh[a] >> b & 1)
-    not_b = ~(1 << b)
-    stack = [(a, 1 << a, length)]
-    while stack:
-        cur, mask, rem = stack.pop()
-        if rem == 1:
-            if neigh[cur] >> b & 1:
-                return True
-            continue
-        cand = neigh[cur] & ~mask & not_b
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            stack.append((low.bit_length() - 1, mask | low, rem - 1))
-    return False
-
-
-# Closure tests for lengths 2..5: is there a simple a..b path a-x-b,
-# a-x-y-b, a-x-m-y-b or a-x-p-q-y-b?  Each assumes symmetric, loop-free
-# masks and a != b, which the search guarantees; then no vertex is its
-# own neighbour, and only the exclusions written out are needed.
-
-
-def _closes_2(neigh: list[int], a: int, b: int) -> bool:
-    return neigh[a] & neigh[b] != 0
-
-
-def _closes_3(neigh: list[int], a: int, b: int) -> bool:
-    ys = neigh[b] & ~(1 << a)
-    if not ys:
+    >= 2 edges, that is, whether colouring ab closes a C_(length+1).
+    Masks must be symmetric and loop-free, and a != b."""
+    ends = neigh[b] & ~(1 << a)
+    if not ends:
         return False
-    xs = neigh[a] & ~(1 << b)
-    while xs:
-        xl = xs & -xs
-        xs ^= xl
-        if neigh[xl.bit_length() - 1] & ys:
+    if length == 2:
+        return neigh[a] & ends != 0
+    return _reaches_ends(neigh, a, ~(1 << a | 1 << b), ends, length - 3)
+
+
+def _reaches_ends(neigh: list[int], cur: int, free: int, ends: int, depth: int) -> bool:
+    """Is there a path cur, v_1..v_depth, x, y with every v, x and y in
+    `free` and y in `ends`?  Loop-free masks keep x != y."""
+    xs = neigh[cur] & free
+    if depth > 1:
+        while xs:
+            low = xs & -xs
+            xs ^= low
+            if _reaches_ends(neigh, low.bit_length() - 1, free ^ low, ends, depth - 1):
+                return True
+        return False
+    if depth:
+        # the depth-0 case below, inline for each v_1: a call per v_1
+        # cost the certify benchmark (C_5, C_6) 2-3% of its time
+        while xs:
+            low = xs & -xs
+            xs ^= low
+            rest = free ^ low
+            ms = neigh[low.bit_length() - 1] & rest
+            ys = ends & rest
+            while ys:
+                yl = ys & -ys
+                ys ^= yl
+                if neigh[yl.bit_length() - 1] & ms:
+                    return True
+        return False
+    ys = ends & free
+    while ys:
+        low = ys & -ys
+        ys ^= low
+        if neigh[low.bit_length() - 1] & xs:
             return True
     return False
-
-
-def _closes_4(neigh: list[int], a: int, b: int) -> bool:
-    # x and y must differ: a lone common neighbour of a and b is no path
-    not_ab = ~(1 << a | 1 << b)
-    ys_all = neigh[b] & not_ab
-    if not ys_all:
-        return False
-    xs = neigh[a] & not_ab
-    while xs:
-        xl = xs & -xs
-        xs ^= xl
-        ms = neigh[xl.bit_length() - 1] & not_ab
-        ys = ys_all & ~xl
-        while ys:
-            yl = ys & -ys
-            ys ^= yl
-            if neigh[yl.bit_length() - 1] & ms:
-                return True
-    return False
-
-
-def _closes_5(neigh: list[int], a: int, b: int) -> bool:
-    not_ab = ~(1 << a | 1 << b)
-    ys_all = neigh[b] & not_ab
-    if not ys_all:
-        return False
-    xs = neigh[a] & not_ab
-    while xs:
-        xl = xs & -xs
-        xs ^= xl
-        ps_all = neigh[xl.bit_length() - 1] & not_ab
-        ys = ys_all & ~xl
-        while ys:
-            yl = ys & -ys
-            ys ^= yl
-            qs = neigh[yl.bit_length() - 1] & not_ab & ~xl
-            if not qs:
-                continue
-            ps = ps_all & ~yl
-            while ps:
-                pl = ps & -ps
-                ps ^= pl
-                if neigh[pl.bit_length() - 1] & qs:
-                    return True
-    return False
-
-
-_CLOSURE_TESTS = {2: _closes_2, 3: _closes_3, 4: _closes_4, 5: _closes_5}
-
-
-def _closure_test(length: int):
-    """The test `closes(neigh, a, b)`: is there a simple a..b path of
-    exactly `length` edges?  Bitset tests for lengths 2..5 (C_3..C_6),
-    `_has_path_exact` otherwise.  Masks must be symmetric and loop-free,
-    and a != b."""
-    if length in _CLOSURE_TESTS:
-        return _CLOSURE_TESTS[length]
-    return lambda neigh, a, b: _has_path_exact(neigh, a, b, length)
 
 
 # ---------------------------------------------------------------------------

@@ -37,8 +37,10 @@ from .errors import (
     InvalidParams,
     OddCycleLength,
     ParamOutOfRange,
+    TargetTooLarge,
 )
 from .graphs import (
+    _MAX_COLORS,
     EdgeColoring,
     color_class,
     induced_coloring,
@@ -96,6 +98,8 @@ class PkParameters:
         eps = _exact(eps)
         if k < 1:
             raise ParamOutOfRange(f"color count {k} < 1")
+        if k > _MAX_COLORS:
+            raise TargetTooLarge(f"color count {k} > {_MAX_COLORS}")
         if eps <= 0:
             raise ParamOutOfRange(f"eps = {eps} must be positive")
         c = Fraction(k * (1 << k))
@@ -388,6 +392,8 @@ def lemma4_inequality_check(k: int, eps, n: int) -> ChainReport:
     eps = _exact(eps)
     if k < 4:
         raise ParamOutOfRange(f"color count {k} < 4")
+    if k > _MAX_COLORS:
+        raise TargetTooLarge(f"color count {k} > {_MAX_COLORS}")
     if not 0 < eps < 1:
         raise ParamOutOfRange(f"eps = {eps} outside (0, 1)")
     if n < 3:

@@ -46,10 +46,6 @@ class ParamOutOfRange(CycleRamseyError):
     pass
 
 
-class NotACounterexample(CycleRamseyError):
-    pass
-
-
 class FormatError(CycleRamseyError):
     """Malformed graph/coloring file or rational literal."""
 

@@ -29,7 +29,7 @@ from .errors import (
     VertexOutOfRange,
     ascii_int,
 )
-from .graphs import _MAX_ORDER, Edge, EdgeColoring, Graph
+from .graphs import _MAX_COLORS, _MAX_ORDER, Edge, EdgeColoring, Graph
 from .search import EDGE_ORDER, SearchResult, SearchVerdict
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
@@ -79,8 +79,8 @@ def _edge_file(text: str, colored: bool) -> tuple[int, list[int], dict[Edge, int
     error is raised where it is met.  A loop, an endpoint outside
     0..V-1 or a repeated edge (in either orientation) is raised only
     once the whole file has parsed, the first in line order.  A header
-    asking for more than `_MAX_ORDER` vertices is refused before any
-    line after it is read.
+    asking for more than `_MAX_ORDER` vertices or `_MAX_COLORS` colors
+    is refused before any line after it is read.
     """
     if not text.isascii():
         # name the first such line; non-ASCII line breaks alone are no fault
@@ -108,6 +108,10 @@ def _edge_file(text: str, colored: bool) -> tuple[int, list[int], dict[Edge, int
             if v > _MAX_ORDER:
                 raise TargetTooLarge(
                     f"line {lineno}: {v} vertices; files are capped at {_MAX_ORDER}"
+                )
+            if colored and header[1] > _MAX_COLORS:
+                raise TargetTooLarge(
+                    f"line {lineno}: {header[1]} colors; files are capped at {_MAX_COLORS}"
                 )
             continue
         if len(tokens) != width or tokens[0] != "e":

@@ -28,6 +28,11 @@ Edge = tuple[int, int]
 # Largest vertex count a construction or an input file may ask for;
 # K_512 builds in well under a second and ~36 MiB.
 _MAX_ORDER = 512
+# Largest colour count an input file or the odd-case lemma may ask for.
+# Callers loop over colour classes, and `lemma4_execute` over 2^k cells,
+# so a huge palette costs time and memory even when its classes are
+# empty.  No construction on _MAX_ORDER vertices needs more than 8.
+_MAX_COLORS = 16
 
 
 def normalize_edge(u: int, v: int) -> Edge:

@@ -38,12 +38,11 @@ import time
 from dataclasses import dataclass
 
 from .constructions import verify_mono_cycle_free
-from .cycles import _closure_test, _mask_component_cycle
+from .cycles import _closes, _mask_component_cycle
 from .errors import (
     CycleRamseyError,
     CycleTooShort,
     FormatError,
-    NotACounterexample,
     ParamOutOfRange,
     TargetTooLarge,
     ascii_int,
@@ -53,7 +52,6 @@ from .graphs import (
     Edge,
     EdgeColoring,
     complete_graph,
-    induced_coloring,
     make_coloring,
 )
 
@@ -248,7 +246,7 @@ def _orbit_closure(mask: int, todo: int, gens: list[list[int]]) -> int:
 
 
 def _replay_prefix(
-    k: int, N: int, closes, edges, prefix
+    k: int, n: int, N: int, edges, prefix
 ) -> tuple[list[list[int]], int] | str:
     """Rebuild per-color adjacency masks for a color prefix, applying
     the search's prunes along the way.
@@ -276,7 +274,7 @@ def _replay_prefix(
             )
         u, v = edges[i]
         masks = neigh[color - 1]
-        if closes(masks, u, v):
+        if _closes(masks, u, v, n - 1):
             return "cycle_prunes"
         masks[u] |= 1 << v
         masks[v] |= 1 << u
@@ -306,11 +304,10 @@ def _search_subtree(
     """
     edges = edge_order(N)
     M = len(edges)
-    closes = _closure_test(n - 1)
     limit = _UNLIMITED if budget is None else budget
     if prefix:
         stats.nodes += 1
-    state = _replay_prefix(k, N, closes, edges, prefix)
+    state = _replay_prefix(k, n, N, edges, prefix)
     if isinstance(state, str):
         setattr(stats, state, getattr(stats, state) + 1)
         return _DONE, None
@@ -335,7 +332,7 @@ def _search_subtree(
                 return _CUTOFF
             nodes += 1
             masks = neigh[c]
-            if closes(masks, u, v):
+            if _closes(masks, u, v, n - 1):
                 prunes += 1
                 continue
             masks[u] |= bv
@@ -389,7 +386,6 @@ def _split_prefixes(
     when a subtree yields a coloring and the later entries are left out.
     """
     edges = edge_order(N)
-    closes = _closure_test(n - 1)
     # entries: (prefix, live, ancestor nodes, ancestor symmetry prunes)
     level = [((), True, 0, 0)]
     live = 1
@@ -407,7 +403,7 @@ def _split_prefixes(
             sym += k - top
             for c in range(1, top + 1):
                 candidate = prefix + (c,)
-                state = _replay_prefix(k, N, closes, edges, candidate)
+                state = _replay_prefix(k, n, N, edges, candidate)
                 alive = not isinstance(state, str)
                 live += alive
                 nxt.append((candidate, alive, nodes, sym))
@@ -651,53 +647,6 @@ def read_checkpoint(
     if not prefixes:
         raise FormatError("checkpoint has no prefixes: an open frontier is never empty")
     return tuple(prefixes)
-
-
-def counterexample_minimize(col: EdgeColoring, n: int) -> EdgeColoring:
-    """Shrink a valid counterexample: drop unused colors, greedily merge
-    color pairs, and discard isolated vertices — re-verifying after
-    every step so the result is still monochromatic-C_n-free.
-
-    Vertices that carry edges are never removed: a counterexample's
-    strength is its order, and any subgraph is trivially still free.
-    """
-    if verify_mono_cycle_free(col, n) is not True:
-        raise NotACounterexample(
-            f"coloring contains a monochromatic C_{n}; nothing to minimize"
-        )
-    col = _compact_colors(col)
-    merged = True
-    while merged and col.color_count > 1:
-        merged = False
-        for a in range(1, col.color_count + 1):
-            for b in range(a + 1, col.color_count + 1):
-                trial_colors = tuple(a if c == b else c for c in col.colors)
-                trial = _compact_colors(
-                    EdgeColoring(col.base, col.color_count, trial_colors)
-                )
-                if verify_mono_cycle_free(trial, n) is True:
-                    col = trial
-                    merged = True
-                    break
-            if merged:
-                break
-    covered = set()
-    for u, v in col.base.edges:
-        covered.add(u)
-        covered.add(v)
-    if len(covered) < col.base.vertex_count:
-        col, _ = induced_coloring(col, sorted(covered))
-    return col
-
-
-def _compact_colors(col: EdgeColoring) -> EdgeColoring:
-    used = sorted(set(col.colors))
-    if len(used) == col.color_count:
-        return col
-    remap = {c: i + 1 for i, c in enumerate(used)}
-    return EdgeColoring(
-        col.base, len(used), tuple(remap[c] for c in col.colors)
-    )
 
 
 class WitnessMode(enum.Enum):

@@ -53,6 +53,15 @@ def test_decimal_eps_rejected(capsys):
     assert "decimals" in err
 
 
+def test_color_header_over_the_cap_exits_three(capsys, tmp_path):
+    path = tmp_path / "palette.txt"
+    path.write_text("coloring 4 1000000\ne 0 1 1\n")
+    for command in ("verify", "decompose"):
+        code, out, err = run(capsys, command, "--n", "5", "--in", str(path))
+        assert (code, out) == (3, "")
+        assert "capped at 16" in err
+
+
 def test_domain_error_maps_to_three(capsys):
     # k = 1 is invalid for the construction
     code, _, err = run(capsys, "construct", "--k", "1", "--n", "5")
@@ -285,6 +294,10 @@ def test_ineq_exit_codes(capsys):
     # k < 4 is a parameter error, not a failed chain
     code, _, err = run(capsys, "ineq", "--k", "3", "--eps", "1/2", "--n", "5")
     assert code == 3
+    # so is a k over the colour cap; at k = 10000, δ = ε/2^(2k+4) has
+    # too many digits to print
+    code, _, err = run(capsys, "ineq", "--k", "10000", "--eps", "1/2", "--n", "5")
+    assert code == 3 and "color count 10000 > 16" in err
 
 
 # --------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from cycle_ramsey import (
     verify_witness,
 )
 from cycle_ramsey import cycles
-from cycle_ramsey.cycles import _closure_test, _mask_component_cycle
+from cycle_ramsey.cycles import _closes, _mask_component_cycle
 
 from strategies import (
     all_pairs,
@@ -335,16 +335,15 @@ def brute_path_ends(G, length: int) -> set[tuple[int, int]]:
     return ends
 
 
-@given(path_test_graphs(), st.integers(1, 7))
+@given(path_test_graphs(), st.integers(2, 8))
 @settings(max_examples=200, deadline=None)
 def test_closure_test_matches_path_oracle(G, length):
-    # The search's closure test, bitset or DFS, against brute force on
-    # every ordered pair a != b.
-    closes = _closure_test(length)
+    # The search's closure test against brute force on every ordered
+    # pair a != b, at lengths with no DFS level (2, 3) and with several.
     masks = list(G.neighbor_masks)
     ends = brute_path_ends(G, length)
     for a, b in itertools.permutations(range(G.vertex_count), 2):
-        assert bool(closes(masks, a, b)) == ((a, b) in ends), (a, b)
+        assert _closes(masks, a, b, length) == ((a, b) in ends), (a, b)
 
 
 # --------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from cycle_ramsey import (
     Parity,
     PkParameters,
     StructureWitness,
+    TargetTooLarge,
     TraceVerdict,
     WitnessKind,
     bondy_erdos_coloring,
@@ -75,6 +76,8 @@ def test_parameters_validation():
         PkParameters.for_lemma(2, 5, 0)
     with pytest.raises(ParamOutOfRange):
         PkParameters.for_lemma(0, 5, 1)
+    with pytest.raises(TargetTooLarge):
+        PkParameters.for_lemma(17, 5, 1)
     with pytest.raises(CycleTooShort):
         PkParameters.for_lemma(2, 2, 1)
     with pytest.raises(ParamOutOfRange):
@@ -199,6 +202,8 @@ def test_chain_known_instance():
 def test_chain_parameter_validation():
     with pytest.raises(ParamOutOfRange):
         lemma4_inequality_check(3, Fraction(1, 2), 5)
+    with pytest.raises(TargetTooLarge):
+        lemma4_inequality_check(17, Fraction(1, 2), 5)
     with pytest.raises(ParamOutOfRange):
         lemma4_inequality_check(4, Fraction(1), 5)
     with pytest.raises(ParamOutOfRange):

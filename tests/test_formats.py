@@ -177,6 +177,12 @@ def test_header_over_the_size_cap_is_refused_before_any_edge_line():
         parse_coloring("coloring 513 2\ne 0 0 x\n")
     assert parse_graph("graph 512\n").vertex_count == 512
     assert parse_coloring("coloring 512 1\ne 0 511 1\n").base.edge_count == 1
+    # a 24-byte file once asked for 10^6 colour classes, nearly all empty
+    with pytest.raises(TargetTooLarge, match="capped at 16"):
+        parse_coloring("coloring 4 1000000\ne 0 1 1\n")
+    with pytest.raises(TargetTooLarge):
+        parse_coloring("coloring 4 17\ne 0 0 x\n")
+    assert parse_coloring("coloring 4 16\ne 0 1 16\n").color_count == 16
 
 
 # --------------------------------------------------------------------------

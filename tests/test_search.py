@@ -1,6 +1,5 @@
 """Exhaustive coloring search: verdicts, the orderly canonicity test,
-budgets, checkpoints, parallelism, counterexample minimization, and the
-lower-bound hunt."""
+budgets, checkpoints, parallelism, and the lower-bound hunt."""
 
 from __future__ import annotations
 
@@ -19,19 +18,13 @@ from cycle_ramsey import (
     EdgeColoring,
     FormatError,
     LowerBoundResult,
-    NotACounterexample,
     ParamOutOfRange,
     SearchVerdict,
     TargetTooLarge,
     WitnessMode,
-    bondy_erdos_coloring,
-    build_graph,
     complete_graph,
-    constant_coloring,
-    counterexample_minimize,
     edge_order,
     lower_bound_witness_search,
-    make_coloring,
     ramsey_check,
     read_checkpoint,
     resume_search,
@@ -208,12 +201,15 @@ def test_determinism_and_stats():
         (4, 5, (19, 7, 1, 0)),
         (6, 7, (29, 8, 1, 0)),
         (5, 8, (233, 107, 1, 3)),
+        (7, 12, (1273, 581, 1, 40)),
+        (7, 13, (23037, 8059, 1, 3460)),
     ],
 )
 def test_certify_counters_are_pinned(n, N, triple):
     # `triple`: (nodes, cycle prunes, symmetry prunes) of the two-colour
     # searches, then orderly prunes.  A faster closure or canonicity test
-    # must leave the search tree as it is.
+    # must leave the search tree as it is.  The C_7 rows run the closure
+    # test three DFS levels deep; the rows above reach two at most.
     assert counters(ramsey_check(2, n, N)) == triple
 
 
@@ -587,44 +583,6 @@ def test_worker_pool_is_capped_by_prefixes_and_cores(monkeypatch, cores):
     split, _ = _split_prefixes(2, 5, 8, want=4 * 100_000)
     cap = cores or 1
     assert ctx.sizes == [min(len(split), cap), min(len(frontier), cap)]
-
-
-# --------------------------------------------------------------------------
-# counterexample minimization
-
-
-def test_minimize_rejects_non_counterexample():
-    with pytest.raises(NotACounterexample):
-        counterexample_minimize(constant_coloring(complete_graph(5)), 3)
-
-
-def test_minimize_drops_unused_colors():
-    be = bondy_erdos_coloring(2, 5)
-    padded = EdgeColoring(be.base, 3, be.colors)  # color 3 never used
-    out = counterexample_minimize(padded, 5)
-    assert out.color_count == 2
-    assert out == be  # the extremal coloring itself cannot shrink
-
-
-def test_minimize_leaves_extremal_coloring_alone():
-    be = bondy_erdos_coloring(2, 5)
-    assert counterexample_minimize(be, 5) == be
-
-
-def test_minimize_merges_colors_when_possible():
-    # a rainbow path has no cycles at all: everything merges into color 1
-    G = build_graph(4, [(0, 1), (1, 2), (2, 3)])
-    col = make_coloring(G, 3, {(0, 1): 1, (1, 2): 2, (2, 3): 3})
-    out = counterexample_minimize(col, 3)
-    assert out.color_count == 1
-    assert verify_mono_cycle_free(out, 3) is True
-
-
-def test_minimize_removes_isolated_vertices_only():
-    G = build_graph(5, [(0, 1), (1, 2)])
-    out = counterexample_minimize(constant_coloring(G), 3)
-    assert out.base.vertex_count == 3  # 3 and 4 were isolated
-    assert out.base.edge_count == 2
 
 
 # --------------------------------------------------------------------------
