@@ -9,13 +9,16 @@ meets a threshold needs a cycle search only when none of the cycles
 found so far (the last one of each length) is long enough and lies
 inside it, and runs of the Gray code that such a cycle covers are
 counted without being walked.  v = 7 means 2^21 graphs, 2,014,992 of
-them checked with 77,948 cycle searches, in about 1-1.5 s on one core.
+them checked with 77,948 cycle searches, in about 1.4 s on one core.
 v = 8 means 2^28 graphs: one run (Python 3.11, one core of a 2-core
 VM) printed
 
     graphs 268435456 checked 266752238
     violations 0
-    elapsed 66.6s cycle-searches 2820249 checked/s 4,005,721
+    elapsed 72.3s cycle-searches 2820249 checked/s 3,691,624
+
+The cycle kernel before its start, open-ends and last-level cuts took
+2.0 s and 100.5 s on the same machine, run just before.
 
 Each order's `elapsed` line gives its time, kernel calls and checked
 graphs per second.  --max-vertices is 1..8 and every --lengths value

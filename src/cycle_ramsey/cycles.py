@@ -13,7 +13,16 @@ neighbours ascending.  That is the lexicographically least qualifying
 cycle listed from its minimum vertex, and it is the certificate
 contract: `contains_cycle_of_length`, `longest_cycle` and the sweep wrap
 the kernel, so every returned cycle (hence every witness and hunt
-trajectory) depends on the graph alone.  `_mask_component_cycle` adds
+trajectory) depends on the graph alone.  The kernel cuts three kinds of
+branch, each holding no qualifying cycle, so the least cycle is still
+the first one found.  A cycle whose minimum vertex is s leaves s and
+returns to it through two distinct neighbours of s above s (its
+`ends`).  So a start with fewer than two such neighbours is skipped,
+and a path is cut once all of them lie on it.  At length hi - 1 the
+only children left are closing ones, and the least is the lowest unused
+end next to the path's last vertex, one intersection.  The kernel
+assumes symmetric, loop-free masks, as every caller builds them: the
+ends are read from s's own mask.  `_mask_component_cycle` adds
 the component rule of `verify_mono_cycle_free` for one colour class:
 components ordered by smallest vertex, the first one that holds a C_n,
 and the kernel's cycle within it.  The randomized hunt uses it on its
@@ -179,37 +188,63 @@ def components(G: Graph) -> ComponentReport:
 
 
 def _mask_cycle(neigh: list[int], nverts: int, lo: int, hi: int) -> list[int] | None:
-    """The first cycle with lo <= length <= hi (lo >= 3), or None.
+    """The first cycle with lo <= length <= hi (lo >= 3), or None; None
+    for the empty window hi = lo - 1.  Masks must be symmetric and
+    loop-free.
 
     Iterative DFS from each start vertex s ascending, over vertices >= s
     only, neighbours ascending; paths stop growing at length hi.  The
     first closing path in this order is the lexicographically least
-    min-vertex-first vertex sequence among all qualifying cycles.
+    min-vertex-first vertex sequence among all qualifying cycles.  Three
+    cuts drop only subtrees that hold no qualifying cycle, so the first
+    one found is unchanged.  A cycle leaves s and returns to it through
+    two distinct members of `ends`, the neighbours of s above s: a start
+    with fewer than two is skipped, and a path is not extended once
+    every member of `ends` lies on it.  At length hi - 1 the children
+    can only close the cycle, so the least of them that does, the lowest
+    bit of the unused `ends` next to the path's last vertex, is taken by
+    one intersection instead of a stack frame.
     """
+    if hi < lo:
+        return None
+    last = hi - 1
     for s in range(nverts - lo + 1):
         start = 1 << s
         above = -start  # every vertex >= s
+        ends = neigh[s] & above
+        if not ends & (ends - 1):
+            continue
         path = [s]
         visited = start
-        stack = [neigh[s] & above & ~start]
-        while stack:
+        stack = [ends]
+        depth = 2  # the path's length once a candidate from stack[-1] joins
+        while True:
             cand = stack[-1]
             if not cand:
                 stack.pop()
+                if not stack:
+                    break
                 visited ^= 1 << path.pop()
+                depth -= 1
                 continue
             low = cand & -cand
             stack[-1] = cand ^ low
-            w = low.bit_length() - 1
-            path.append(w)
-            depth = len(path)
-            if depth >= lo and neigh[w] & start:
+            if depth >= lo and low & ends:
+                path.append(low.bit_length() - 1)
                 return path
-            if depth == hi:
-                path.pop()
-                continue
-            visited |= low
-            stack.append(neigh[w] & above & ~visited)
+            open_ends = ends & ~(visited | low)
+            if open_ends:
+                w = low.bit_length() - 1
+                if depth < last:
+                    visited |= low
+                    path.append(w)
+                    stack.append(neigh[w] & above & ~visited)
+                    depth += 1
+                else:
+                    close = neigh[w] & open_ends
+                    if close:
+                        path += (w, (close & -close).bit_length() - 1)
+                        return path
     return None
 
 

@@ -49,6 +49,7 @@ from .errors import (
     ascii_text,
 )
 from .graphs import (
+    _MAX_COLORS,
     Edge,
     EdgeColoring,
     complete_graph,
@@ -492,11 +493,19 @@ def _aggregate(
     return SearchResult(SearchVerdict.ALL_CONTAIN, k, n, N, None, stats_out)
 
 
-def _validate_instance(k: int, n: int, N: int) -> None:
+def _validate_colors_and_length(k: int, n: int) -> None:
+    # per-colour masks and loops over the colours cost time and memory
+    # linear in k, so k is capped like a colouring header's palette
     if k < 1:
         raise ParamOutOfRange(f"color count {k} < 1")
+    if k > _MAX_COLORS:
+        raise TargetTooLarge(f"color count {k} > {_MAX_COLORS}")
     if n < 3:
         raise CycleTooShort(f"cycle length {n} < 3")
+
+
+def _validate_instance(k: int, n: int, N: int) -> None:
+    _validate_colors_and_length(k, n)
     if N < 1:
         raise ParamOutOfRange(f"host order {N} < 1")
     if N > _MAX_HOST:
@@ -702,10 +711,7 @@ def lower_bound_witness_search(
             res.stats.nodes,
         )
 
-    if k < 1:
-        raise ParamOutOfRange(f"color count {k} < 1")
-    if n < 3:
-        raise CycleTooShort(f"cycle length {n} < 3")
+    _validate_colors_and_length(k, n)
     rng = random.Random(seed)
     steps_allowed = 5000 if budget is None else budget
     base = complete_graph(N)

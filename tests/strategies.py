@@ -30,6 +30,28 @@ def graphs(draw, min_vertices: int = 0, max_vertices: int = 10):
 
 
 @st.composite
+def sparse_graphs(draw, min_vertices: int = 2, max_vertices: int = 9):
+    """A graph with up to 2v edges, so that sparse graphs (pendant paths,
+    vertices with one neighbour above them) come up as often as dense."""
+    v = draw(st.integers(min_value=min_vertices, max_value=max_vertices))
+    edges = draw(st.lists(st.sampled_from(all_pairs(v)), max_size=2 * v, unique=True))
+    return build_graph(v, edges)
+
+
+@st.composite
+def graphs_of_density(draw, min_vertices: int = 8, max_vertices: int = 12):
+    """A graph whose edge density is drawn first, from nearly empty to
+    nearly complete; each pair is then kept with that chance.  Unlike
+    `graphs`, whose bitmasks shrink toward few edges, this reaches dense
+    and sparse graphs on a dozen vertices alike."""
+    v = draw(st.integers(min_value=min_vertices, max_value=max_vertices))
+    percent = draw(st.integers(min_value=5, max_value=95))
+    pairs = all_pairs(v)
+    rolls = draw(st.lists(st.integers(0, 99), min_size=len(pairs), max_size=len(pairs)))
+    return build_graph(v, [p for p, roll in zip(pairs, rolls) if roll < percent])
+
+
+@st.composite
 def colorings(
     draw,
     min_vertices: int = 1,
@@ -97,6 +119,40 @@ def brute_cycle_lengths(G: Graph) -> set[int]:
         if hit:
             found.add(n)
     return found
+
+
+def plain_dfs_cycle(neigh: list[int], nverts: int, lo: int, hi: int) -> list[int] | None:
+    """The first cycle with lo <= length <= hi by a DFS with no cuts:
+    start vertices ascending, only vertices >= the start, neighbours
+    ascending, every path grown until it closes or reaches length hi.
+    This is the lexicographically least min-vertex-first qualifying
+    cycle, the cycle kernel's contract, on graphs too large for
+    `brute_cycle_lengths`."""
+    for s in range(nverts - lo + 1):
+        start = 1 << s
+        above = -start
+        path = [s]
+        visited = start
+        stack = [neigh[s] & above & ~start]
+        while stack:
+            cand = stack[-1]
+            if not cand:
+                stack.pop()
+                visited ^= 1 << path.pop()
+                continue
+            low = cand & -cand
+            stack[-1] = cand ^ low
+            w = low.bit_length() - 1
+            path.append(w)
+            depth = len(path)
+            if depth >= lo and neigh[w] & start:
+                return path
+            if depth == hi:
+                path.pop()
+                continue
+            visited |= low
+            stack.append(neigh[w] & above & ~visited)
+    return None
 
 
 def brute_is_bipartite(G: Graph) -> bool:

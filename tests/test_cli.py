@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from cycle_ramsey import bondy_erdos_coloring, cli
+from cycle_ramsey import bondy_erdos_coloring, cli, search
 from cycle_ramsey.formats import parse_coloring, serialize_coloring
 
 
@@ -302,6 +302,25 @@ def test_ineq_exit_codes(capsys):
 
 # --------------------------------------------------------------------------
 # search
+
+
+def test_search_color_count_over_the_cap_exits_three(capsys, monkeypatch, tmp_path):
+    code, out, _ = run(capsys, "search", "--k", "16", "--n", "3", "--N", "3")
+    assert code == 1 and "verdict COUNTEREXAMPLE" in out
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search started")
+
+    # refused before any node is counted, with or without a checkpoint
+    monkeypatch.setattr(search, "_aggregate", no_search)
+    ck = tmp_path / "ck.txt"
+    ck.write_text("checkpoint 17 5 6 colex\nprefix 1 1\nend 1\n")
+    for extra in ((), ("--resume", str(ck))):
+        code, out, err = run(
+            capsys, "search", "--k", "17", "--n", "5", "--N", "6", *extra
+        )
+        assert (code, out) == (3, "")
+        assert "color count 17 > 16" in err
 
 
 def test_search_all_contain_exits_zero(capsys):

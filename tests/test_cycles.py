@@ -42,11 +42,13 @@ from cycle_ramsey import cycles
 from cycle_ramsey.cycles import _closes, _mask_component_cycle
 
 from strategies import (
-    all_pairs,
     brute_cycle_lengths,
     brute_is_bipartite,
     brute_matching_number,
     graphs,
+    graphs_of_density,
+    plain_dfs_cycle,
+    sparse_graphs,
 )
 
 
@@ -273,6 +275,38 @@ def test_certificates_are_lexicographically_least(G, n):
         assert longest_cycle(G, stop_at=n).vertices == min(at_least)
 
 
+@given(st.one_of(graphs(max_vertices=7), sparse_graphs(max_vertices=7)))
+@settings(max_examples=150, deadline=None)
+def test_kernel_windows_match_brute_force(G):
+    # Every window 3 <= lo <= v+1, lo-1 <= hi <= v+1, the empty ones
+    # (hi = lo - 1, lo = v + 1) included: the kernel's cuts must leave the
+    # least cycle of the window, or None, exactly as brute force finds it.
+    v = G.vertex_count
+    masks = list(G.neighbor_masks)
+    seqs = brute_cycle_sequences(G)
+    for lo in range(3, v + 2):
+        for hi in range(lo - 1, v + 2):
+            inside = [c for c in seqs if lo <= len(c) <= hi]
+            want = list(min(inside)) if inside else None
+            assert cycles._mask_cycle(masks, v, lo, hi) == want, (lo, hi)
+
+
+@given(graphs_of_density(8, 12), st.data())
+@settings(max_examples=100, deadline=None)
+def test_kernel_matches_plain_dfs_on_larger_graphs(G, data):
+    # Hunt components have 9-11 vertices, beyond brute force; there the
+    # DFS without cuts is the oracle, on sparse and dense graphs, for the
+    # hunt's window [n, n], the sweep's [n, v] and one arbitrary window.
+    v = G.vertex_count
+    masks = list(G.neighbor_masks)
+    n = data.draw(st.integers(3, v))
+    lo = data.draw(st.integers(3, v + 1))
+    hi = data.draw(st.integers(lo - 1, v + 1))
+    for window in ((n, n), (n, v), (lo, hi)):
+        want = plain_dfs_cycle(masks, v, *window)
+        assert cycles._mask_cycle(masks, v, *window) == want, window
+
+
 @st.composite
 def split_colorings(draw, max_vertices: int = 9, max_colors: int = 3):
     """A coloring of a random graph whose edges stay inside up to three
@@ -310,15 +344,6 @@ def test_component_cycle_matches_checker_witness(col, n):
         assert got == (witness.color, witness.component, witness.cycle.vertices)
 
 
-@st.composite
-def path_test_graphs(draw):
-    """Graphs on 2..9 vertices with up to 2v edges, so that sparse graphs,
-    where paths of a given length are rare, come up as often as dense."""
-    v = draw(st.integers(min_value=2, max_value=9))
-    edges = draw(st.lists(st.sampled_from(all_pairs(v)), max_size=2 * v, unique=True))
-    return build_graph(v, edges)
-
-
 def brute_path_ends(G, length: int) -> set[tuple[int, int]]:
     """Every ordered (a, b) joined by a simple path of exactly `length`
     edges, from the permutations of its length - 1 interior vertices."""
@@ -335,7 +360,7 @@ def brute_path_ends(G, length: int) -> set[tuple[int, int]]:
     return ends
 
 
-@given(path_test_graphs(), st.integers(2, 8))
+@given(sparse_graphs(2, 9), st.integers(2, 8))
 @settings(max_examples=200, deadline=None)
 def test_closure_test_matches_path_oracle(G, length):
     # The search's closure test against brute force on every ordered
@@ -360,7 +385,10 @@ def test_sweep_small_orders_clean():
 
 @pytest.mark.parametrize(
     "v,checked,searches",
-    [(1, 0, 0), (2, 0, 0), (3, 1, 1), (4, 22, 13), (5, 638, 171), (6, 27824, 3529)],
+    [
+        (1, 0, 0), (2, 0, 0), (3, 1, 1), (4, 22, 13), (5, 638, 171), (6, 27824, 3529),
+        pytest.param(7, 2014992, 77948, marks=pytest.mark.slow),
+    ],
 )
 def test_sweep_checked_count(v, checked, searches):
     # thresholds on 4 vertices: length 3 needs 4 edges, length 4 needs 5.

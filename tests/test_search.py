@@ -491,6 +491,31 @@ def test_negative_budgets_are_rejected(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ramsey_check(17, 5, 6),
+        lambda: resume_search(17, 5, 6, [(1,)]),
+        lambda: lower_bound_witness_search(17, 6, 10, mode=WitnessMode.RANDOMIZED),
+        lambda: lower_bound_witness_search(17, 6, 10),
+    ],
+    ids=["ramsey_check", "resume_search", "hunt_randomized", "hunt_exhaustive"],
+)
+def test_color_counts_over_the_cap_are_refused(call):
+    # per-colour masks and loops cost time linear in k: the search takes
+    # no more colours than a colouring file may name
+    with pytest.raises(TargetTooLarge, match="color count 17 > 16"):
+        call()
+
+
+def test_color_count_at_the_cap_is_accepted():
+    res = ramsey_check(16, 3, 3)
+    assert res.verdict is SearchVerdict.COUNTEREXAMPLE
+    assert verify_mono_cycle_free(res.counterexample, 3) is True
+    hunt = lower_bound_witness_search(16, 3, 3, mode=WitnessMode.RANDOMIZED)
+    assert hunt.coloring is not None and hunt.coloring.color_count == 16
+
+
 def test_checkpoint_prefix_with_non_canonical_inner_k_m_resumes_empty(tmp_path):
     # A checkpoint written before the orderly prune existed may hold a
     # prefix whose inner K_3 is not canonical: the triangle (1, 2, 1)
