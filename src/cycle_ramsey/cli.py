@@ -8,11 +8,17 @@ switches every report to one JSON object per line.  Integer flags take
 plain ASCII digits (`-?[0-9]+`) and rational flags exact `p/q` strings;
 anything else, decimals included, is a usage error.  `search` colors the
 edges in colex order, the one order its checkpoints name.
+
+`run` may be called many times in one process: it builds its parser on
+the first call and reuses it, since parsing leaves no state on it.
+`build_parser()` returns a new parser on every call, so changing that
+copy cannot change what `run` accepts.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -144,9 +150,20 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _run_parser() -> _Parser:
+    # built on first use, not at import: importing the CLI stays cheap
+    return build_parser()
+
+
 def _read_text(path: str | None) -> str:
     if path is None or path == "-":
-        return ascii_text(sys.stdin.buffer.read())
+        stdin = sys.stdin
+        if hasattr(stdin, "buffer"):
+            return ascii_text(stdin.buffer.read())
+        # a text stream (an in-process caller's StringIO): check its
+        # characters as the bytes they would be on a real stdin
+        return ascii_text(stdin.read().encode("utf-8", "surrogatepass"))
     with open(path, "rb") as fh:
         return ascii_text(fh.read())
 
@@ -303,9 +320,8 @@ _HANDLERS = {
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _run_parser().parse_args(argv)
         for flag in ("threads", "budget"):
             value = getattr(args, flag, None)
             if value is not None and value < 1:

@@ -2,7 +2,10 @@
 
 Graph and coloring files are canonical: header line, then one line per
 edge with u < v, sorted lexicographically, ASCII, LF line endings — so
-equal objects produce byte-identical files.  Reports serialize to
+equal objects produce byte-identical files.  The parsers take edges in
+any order and orientation; they sort them once, a single linear pass
+when the file is canonical, and seed `Graph.sorted_edges` with the
+result, so a parsed graph is never sorted again.  Reports serialize to
 line-oriented text with no timings or other run-dependent noise, which
 makes them golden-file testable; `to_jsonable` provides the machine
 twin.  Rational literals are `p/q` (or bare integers) and never
@@ -29,7 +32,14 @@ from .errors import (
     VertexOutOfRange,
     ascii_int,
 )
-from .graphs import _MAX_COLORS, _MAX_ORDER, Edge, EdgeColoring, Graph
+from .graphs import (
+    _MAX_COLORS,
+    _MAX_ORDER,
+    Edge,
+    EdgeColoring,
+    Graph,
+    _sorted_graph,
+)
 from .search import EDGE_ORDER, SearchResult, SearchVerdict
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
@@ -147,13 +157,16 @@ def _edge_file(text: str, colored: bool) -> tuple[int, list[int], dict[Edge, int
 
 def parse_graph(text: str) -> Graph:
     v, _, edges = _edge_file(text, colored=False)
-    return Graph(v, frozenset(edges))
+    return _sorted_graph(v, sorted(edges))
 
 
 def parse_coloring(text: str) -> EdgeColoring:
     v, (_, k), colors = _edge_file(text, colored=True)
-    base = Graph(v, frozenset(colors))
-    return EdgeColoring(base, k, tuple(colors[e] for e in base.sorted_edges))
+    lines = list(colors)
+    order = sorted(lines)
+    # a canonical file lists its colors in sorted edge order already
+    ordered = colors.values() if order == lines else map(colors.__getitem__, order)
+    return EdgeColoring(_sorted_graph(v, order), k, tuple(ordered))
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,7 @@ from .errors import (
 )
 from .graphs import (
     _MAX_COLORS,
+    _MAX_ORDER,
     Edge,
     EdgeColoring,
     complete_graph,
@@ -493,7 +494,7 @@ def _aggregate(
     return SearchResult(SearchVerdict.ALL_CONTAIN, k, n, N, None, stats_out)
 
 
-def _validate_colors_and_length(k: int, n: int) -> None:
+def _validate_instance(k: int, n: int, N: int, max_host: int = _MAX_HOST) -> None:
     # per-colour masks and loops over the colours cost time and memory
     # linear in k, so k is capped like a colouring header's palette
     if k < 1:
@@ -502,14 +503,10 @@ def _validate_colors_and_length(k: int, n: int) -> None:
         raise TargetTooLarge(f"color count {k} > {_MAX_COLORS}")
     if n < 3:
         raise CycleTooShort(f"cycle length {n} < 3")
-
-
-def _validate_instance(k: int, n: int, N: int) -> None:
-    _validate_colors_and_length(k, n)
     if N < 1:
         raise ParamOutOfRange(f"host order {N} < 1")
-    if N > _MAX_HOST:
-        raise TargetTooLarge(f"host order {N} > {_MAX_HOST}: beyond desk scale")
+    if N > max_host:
+        raise TargetTooLarge(f"host order {N} > {max_host}: beyond desk scale")
 
 
 def _validate_budget(budget: int | None) -> None:
@@ -711,7 +708,9 @@ def lower_bound_witness_search(
             res.stats.nodes,
         )
 
-    _validate_colors_and_length(k, n)
+    # K_N and its per-colour masks cost time and memory quadratic in N,
+    # so N is checked first and capped like a file or construction
+    _validate_instance(k, n, N, max_host=_MAX_ORDER)
     rng = random.Random(seed)
     steps_allowed = 5000 if budget is None else budget
     base = complete_graph(N)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
 import sys
 
 import pytest
@@ -140,6 +142,16 @@ def test_full_width_digit_on_stdin_exits_three(capsys, monkeypatch):
     # int() takes a full-width 1 as colour 1; the reader must refuse it
     text = "coloring 3 1\ne 0 1 1\ne 0 2 \uff11\ne 1 2 1\n"
     monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(text.encode())))
+    code, out, err = run(capsys, "verify", "--n", "3")
+    assert code == 3
+    assert out == "" and "line 3: non-ASCII byte 0xef" in err
+
+
+def test_non_ascii_on_text_stdin_exits_three(capsys, monkeypatch):
+    # an in-process caller's StringIO has no byte buffer; its characters
+    # are checked as the UTF-8 bytes a real stdin would carry
+    text = "coloring 3 1\ne 0 1 1\ne 0 2 \uff11\ne 1 2 1\n"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
     code, out, err = run(capsys, "verify", "--n", "3")
     assert code == 3
     assert out == "" and "line 3: non-ASCII byte 0xef" in err
@@ -407,6 +419,73 @@ def test_search_json_single_object(capsys):
     obj = json.loads(lines[0])
     assert obj["verdict"] == "COUNTEREXAMPLE"
     assert obj["counterexample"]["vertex_count"] == 5
+
+
+# --------------------------------------------------------------------------
+# stdin and repeated in-process calls
+
+
+@pytest.mark.parametrize(
+    "argv,text",
+    [
+        (("verify", "--n", "3"), "coloring 3 1\ne 0 1 1\ne 0 2 1\ne 1 2 1\n"),
+        (("verify", "--n", "5"), serialize_coloring(bondy_erdos_coloring(2, 5))),
+        (("decompose", "--n", "5"), serialize_coloring(bondy_erdos_coloring(2, 5))),
+        (("peel", "--target", "2"), "graph 4\ne 0 1\ne 1 2\ne 0 2\ne 2 3\n"),
+    ],
+    ids=["mono-triangle", "verify-be25", "decompose-be25", "peel"],
+)
+def test_text_stdin_reads_like_an_input_file(capsys, monkeypatch, tmp_path, argv, text):
+    path = tmp_path / "in.txt"
+    path.write_text(text)
+    want = run(capsys, *argv, "--in", str(path))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert run(capsys, *argv) == want
+    assert want[0] in (0, 1) and want[2] == ""
+
+
+def test_reused_parser_carries_no_state_between_calls(capsys, tmp_path):
+    ck = str(tmp_path / "ck.txt")
+    search_9 = ("search", "--k", "2", "--n", "5", "--N", "9")
+    code, out, _ = run(capsys, *search_9, "--budget", "5", "--checkpoint", ck)
+    assert code == 2 and "verdict INDETERMINATE" in out
+    # neither --budget nor --checkpoint survives into the next call
+    (tmp_path / "ck.txt").unlink()
+    code, out, _ = run(capsys, *search_9)
+    assert code == 0 and "verdict ALL_CONTAIN" in out
+    assert not (tmp_path / "ck.txt").exists()
+
+    ineq = ("ineq", "--k", "4", "--eps", "1/2", "--n", "5")
+    code, out, _ = run(capsys, *ineq, "--json")
+    assert json.loads(out)["k"] == 4
+    code, plain, _ = run(capsys, *ineq)
+    assert plain.startswith("chain-report\n")
+
+    for argv, want in [(search_9[:-2], 3), (search_9, 0), (search_9[:-2], 3)]:
+        code, out, err = run(capsys, *argv)
+        assert code == want
+        assert ("the following arguments are required: --N" in err) == (want == 3)
+
+
+def test_build_parser_returns_a_new_parser_each_call(capsys):
+    assert cli.build_parser() is not cli.build_parser()
+    assert cli._run_parser() is cli._run_parser()  # run's own, built once
+    copy = cli.build_parser()
+    copy.add_argument("--extra")
+    ineq = ("ineq", "--k", "4", "--eps", "1/2", "--n", "5")
+    assert copy.parse_args(["--extra", "x", *ineq]).extra == "x"
+    code, out, err = run(capsys, "--extra", "x", *ineq)
+    assert (code, out) == (3, "")
+    assert "invalid choice: 'x'" in err  # --extra is not run's flag
+
+
+def test_importing_the_cli_builds_no_parser():
+    # the parser is built on the first run, so importing stays cheap
+    code = (
+        "import cycle_ramsey.cli as cli; "
+        "assert cli._run_parser.cache_info().currsize == 0"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, env=os.environ)
 
 
 # --------------------------------------------------------------------------

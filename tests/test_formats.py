@@ -346,11 +346,13 @@ def test_parsers_match_two_pass_reader_on_token_soup(header, lines):
     _agree_graph(text)
 
 
-@given(colorings(max_vertices=7), st.randoms(use_true_random=False))
-@settings(max_examples=80)
-def test_parsers_match_two_pass_reader_on_valid_files(col, rnd: random.Random):
+def _scrambled_files(col, rnd: random.Random, shuffle: bool = True):
+    """The coloring and graph files of `col`, edge lines shuffled (when
+    `shuffle`), endpoints swapped at random, comments, blank lines, tabs
+    and CRLF line ends put in."""
     header, *lines = serialize_coloring(col).splitlines()
-    rnd.shuffle(lines)
+    if shuffle:
+        rnd.shuffle(lines)
     out, graph_out = [header], [f"graph {col.base.vertex_count}"]
     for line in lines:
         _, u, v, c = line.split()
@@ -360,12 +362,39 @@ def test_parsers_match_two_pass_reader_on_valid_files(col, rnd: random.Random):
         if rnd.random() < 0.2:
             out.append("   # a whole-line comment")
             graph_out.append("#")
+        if rnd.random() < 0.1:
+            out.append("")
+            graph_out.append(" \t")
         out.append(f"e {u}  {v}\t{c}{comment}")
         graph_out.append(f"e {v} {u}{comment}")
-    text = "\r\n".join(out) + "\r\n"
+    return "\r\n".join(out) + "\r\n", "\r\n".join(graph_out)
+
+
+@given(colorings(max_vertices=7), st.randoms(use_true_random=False))
+@settings(max_examples=80)
+def test_parsers_match_two_pass_reader_on_valid_files(col, rnd: random.Random):
+    text, graph_text = _scrambled_files(col, rnd)
     assert parse_coloring(text) == _two_pass_coloring(text) == col
-    text = "\r\n".join(graph_out)
-    assert parse_graph(text) == _two_pass_graph(text) == col.base
+    assert parse_graph(graph_text) == _two_pass_graph(graph_text) == col.base
+
+
+@given(colorings(max_vertices=8), st.randoms(use_true_random=False), st.booleans())
+@settings(max_examples=100)
+def test_parsing_is_order_independent_and_seeds_sorted_edges(col, rnd, shuffle):
+    # a file in canonical order is not sorted again; whatever the order,
+    # the parsed edges are sorted and their colours line up with them
+    text, graph_text = _scrambled_files(col, rnd, shuffle)
+    parsed, G = parse_coloring(text), parse_graph(graph_text)
+    assert parsed == col and G == col.base
+    for base in (parsed.base, G):
+        assert "sorted_edges" in base.__dict__  # seeded by the parser
+        assert base.sorted_edges == tuple(sorted(base.edges))
+    assert dict(zip(parsed.base.sorted_edges, parsed.colors)) == col.assignment
+    canonical, canonical_graph = serialize_coloring(col), serialize_graph(col.base)
+    assert serialize_coloring(parsed) == canonical
+    assert serialize_graph(G) == canonical_graph
+    assert serialize_coloring(parse_coloring(canonical)) == canonical
+    assert serialize_graph(parse_graph(canonical_graph)) == canonical_graph
 
 
 # --------------------------------------------------------------------------

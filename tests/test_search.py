@@ -31,6 +31,7 @@ from cycle_ramsey import (
     verify_mono_cycle_free,
     write_checkpoint,
 )
+from cycle_ramsey import search
 from cycle_ramsey.search import _canonical, _split_prefixes
 
 
@@ -639,6 +640,26 @@ def test_randomized_hunt_converges_and_is_seeded():
     assert not a.exhausted  # randomized search never proves absence
     b = lower_bound_witness_search(2, 5, 8, mode=WitnessMode.RANDOMIZED, seed=0)
     assert (a.coloring, a.steps) == (b.coloring, b.steps)
+
+
+@pytest.mark.parametrize(
+    "N,error,message",
+    [(513, TargetTooLarge, "host order 513 > 512"), (0, ParamOutOfRange, "host order 0 < 1")],
+)
+def test_randomized_hunt_checks_host_order_first(monkeypatch, N, error, message):
+    # K_N and its masks cost time and memory quadratic in N: nothing is
+    # built before N is checked
+    def refuse(*args):
+        raise AssertionError("K_N built before N was checked")
+
+    monkeypatch.setattr(search, "complete_graph", refuse)
+    with pytest.raises(error, match=message):
+        lower_bound_witness_search(3, 6, N, mode=WitnessMode.RANDOMIZED, budget=1)
+
+
+def test_randomized_hunt_accepts_a_one_vertex_host():
+    res = lower_bound_witness_search(2, 5, 1, mode=WitnessMode.RANDOMIZED)
+    assert res.coloring.base.vertex_count == 1 and res.steps == 0
 
 
 def test_randomized_hunt_with_one_color_gives_up():
