@@ -11,9 +11,8 @@ does not (COUNTEREXAMPLE, re-verified independently).
 
 Each line gives the node count and nodes/s of both searches.  With the
 orderly prune the C_6 upper bound takes 2,431 nodes, the C_5 one 1,027
-and the C_7 one 23,037; with default settings the whole run takes
-0.75-0.95 s on one core, interpreter start included (Python 3.11,
-2-core VM).
+and the C_7 one 23,037; the whole run takes 0.75-0.95 s on one core,
+interpreter start included (Python 3.11, 2-core VM).
 """
 
 from __future__ import annotations
@@ -30,10 +29,10 @@ def rate(res) -> str:
     return f"{res.stats.nodes} nodes, {res.stats.nodes / res.stats.wall_time:,.0f} nodes/s"
 
 
-def certify(n: int, value: int, threads: int) -> bool:
+def certify(n: int, value: int) -> bool:
     t0 = time.perf_counter()
-    upper = ramsey_check(2, n, value, threads=threads)
-    below = ramsey_check(2, n, value - 1, threads=threads)
+    upper = ramsey_check(2, n, value)
+    below = ramsey_check(2, n, value - 1)
     elapsed = time.perf_counter() - t0
     ok = (
         upper.verdict is SearchVerdict.ALL_CONTAIN
@@ -51,12 +50,10 @@ def certify(n: int, value: int, threads: int) -> bool:
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--threads", type=int, default=1)
-    args = ap.parse_args()
+    argparse.ArgumentParser(description=__doc__).parse_args()
     all_ok = True
     for n, value in CASES:
-        all_ok = certify(n, value, args.threads) and all_ok
+        all_ok = certify(n, value) and all_ok
     return 0 if all_ok else 1
 
 

@@ -68,11 +68,21 @@ class _UsageError(Exception):
     pass
 
 
+class _Exit(Exception):
+    """argparse finished the call itself (`--help`); args[0] is its status."""
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems via exit code 3, not 2."""
+    """argparse that reports usage problems via exit code 3, not 2, and
+    lets `run` return the status of `--help` instead of exiting."""
 
     def error(self, message):
         raise _UsageError(message)
+
+    def exit(self, status=0, message=None):
+        if message:
+            self._print_message(message, sys.stderr)
+        raise _Exit(status)
 
 
 def _flag_type(parse):
@@ -137,7 +147,6 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=_int_arg, required=True)
     p.add_argument("--N", type=_int_arg, required=True)
     p.add_argument("--budget", type=_int_arg, default=None)
-    p.add_argument("--threads", type=_int_arg, default=1)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--resume", default=None)
     common(p)
@@ -268,14 +277,9 @@ def _cmd_ineq(args: argparse.Namespace) -> int:
 def _cmd_search(args: argparse.Namespace) -> int:
     if args.resume is not None:
         prefixes = read_checkpoint(args.resume, (args.k, args.n, args.N))
-        res = resume_search(
-            args.k, args.n, args.N, prefixes,
-            budget=args.budget, threads=args.threads,
-        )
+        res = resume_search(args.k, args.n, args.N, prefixes, budget=args.budget)
     else:
-        res = ramsey_check(
-            args.k, args.n, args.N, budget=args.budget, threads=args.threads
-        )
+        res = ramsey_check(args.k, args.n, args.N, budget=args.budget)
     if args.json_output:
         _emit(_json_line(res))
     else:
@@ -322,18 +326,13 @@ _HANDLERS = {
 def run(argv=None) -> int:
     try:
         args = _run_parser().parse_args(argv)
-        for flag in ("threads", "budget"):
-            value = getattr(args, flag, None)
-            if value is not None and value < 1:
-                raise _UsageError(f"--{flag} must be >= 1, got {value}")
+        budget = getattr(args, "budget", None)
+        if budget is not None and budget < 1:
+            raise _UsageError(f"--budget must be >= 1, got {budget}")
         return _HANDLERS[args.subcommand](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except CycleRamseyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except _Exit as exc:
+        return exc.args[0]
+    except (_UsageError, CycleRamseyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:

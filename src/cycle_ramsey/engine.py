@@ -385,9 +385,10 @@ class ChainReport:
 def lemma4_inequality_check(k: int, eps, n: int) -> ChainReport:
     """Verify the odd-case chain for all |X| > kn in exact rationals.
 
-    Instantiates δ = ε/2^(2k+4) and N = ⌈(1+ε)·k·2^k·n⌉ and checks each
-    link as described on ChainReport.  Requires k ≥ 4, 0 < ε < 1
-    (the argument itself assumes ε < 1 when bounding N) and odd n.
+    Takes δ = ε/2^(2k+4) and N = ⌈(1+ε)·k·2^k·n⌉ from
+    `PkParameters.for_lemma` and checks each link as described on
+    ChainReport.  Requires k ≥ 4, 0 < ε < 1 (the argument itself
+    assumes ε < 1 when bounding N) and odd n.
     """
     eps = _exact(eps)
     if k < 4:
@@ -401,8 +402,8 @@ def lemma4_inequality_check(k: int, eps, n: int) -> ChainReport:
     if n % 2 == 0:
         raise EvenCycleLength(f"the chain argues about odd cycles; n = {n}")
 
-    delta = eps / (1 << (2 * k + 4))
-    N = math.ceil((1 + eps) * Fraction(k * (1 << k)) * n)
+    params = PkParameters.for_lemma(k, n, eps)
+    delta, N = params.delta, params.N
     kn = k * n
     x0 = kn + 1
 

@@ -31,8 +31,6 @@ since a color prefix means nothing without it.
 from __future__ import annotations
 
 import enum
-import multiprocessing
-import os
 import random
 import time
 from dataclasses import dataclass
@@ -301,8 +299,8 @@ def _search_subtree(
     `open_out`.
 
     A non-empty prefix's last color is a node its parent deferred (a
-    cutoff or a parallel split reports it uncounted), so it is counted
-    here, with the prune that cuts it when the replay hits one.
+    cutoff reports it uncounted), so it is counted here, with the prune
+    that cuts it when the replay hits one.
     """
     edges = edge_order(N)
     M = len(edges)
@@ -362,57 +360,8 @@ def _search_subtree(
     return r, tuple(path) if r == _FOUND else None
 
 
-def _worker(args) -> tuple[int, tuple[int, ...] | None, _Stats, list]:
-    k, n, N, prefix, budget = args
-    stats = _Stats()
-    open_out: list[tuple[int, ...]] = []
-    status, path = _search_subtree(k, n, N, prefix, budget, stats, open_out)
-    return status, path, stats, open_out
-
-
 def _coloring_from_path(k: int, N: int, path: tuple[int, ...]) -> EdgeColoring:
     return make_coloring(complete_graph(N), k, dict(zip(edge_order(N), path)))
-
-
-def _split_prefixes(
-    k: int, n: int, N: int, want: int
-) -> tuple[list[tuple[int, ...]], list[tuple[int, int]]]:
-    """Expand the root breadth-first into subtrees for parallel workers,
-    until `want` of them are live or depth 6, in DFS order.
-
-    Returns the prefixes and, for each, the (nodes, symmetry prunes) of
-    the expanded ancestors it is the first descendant of: work the DFS
-    does before that subtree and no worker counts.  A prefix that a
-    prune cuts is kept, so its worker counts it and its prune.  Folding
-    the lists in order therefore gives the sequential counters, also
-    when a subtree yields a coloring and the later entries are left out.
-    """
-    edges = edge_order(N)
-    # entries: (prefix, live, ancestor nodes, ancestor symmetry prunes)
-    level = [((), True, 0, 0)]
-    live = 1
-    depth = 0
-    while 0 < live < want and depth < min(6, len(edges)):
-        nxt = []
-        live = 0
-        for entry in level:
-            prefix, alive, nodes, sym = entry
-            if not alive:
-                nxt.append(entry)
-                continue
-            top = min(k, max(prefix, default=0) + 1)
-            nodes += 1 if prefix else 0  # the root is no color assignment
-            sym += k - top
-            for c in range(1, top + 1):
-                candidate = prefix + (c,)
-                state = _replay_prefix(k, n, N, edges, candidate)
-                alive = not isinstance(state, str)
-                live += alive
-                nxt.append((candidate, alive, nodes, sym))
-                nodes = sym = 0
-        level = nxt
-        depth += 1
-    return [e[0] for e in level], [(e[2], e[3]) for e in level]
 
 
 def _aggregate(
@@ -421,57 +370,31 @@ def _aggregate(
     N: int,
     prefixes,
     budget: int | None,
-    threads: int,
     t0: float,
-    lead: list[tuple[int, int]] | None = None,
 ) -> SearchResult:
     """Run subtrees (in order) and fold their outcomes into one result.
 
-    Sequentially, the budget is shared: once it is spent, the remaining
-    prefixes pass to the open frontier unchanged, though the first one
-    is always searched so that every leg of a chain makes progress.
-    `lead` adds `_split_prefixes`' ancestor counts before each subtree.
+    The budget is shared: once it is spent, the remaining prefixes pass
+    to the open frontier unchanged, though the first one is always
+    searched so that every leg of a chain makes progress.
     """
     total = _Stats()
     open_all: list[tuple[int, ...]] = []
     found_path: tuple[int, ...] | None = None
     cut = False
 
-    if threads <= 1 or not prefixes:  # no pool for an empty frontier
-        limit = _UNLIMITED if budget is None else budget
-        for j, prefix in enumerate(prefixes):
-            if j and total.nodes >= limit:
-                open_all.append(prefix)
-                cut = True
-                continue
-            status, path = _search_subtree(k, n, N, prefix, budget, total, open_all)
-            if status == _CUTOFF:
-                cut = True
-            if status == _FOUND:
-                found_path = path
-                break
-    else:
-        if lead is None:
-            lead = [(0, 0)] * len(prefixes)
-        per_budget = None if budget is None else max(1, budget // len(prefixes))
-        args = [(k, n, N, p, per_budget) for p in prefixes]
-        # more workers than prefixes or cores would only idle
-        workers = min(threads, len(prefixes), os.cpu_count() or 1)
-        ctx = multiprocessing.get_context()
-        with ctx.Pool(processes=workers) as pool:
-            results = zip(pool.imap(_worker, args), lead)
-            for (status, path, part, wopen), (ln, ls) in results:
-                total.nodes += ln + part.nodes
-                total.cycle_prunes += part.cycle_prunes
-                total.symmetry_prunes += ls + part.symmetry_prunes
-                total.orderly_prunes += part.orderly_prunes
-                open_all.extend(wopen)
-                if status == _CUTOFF:
-                    cut = True
-                if status == _FOUND:
-                    found_path = path
-                    pool.terminate()
-                    break
+    limit = _UNLIMITED if budget is None else budget
+    for j, prefix in enumerate(prefixes):
+        if j and total.nodes >= limit:
+            open_all.append(prefix)
+            cut = True
+            continue
+        status, path = _search_subtree(k, n, N, prefix, budget, total, open_all)
+        if status == _CUTOFF:
+            cut = True
+        if status == _FOUND:
+            found_path = path
+            break
 
     stats_out = SearchStats(
         total.nodes,
@@ -514,6 +437,11 @@ def _validate_budget(budget: int | None) -> None:
         raise ParamOutOfRange(f"budget {budget} < 0")
 
 
+def _validate_threads(threads: int) -> None:
+    if threads != 1:
+        raise ParamOutOfRange(f"threads {threads} != 1: the search is sequential")
+
+
 def ramsey_check(
     k: int,
     n: int,
@@ -527,20 +455,16 @@ def ramsey_check(
     Exhaustive and complete when no budget interferes: ALL_CONTAIN then
     proves R_k(C_n) <= N, and COUNTEREXAMPLE disproves it at this N.
     `budget` caps explored nodes (color assignments); on exhaustion the
-    verdict is INDETERMINATE and the open frontier is reported.  With
-    `threads` > 1 the root splits into independent subtrees whose
-    results are folded in DFS order, so unbudgeted verdicts, counters
-    and the returned counterexample match the single-threaded run.
+    verdict is INDETERMINATE and the open frontier is reported.
+
+    The search runs in one process: a split of the root left almost the
+    whole tree to its first subtree.  `threads` accepts only 1 and stays
+    only because perfbench's workloads still pass it.
     """
     _validate_instance(k, n, N)
     _validate_budget(budget)
-    t0 = time.perf_counter()
-    if threads <= 1:
-        prefixes: list[tuple[int, ...]] = [()]
-        lead = None
-    else:
-        prefixes, lead = _split_prefixes(k, n, N, want=4 * threads)
-    return _aggregate(k, n, N, prefixes, budget, threads, t0, lead)
+    _validate_threads(threads)
+    return _aggregate(k, n, N, [()], budget, time.perf_counter())
 
 
 def resume_search(
@@ -558,11 +482,13 @@ def resume_search(
     the interrupted run's explored portion (which found nothing) yields
     the overall proof.  Each prefix's last color is counted here, as the
     node its run deferred, so the node and prune totals of a chain of
-    budgeted runs equal those of one unbudgeted run.
+    budgeted runs equal those of one unbudgeted run.  `threads` accepts
+    only 1, as in `ramsey_check`.
     """
     _validate_instance(k, n, N)
     _validate_budget(budget)
-    return _aggregate(k, n, N, list(prefixes), budget, threads, time.perf_counter())
+    _validate_threads(threads)
+    return _aggregate(k, n, N, list(prefixes), budget, time.perf_counter())
 
 
 def write_checkpoint(path: str, result: SearchResult) -> None:

@@ -100,13 +100,31 @@ def test_header_over_the_size_cap_exits_three(capsys, tmp_path, argv, text):
     assert out == "" and "capped at 512" in err
 
 
-@pytest.mark.parametrize("flag,value", [("--threads", "0"), ("--budget", "-5")])
+@pytest.mark.parametrize("flag,value", [("--budget", "-5")])
 def test_search_rejects_non_positive_counts(capsys, flag, value):
     code, out, err = run(
         capsys, "search", "--k", "2", "--n", "5", "--N", "4", flag, value
     )
     assert code == 3
     assert out == "" and "must be >= 1" in err
+
+
+def test_search_has_no_threads_option(capsys):
+    # the search runs in one process
+    code, out, err = run(
+        capsys, "search", "--k", "2", "--n", "5", "--N", "4", "--threads", "2"
+    )
+    assert code == 3
+    assert out == "" and "unrecognized arguments: --threads 2" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [("--help",), ("verify", "--help")], ids=["top", "subcommand"]
+)
+def test_help_returns_zero_instead_of_exiting(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert out.startswith("usage: cycle-ramsey") and err == ""
 
 
 def test_checkpoint_prefix_longer_than_edge_order(capsys, tmp_path):
@@ -484,6 +502,15 @@ def test_importing_the_cli_builds_no_parser():
     code = (
         "import cycle_ramsey.cli as cli; "
         "assert cli._run_parser.cache_info().currsize == 0"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, env=os.environ)
+
+
+def test_importing_the_cli_loads_no_multiprocessing():
+    # the search runs in one process, so start-up skips that import
+    code = (
+        "import sys, cycle_ramsey, cycle_ramsey.cli; "
+        "assert 'multiprocessing' not in sys.modules"
     )
     subprocess.run([sys.executable, "-c", code], check=True, env=os.environ)
 

@@ -1,13 +1,10 @@
 """Exhaustive coloring search: verdicts, the orderly canonicity test,
-budgets, checkpoints, parallelism, and the lower-bound hunt."""
+budgets, checkpoints, and the lower-bound hunt."""
 
 from __future__ import annotations
 
 import itertools
-import multiprocessing
-import os
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +29,7 @@ from cycle_ramsey import (
     write_checkpoint,
 )
 from cycle_ramsey import search
-from cycle_ramsey.search import _canonical, _split_prefixes
+from cycle_ramsey.search import _canonical
 
 
 def counters(res) -> tuple[int, int, int, int]:
@@ -444,13 +441,8 @@ def test_finished_result_has_no_checkpoint(tmp_path, N):
     assert not path.exists()
 
 
-def test_parallel_resume_of_empty_frontier_starts_no_pool(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool was started")
-
-    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
-    res = resume_search(2, 5, 8, [], threads=2, budget=5)
-    assert res == replace(resume_search(2, 5, 8, []), stats=res.stats)
+def test_resume_of_empty_frontier_is_all_contain_with_no_work():
+    res = resume_search(2, 5, 8, [], budget=5)
     assert res.verdict is SearchVerdict.ALL_CONTAIN and counters(res) == (0, 0, 0, 0)
 
 
@@ -538,77 +530,26 @@ def test_resume_rejects_non_canonical_prefix():
         resume_search(2, 3, 6, [(2,)])
 
 
-# --------------------------------------------------------------------------
-# parallel workers
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ramsey_check(2, 5, 8, threads=2),
+        lambda: resume_search(2, 5, 8, [(1,)], threads=2),
+    ],
+    ids=["ramsey_check", "resume_search"],
+)
+def test_more_than_one_thread_is_refused(call):
+    # the search runs in one process
+    with pytest.raises(ParamOutOfRange, match="threads 2 != 1"):
+        call()
 
 
-def test_parallel_matches_sequential_counterexample():
-    seq = ramsey_check(2, 5, 8)
-    par = ramsey_check(2, 5, 8, threads=2)
-    assert par.verdict is SearchVerdict.COUNTEREXAMPLE
-    assert par.counterexample == seq.counterexample
-    assert counters(par) == counters(seq)
-
-
-def test_parallel_reports_the_sequential_counters():
-    # the split's own nodes and prunes are counted, once
-    par = ramsey_check(2, 4, 6, threads=2)
-    assert par.verdict is SearchVerdict.ALL_CONTAIN
-    assert counters(par) == counters(ramsey_check(2, 4, 6))
-
-
-def test_parallel_counts_the_orderly_prunes_of_split_prefixes():
-    # split prefixes that complete a non-canonical K_3 or K_4 are cut by
-    # their worker's replay, which counts the prune
-    par = ramsey_check(2, 6, 8, threads=2)
-    assert par.verdict is SearchVerdict.ALL_CONTAIN
-    assert counters(par) == counters(ramsey_check(2, 6, 8))
-    assert par.stats.orderly_prunes > 0
-
-
-def test_parallel_all_contain():
-    assert ramsey_check(2, 3, 6, threads=2).verdict is SearchVerdict.ALL_CONTAIN
-
-
-class _InlineContext:
-    """Stands in for a multiprocessing context: each pool records its
-    size and runs `imap` in this process, so no worker is started."""
-
-    def __init__(self):
-        self.sizes = []
-
-    def Pool(self, processes):
-        self.sizes.append(processes)
-        return self
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def imap(self, fn, args):
-        return map(fn, args)
-
-    def terminate(self):
-        pass
-
-
-@pytest.mark.parametrize("cores", [3, 1000, None])
-def test_worker_pool_is_capped_by_prefixes_and_cores(monkeypatch, cores):
-    ctx = _InlineContext()
-    monkeypatch.setattr(multiprocessing, "get_context", lambda *a: ctx)
-    monkeypatch.setattr(os, "cpu_count", lambda: cores)
-    seq = ramsey_check(2, 5, 8)
-    par = ramsey_check(2, 5, 8, threads=100_000)
-    assert par.counterexample == seq.counterexample
-    assert counters(par) == counters(seq)
-    frontier = ramsey_check(2, 5, 8, budget=50).open_prefixes[:2]
-    res = resume_search(2, 5, 8, frontier, threads=100_000)
+def test_one_thread_is_still_accepted():
+    one = ramsey_check(2, 5, 8, threads=1)
+    assert one.counterexample == ramsey_check(2, 5, 8).counterexample
+    frontier = [(1,)]
+    res = resume_search(2, 5, 8, frontier, threads=1)
     assert counters(res) == counters(resume_search(2, 5, 8, frontier))
-    split, _ = _split_prefixes(2, 5, 8, want=4 * 100_000)
-    cap = cores or 1
-    assert ctx.sizes == [min(len(split), cap), min(len(frontier), cap)]
 
 
 # --------------------------------------------------------------------------
