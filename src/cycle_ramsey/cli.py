@@ -1,7 +1,7 @@
 """Command-line driver.
 
 Exit codes: 0 definite positive result, 1 counterexample or negative
-witness outcome, 2 indeterminate (budget exhausted), 3 usage error, 4
+witness outcome, 2 indeterminate (budget spent), 3 usage error, 4
 internal error (a bug, never a verdict).
 Reports go to stdout in the line formats from `formats`; `--json`
 switches every report to one JSON object per line.  Integer flags take

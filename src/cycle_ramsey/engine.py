@@ -38,6 +38,7 @@ from .errors import (
     OddCycleLength,
     ParamOutOfRange,
     TargetTooLarge,
+    parse_rational,
 )
 from .graphs import (
     _MAX_COLORS,
@@ -49,12 +50,15 @@ from .graphs import (
 
 
 def _exact(q) -> Fraction:
-    """Coerce to Fraction, refusing floats to keep verdict paths exact."""
+    """Coerce to Fraction, refusing floats to keep verdict paths exact;
+    a string must be a strict 'p/q' literal (`parse_rational`)."""
     if isinstance(q, float):
         raise InvalidParams(
             f"floating-point value {q!r} refused; pass a Fraction, an int, "
             "or a 'p/q' string"
         )
+    if isinstance(q, str):
+        return parse_rational(q)
     return Fraction(q)
 
 
@@ -119,6 +123,8 @@ def pk_witness_search(
     ⌈n/2⌉.  Colors are scanned in ascending order, components in
     discovery order; the first hit is returned.
     """
+    if n < 3:
+        raise CycleTooShort(f"cycle length {n} < 3")
     need = matching_threshold(n)
     for i in range(1, col.color_count + 1):
         for comp in components(color_class(col, i)).components:
@@ -554,13 +560,16 @@ def verify_witness(col: EdgeColoring, n: int, w: StructureWitness) -> bool:
     the color class, that every certificate lives inside it, and the
     kind-specific size/parity conditions: a MONO_CYCLE has length
     exactly n; matchings have at least ⌈n/2⌉ edges; the odd-cycle proof
-    of non-bipartiteness has odd length.
+    of non-bipartiteness has odd length.  A component listing that
+    repeats a vertex is refused.
     """
+    if n < 3:
+        raise CycleTooShort(f"cycle length {n} < 3")
     if not 1 <= w.color <= col.color_count:
         return False
     Gi = color_class(col, w.color)
     comp_set = set(w.component)
-    if not comp_set:
+    if not comp_set or len(comp_set) != len(w.component):
         return False
     rep = components(Gi)
     anchor = w.component[0]

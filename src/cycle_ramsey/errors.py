@@ -1,5 +1,8 @@
-"""Exception types shared across the toolkit, and the ASCII decoding
-and integer parsing that every input reader goes through."""
+"""Exception types shared across the toolkit, and the ASCII decoding,
+integer and rational parsing that every input reader goes through."""
+
+import re
+from fractions import Fraction
 
 
 class CycleRamseyError(Exception):
@@ -71,3 +74,19 @@ def ascii_int(token: str) -> int:
     ):
         return int(token)
     raise FormatError(f"bad integer {token!r}: expected ASCII digits")
+
+
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse a strict `p/q` (or integer) literal of ASCII digits.
+    `Fraction()` alone also reads decimals, `_` separators, padding and
+    non-ASCII digits, and raises ZeroDivisionError on a zero
+    denominator."""
+    if not _RATIONAL_RE.fullmatch(text):
+        raise FormatError(
+            f"bad rational {text!r}: expected 'p/q' or an integer "
+            "(decimals are not accepted)"
+        )
+    return Fraction(text)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import re
 from fractions import Fraction
 
 from .certificates import StructureWitness
@@ -31,6 +30,7 @@ from .errors import (
     TargetTooLarge,
     VertexOutOfRange,
     ascii_int,
+    parse_rational,
 )
 from .graphs import (
     _MAX_COLORS,
@@ -41,19 +41,6 @@ from .graphs import (
     _sorted_graph,
 )
 from .search import EDGE_ORDER, SearchResult, SearchVerdict
-
-_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse a strict `p/q` (or integer) literal; decimals are rejected."""
-    if not _RATIONAL_RE.fullmatch(text):
-        raise FormatError(
-            f"bad rational {text!r}: expected 'p/q' or an integer "
-            "(decimals are not accepted)"
-        )
-    return Fraction(text)
-
 
 # ---------------------------------------------------------------------------
 # Graph / coloring files

@@ -22,7 +22,7 @@ R. C. Read, "Every one a winner", Ann. Discrete Math. 2 (1978), and
 B. D. McKay, "Isomorph-free exhaustive generation", J. Algorithms 26
 (1998).
 
-In exhaustive mode an ALL_CONTAIN verdict is a proof that R_k(C_n) <= N;
+With no budget cutoff an ALL_CONTAIN verdict is a proof that R_k(C_n) <= N;
 every COUNTEREXAMPLE is re-verified by the independent checker before
 being returned.  Checkpoints and reports name the order (`EDGE_ORDER`),
 since a color prefix means nothing without it.
@@ -107,26 +107,8 @@ class SearchResult:
     open_prefixes: tuple[tuple[int, ...], ...] = ()
 
 
-class _Stats:
-    __slots__ = ("nodes", "cycle_prunes", "symmetry_prunes", "orderly_prunes")
-
-    def __init__(self) -> None:
-        self.nodes = 0
-        self.cycle_prunes = 0
-        self.symmetry_prunes = 0
-        self.orderly_prunes = 0
-
-
 _FOUND, _DONE, _CUTOFF = 0, 1, 2
 _UNLIMITED = 1 << 62  # the node limit of an unbudgeted search
-
-
-def _completes(N: int) -> tuple[int, ...]:
-    """For each colex edge index, the m whose K_m that edge completes
-    when the orderly test runs there (3 <= m < N), else 0."""
-    return tuple(
-        v + 1 if u == v - 1 and 3 <= v + 1 < N else 0 for u, v in edge_order(N)
-    )
 
 
 def _canonical(neigh: list[list[int]], m: int, path) -> bool:
@@ -147,7 +129,7 @@ def _canonical(neigh: list[list[int]], m: int, path) -> bool:
     A full relabelling that ties is an automorphism up to a color
     permutation, and composing with it maps the subtree of label j = x
     onto that of its image with the same strings.  So once x is
-    exhausted, its orbit under the automorphisms found so far that fix
+    searched, its orbit under the automorphisms found so far that fix
     the labels chosen before j needs no search.
     """
     k = len(neigh)
@@ -246,77 +228,73 @@ def _orbit_closure(mask: int, todo: int, gens: list[list[int]]) -> int:
 
 
 def _replay_prefix(
-    k: int, n: int, N: int, edges, prefix
+    k: int, n: int, N: int, bits, prefix
 ) -> tuple[list[list[int]], int] | str:
     """Rebuild per-color adjacency masks for a color prefix, applying
-    the search's prunes along the way.
+    the search's prunes along the way.  `bits` is `_aggregate`'s
+    per-edge table.
 
-    Returns the name of the `_Stats` counter of the prune that cuts the
-    prefix, if one does (its subtree is empty): "cycle_prunes" when it
-    closes a monochromatic C_n, "orderly_prunes" when it completes a
-    non-canonical K_m.  A checkpoint written before the orderly prune
-    existed may hold such a prefix, and its subtree holds no class's
-    least member.  Raises FormatError on a prefix longer than the edge
-    order or on colors that break the canonical first-appearance rule —
-    such a prefix cannot have come from this search.
+    Returns the name of the prune that cuts the prefix, if one does (its
+    subtree is empty): "cycle" when it closes a monochromatic C_n,
+    "orderly" when it completes a non-canonical K_m.  A checkpoint
+    written before the orderly prune existed may hold such a prefix, and
+    its subtree holds no class's least member.  Raises FormatError on a
+    prefix longer than the edge order or on colors that break the
+    canonical first-appearance rule — such a prefix cannot have come
+    from this search.
     """
-    if len(prefix) > len(edges):
+    if len(prefix) > len(bits):
         raise FormatError(
-            f"prefix of {len(prefix)} colors exceeds the {len(edges)} edges of K_{N}"
+            f"prefix of {len(prefix)} colors exceeds the {len(bits)} edges of K_{N}"
         )
     neigh = [[0] * N for _ in range(k)]
     maxused = 0
-    completes = _completes(N)
     for i, color in enumerate(prefix):
         if not 1 <= color <= min(k, maxused + 1):
             raise FormatError(
                 f"prefix color {color} at edge {i} breaks canonical order"
             )
-        u, v = edges[i]
+        u, v, bu, bv, m = bits[i]
         masks = neigh[color - 1]
         if _closes(masks, u, v, n - 1):
-            return "cycle_prunes"
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
+            return "cycle"
+        masks[u] |= bv
+        masks[v] |= bu
         maxused = max(maxused, color)
-        if completes[i] and not _canonical(neigh, completes[i], prefix):
-            return "orderly_prunes"
+        if m and not _canonical(neigh, m, prefix):
+            return "orderly"
     return neigh, maxused
 
 
-def _search_subtree(
-    k: int,
-    n: int,
-    N: int,
-    prefix: tuple[int, ...],
-    budget: int | None,
-    stats: _Stats,
-    open_out: list[tuple[int, ...]],
-) -> tuple[int, tuple[int, ...] | None]:
-    """Exhaust one subtree.  Returns (_FOUND, full color path) when a
-    complete mono-C_n-free coloring exists below the prefix, else
-    (_DONE, None) or (_CUTOFF, None) with open subtrees appended to
-    `open_out`.
+def _coloring_from_path(k: int, N: int, path: list[int]) -> EdgeColoring:
+    return make_coloring(complete_graph(N), k, dict(zip(edge_order(N), path)))
 
-    A non-empty prefix's last color is a node its parent deferred (a
-    cutoff reports it uncounted), so it is counted here, with the prune
-    that cuts it when the replay hits one.
+
+def _aggregate(
+    k: int, n: int, N: int, prefixes, budget: int | None
+) -> SearchResult:
+    """Exhaust the subtrees below `prefixes`, in order, as one search.
+
+    The budget is shared: once it is spent, the remaining prefixes pass
+    to the open frontier unchanged, though the first one is always
+    searched so that every leg of a chain makes progress.  A non-empty
+    prefix's last color is a node its parent deferred (a cutoff reports
+    it uncounted), so it is counted here, with the prune that cuts it
+    when the replay hits one.
     """
-    edges = edge_order(N)
-    M = len(edges)
+    t0 = time.perf_counter()
+    # per colex edge: its endpoints, their bits, and the m whose K_m it
+    # completes when the orderly test runs there (3 <= m < N), else 0
+    bits = [
+        (u, v, 1 << u, 1 << v, v + 1 if u == v - 1 and 3 <= v + 1 < N else 0)
+        for u, v in edge_order(N)
+    ]
+    M = len(bits)
     limit = _UNLIMITED if budget is None else budget
-    if prefix:
-        stats.nodes += 1
-    state = _replay_prefix(k, n, N, edges, prefix)
-    if isinstance(state, str):
-        setattr(stats, state, getattr(stats, state) + 1)
-        return _DONE, None
-    neigh, maxused0 = state
-    path = list(prefix)
-    bits = [(u, v, 1 << u, 1 << v, m) for (u, v), m in zip(edges, _completes(N))]
-    # local counters: cheaper per node than attributes of `stats`
-    nodes, prunes, sym = stats.nodes, stats.cycle_prunes, stats.symmetry_prunes
-    orderly = stats.orderly_prunes
+    open_out: list[tuple[int, ...]] = []
+    neigh: list[list[int]] = []
+    path: list[int] = []
+    nodes = prunes = sym = orderly = 0
 
     def rec(i: int, maxused: int) -> int:
         nonlocal nodes, prunes, sym, orderly
@@ -354,67 +332,42 @@ def _search_subtree(
                 return _CUTOFF
         return _DONE
 
-    r = rec(len(prefix), maxused0)
-    stats.nodes, stats.cycle_prunes, stats.symmetry_prunes = nodes, prunes, sym
-    stats.orderly_prunes = orderly
-    return r, tuple(path) if r == _FOUND else None
-
-
-def _coloring_from_path(k: int, N: int, path: tuple[int, ...]) -> EdgeColoring:
-    return make_coloring(complete_graph(N), k, dict(zip(edge_order(N), path)))
-
-
-def _aggregate(
-    k: int,
-    n: int,
-    N: int,
-    prefixes,
-    budget: int | None,
-    t0: float,
-) -> SearchResult:
-    """Run subtrees (in order) and fold their outcomes into one result.
-
-    The budget is shared: once it is spent, the remaining prefixes pass
-    to the open frontier unchanged, though the first one is always
-    searched so that every leg of a chain makes progress.
-    """
-    total = _Stats()
-    open_all: list[tuple[int, ...]] = []
-    found_path: tuple[int, ...] | None = None
+    r = _DONE
     cut = False
-
-    limit = _UNLIMITED if budget is None else budget
     for j, prefix in enumerate(prefixes):
-        if j and total.nodes >= limit:
-            open_all.append(prefix)
+        if j and nodes >= limit:
+            open_out.append(prefix)
             cut = True
             continue
-        status, path = _search_subtree(k, n, N, prefix, budget, total, open_all)
-        if status == _CUTOFF:
-            cut = True
-        if status == _FOUND:
-            found_path = path
-            break
+        if prefix:
+            nodes += 1
+        state = _replay_prefix(k, n, N, bits, prefix)
+        if state == "cycle":
+            prunes += 1
+        elif state == "orderly":
+            orderly += 1
+        else:
+            neigh, maxused = state
+            path = list(prefix)
+            r = rec(len(prefix), maxused)
+            if r == _FOUND:
+                break
+            if r == _CUTOFF:
+                cut = True
 
-    stats_out = SearchStats(
-        total.nodes,
-        total.cycle_prunes,
-        total.symmetry_prunes,
-        total.orderly_prunes,
-        time.perf_counter() - t0,
-    )
-    if found_path is not None:
-        col = _coloring_from_path(k, N, found_path)
+    stats = SearchStats(nodes, prunes, sym, orderly, time.perf_counter() - t0)
+    if r == _FOUND:
+        col = _coloring_from_path(k, N, path)
         if verify_mono_cycle_free(col, n) is not True:
             raise CycleRamseyError(
                 "internal: counterexample failed independent re-verification"
             )
-        return SearchResult(SearchVerdict.COUNTEREXAMPLE, k, n, N, col, stats_out)
+        return SearchResult(SearchVerdict.COUNTEREXAMPLE, k, n, N, col, stats)
     if cut:
         return SearchResult(
-            SearchVerdict.INDETERMINATE, k, n, N, None, stats_out, tuple(open_all)
+            SearchVerdict.INDETERMINATE, k, n, N, None, stats, tuple(open_out)
         )
-    return SearchResult(SearchVerdict.ALL_CONTAIN, k, n, N, None, stats_out)
+    return SearchResult(SearchVerdict.ALL_CONTAIN, k, n, N, None, stats)
 
 
 def _validate_instance(k: int, n: int, N: int, max_host: int = _MAX_HOST) -> None:
@@ -461,10 +414,7 @@ def ramsey_check(
     whole tree to its first subtree.  `threads` accepts only 1 and stays
     only because perfbench's workloads still pass it.
     """
-    _validate_instance(k, n, N)
-    _validate_budget(budget)
-    _validate_threads(threads)
-    return _aggregate(k, n, N, [()], budget, time.perf_counter())
+    return resume_search(k, n, N, [()], budget=budget, threads=threads)
 
 
 def resume_search(
@@ -488,7 +438,7 @@ def resume_search(
     _validate_instance(k, n, N)
     _validate_budget(budget)
     _validate_threads(threads)
-    return _aggregate(k, n, N, list(prefixes), budget, time.perf_counter())
+    return _aggregate(k, n, N, prefixes, budget)
 
 
 def write_checkpoint(path: str, result: SearchResult) -> None:
@@ -582,22 +532,15 @@ def read_checkpoint(
 
 
 class WitnessMode(enum.Enum):
-    EXHAUSTIVE = "exhaustive"
     RANDOMIZED = "randomized"
 
 
 @dataclass(frozen=True)
 class LowerBoundResult:
-    """Outcome of a lower-bound coloring hunt.
-
-    `exhausted` is True only when an exhaustive search swept the whole
-    space without finding a coloring — a proof none exists.  A None
-    coloring with exhausted False says nothing either way.
-    """
+    """Outcome of a randomized lower-bound hunt.  A None coloring says
+    nothing either way; `steps` counts the recolorings made."""
 
     coloring: EdgeColoring | None
-    exhausted: bool
-    mode: WitnessMode
     steps: int
 
 
@@ -606,34 +549,23 @@ def lower_bound_witness_search(
     n: int,
     N: int,
     *,
-    mode: WitnessMode = WitnessMode.EXHAUSTIVE,
+    mode: WitnessMode = WitnessMode.RANDOMIZED,
     budget: int | None = None,
     seed: int = 0,
 ) -> LowerBoundResult:
     """Hunt for a k-coloring of K_N with no monochromatic C_n.
 
-    Exhaustive mode reuses the pruned DFS (conclusive either way, small
-    N only).  Randomized mode starts from a seeded random coloring and
-    repeatedly recolors a random edge of the monochromatic C_n that
-    `verify_mono_cycle_free` would report; it may find witnesses at
-    orders the DFS cannot sweep, but its failures are inconclusive.
-    `steps` counts the recolorings made; a witness is re-verified by
-    `verify_mono_cycle_free` before it is returned.
+    Starts from a seeded random coloring and repeatedly recolors a
+    random edge of the monochromatic C_n that `verify_mono_cycle_free`
+    would report; it may find witnesses at orders the DFS cannot sweep,
+    but its failures are inconclusive (`ramsey_check` decides either
+    way).  A witness is re-verified by `verify_mono_cycle_free` before it
+    is returned.  `mode` accepts only RANDOMIZED and stays only because
+    perfbench's workloads still pass it.
     """
+    if mode is not WitnessMode.RANDOMIZED:
+        raise ParamOutOfRange(f"mode {mode!r}: the hunt is randomized only")
     _validate_budget(budget)
-    if mode is WitnessMode.EXHAUSTIVE:
-        res = ramsey_check(k, n, N, budget=budget)
-        if res.verdict is SearchVerdict.COUNTEREXAMPLE:
-            return LowerBoundResult(
-                res.counterexample, False, mode, res.stats.nodes
-            )
-        return LowerBoundResult(
-            None,
-            res.verdict is SearchVerdict.ALL_CONTAIN,
-            mode,
-            res.stats.nodes,
-        )
-
     # K_N and its per-colour masks cost time and memory quadratic in N,
     # so N is checked first and capped like a file or construction
     _validate_instance(k, n, N, max_host=_MAX_ORDER)
@@ -664,18 +596,18 @@ def lower_bound_witness_search(
                 raise CycleRamseyError(
                     "internal: hunt witness failed independent re-verification"
                 )
-            return LowerBoundResult(col, False, mode, step)
+            return LowerBoundResult(col, step)
         i = rng.randrange(len(vs))
         u, v = vs[i], vs[(i + 1) % len(vs)]
         e = (u, v) if u < v else (v, u)
         current = colors[edge_index[e]]
         alternatives = [c for c in range(1, k + 1) if c != current]
         if not alternatives:
-            return LowerBoundResult(None, False, mode, step)
+            return LowerBoundResult(None, step)
         new = rng.choice(alternatives)
         colors[edge_index[e]] = new
         for c in (current - 1, new - 1):
             neigh[c][u] ^= 1 << v
             neigh[c][v] ^= 1 << u
             found.pop(c, None)
-    return LowerBoundResult(None, False, mode, steps_allowed)
+    return LowerBoundResult(None, steps_allowed)

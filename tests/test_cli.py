@@ -531,6 +531,14 @@ def test_witness_found_and_not_found(capsys, tmp_path):
     assert out == "witness none\n"
 
 
+@pytest.mark.parametrize("n", ["2", "1"])
+def test_witness_refuses_cycles_shorter_than_three(capsys, tmp_path, n):
+    k6 = write_mono_k6(tmp_path)
+    code, out, err = run(capsys, "witness", "--n", n, "--in", k6)
+    assert code == 3 and out == ""
+    assert f"cycle length {n} < 3" in err
+
+
 def test_witness_parity_override(capsys, tmp_path):
     be = write_be25(tmp_path)
     # EVEN mode sees the bipartite class's matching

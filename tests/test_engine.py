@@ -88,6 +88,7 @@ def test_parameters_validation():
 def test_parameters_accept_string_rationals():
     p = PkParameters.for_lemma(3, 7, "2/3")
     assert p.eps == Fraction(2, 3)
+    assert PkParameters.for_lemma(2, 5, "+2/6").eps == Fraction(1, 3)
 
 
 # --------------------------------------------------------------------------
@@ -334,6 +335,24 @@ def test_verify_witness_rejects_tampering():
 
     bad_oc = dataclasses.replace(w, odd_cycle=CycleCertificate((0, 1, 2, 3)))
     assert not verify_witness(col, 7, bad_oc)
+
+
+def test_verify_witness_rejects_a_component_that_repeats_a_vertex():
+    col = mono(complete_graph(6))
+    w = pk_witness_search(col, 5)
+    assert verify_witness(col, 5, w)
+    repeated = dataclasses.replace(w, component=(0, 0, 1, 2, 3, 4, 5))
+    assert not verify_witness(col, 5, repeated)
+
+
+@pytest.mark.parametrize("n", [2, 1, 0])
+def test_witness_functions_refuse_cycles_shorter_than_three(n):
+    col = mono(complete_graph(6))
+    w = pk_witness_search(col, 5)
+    with pytest.raises(CycleTooShort, match=f"cycle length {n} < 3"):
+        pk_witness_search(col, n)
+    with pytest.raises(CycleTooShort, match=f"cycle length {n} < 3"):
+        verify_witness(col, n, w)
 
 
 def test_verify_witness_checks_cycle_length():

@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 
 from cycle_ramsey import (
     FormatError,
+    PkParameters,
     TargetTooLarge,
     bondy_erdos_coloring,
     build_graph,
     complete_graph,
     constant_coloring,
+    even_engine,
     fl_decompose,
     lemma4_inequality_check,
     make_coloring,
@@ -66,14 +68,31 @@ def test_parse_rational_accepts(text, value):
     assert parse_rational(text) == value
 
 
-@pytest.mark.parametrize(
-    "text",
-    ["0.5", "1e3", "1/0", "1/-2", "3 / 4", "", "half", "1/2/3", "0x1",
-     "1/2\n", "\u0661/2", "1_0/2"],
-)
+BAD_RATIONALS = [
+    "0.5", "1e3", "1/0", "1/-2", "3 / 4", "", "half", "1/2/3", "0x1",
+    "1/2\n", "\u0661/2", "1_0/2", "1_0", " 1/2 ", "1e-1",
+]
+
+
+@pytest.mark.parametrize("text", BAD_RATIONALS)
 def test_parse_rational_rejects(text):
     with pytest.raises(FormatError):
         parse_rational(text)
+
+
+@pytest.mark.parametrize("text", BAD_RATIONALS)
+def test_library_rationals_are_as_strict_as_cli_rationals(text):
+    # `Fraction()` alone reads "1_0" as 10, " 1/2 " and "1e-1" as numbers
+    # and raises ZeroDivisionError on "1/0"
+    col = constant_coloring(complete_graph(5))
+    calls = [
+        lambda: PkParameters.for_lemma(2, 5, text),
+        lambda: lemma4_inequality_check(4, text, 5),
+        lambda: even_engine(col, 4, text),
+    ]
+    for call in calls:
+        with pytest.raises(FormatError, match="bad rational"):
+            call()
 
 
 def test_format_rational_round_trips():

@@ -4,7 +4,11 @@ budgets, checkpoints, and the lower-bound hunt."""
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +18,6 @@ from cycle_ramsey import (
     CycleTooShort,
     EdgeColoring,
     FormatError,
-    LowerBoundResult,
     ParamOutOfRange,
     SearchVerdict,
     TargetTooLarge,
@@ -475,9 +478,8 @@ def test_checkpoint_of_another_edge_order_is_refused(tmp_path, instance):
         lambda: lower_bound_witness_search(
             3, 6, 10, mode=WitnessMode.RANDOMIZED, budget=-5
         ),
-        lambda: lower_bound_witness_search(2, 5, 8, budget=-1),
     ],
-    ids=["ramsey_check", "resume_search", "hunt_randomized", "hunt_exhaustive"],
+    ids=["ramsey_check", "resume_search", "hunt_randomized"],
 )
 def test_negative_budgets_are_rejected(call):
     with pytest.raises(ParamOutOfRange, match="budget -"):
@@ -490,9 +492,8 @@ def test_negative_budgets_are_rejected(call):
         lambda: ramsey_check(17, 5, 6),
         lambda: resume_search(17, 5, 6, [(1,)]),
         lambda: lower_bound_witness_search(17, 6, 10, mode=WitnessMode.RANDOMIZED),
-        lambda: lower_bound_witness_search(17, 6, 10),
     ],
-    ids=["ramsey_check", "resume_search", "hunt_randomized", "hunt_exhaustive"],
+    ids=["ramsey_check", "resume_search", "hunt_randomized"],
 )
 def test_color_counts_over_the_cap_are_refused(call):
     # per-colour masks and loops cost time linear in k: the search takes
@@ -556,29 +557,17 @@ def test_one_thread_is_still_accepted():
 # lower-bound hunt
 
 
-def test_exhaustive_hunt_finds_witness_below_threshold():
-    res = lower_bound_witness_search(2, 5, 8)
-    assert isinstance(res, LowerBoundResult)
-    assert res.mode is WitnessMode.EXHAUSTIVE
-    assert res.coloring is not None and not res.exhausted
-    assert verify_mono_cycle_free(res.coloring, 5) is True
-
-
-def test_exhaustive_hunt_proves_absence_at_threshold():
-    res = lower_bound_witness_search(2, 3, 6)
-    assert res.coloring is None and res.exhausted
-
-
-def test_exhausted_flag_requires_a_complete_sweep():
-    res = lower_bound_witness_search(2, 5, 8, budget=10)
-    assert res.coloring is None and not res.exhausted
+@pytest.mark.parametrize("mode", ["exhaustive", "randomized", None])
+def test_hunt_refuses_any_mode_but_randomized(mode):
+    # the exact search is `ramsey_check`; the hunt is randomized only
+    with pytest.raises(ParamOutOfRange, match="the hunt is randomized only"):
+        lower_bound_witness_search(2, 5, 8, mode=mode)
 
 
 def test_randomized_hunt_converges_and_is_seeded():
     a = lower_bound_witness_search(2, 5, 8, mode=WitnessMode.RANDOMIZED, seed=0)
     assert a.coloring is not None
     assert verify_mono_cycle_free(a.coloring, 5) is True
-    assert not a.exhausted  # randomized search never proves absence
     b = lower_bound_witness_search(2, 5, 8, mode=WitnessMode.RANDOMIZED, seed=0)
     assert (a.coloring, a.steps) == (b.coloring, b.steps)
 
@@ -607,7 +596,7 @@ def test_randomized_hunt_with_one_color_gives_up():
     res = lower_bound_witness_search(
         1, 3, 4, mode=WitnessMode.RANDOMIZED, seed=1, budget=50
     )
-    assert res.coloring is None and not res.exhausted
+    assert res.coloring is None
     assert res.steps == 0  # no other color to recolor with
 
 
@@ -646,3 +635,39 @@ def test_randomized_hunt_follows_the_checker(k, n, N):
             k, n, N, mode=WitnessMode.RANDOMIZED, seed=seed, budget=150
         )
         assert (res.steps, res.coloring) == hunt_oracle(k, n, N, seed, 150)
+
+
+# --------------------------------------------------------------------------
+# the search scripts
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name: str, *argv: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def test_certify_script_certifies_the_small_values():
+    proc = run_script("certify_small_ramsey.py")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "R_2(C_3) = 6", "R_2(C_4) = 6", "R_2(C_6) = 8", "R_2(C_5) = 9",
+        "R_2(C_7) = 13",
+    ]
+    assert all(": certified  [" in line for line in lines)
+    assert "all-contain at 13: 23037 nodes" in lines[-1]
+
+
+def test_lower_bound_script_climbs_to_twelve():
+    proc = run_script("rediscover_even_lower_bound.py", "--max-host", "11")
+    assert proc.returncode == 0, proc.stderr
+    assert "N=11: COUNTEREXAMPLE" in proc.stdout
+    assert "R_3(C_6) >= 12" in proc.stdout
