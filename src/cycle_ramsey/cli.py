@@ -3,11 +3,12 @@
 Exit codes: 0 definite positive result, 1 counterexample or negative
 witness outcome, 2 indeterminate (budget spent), 3 usage error, 4
 internal error (a bug, never a verdict).
-Reports go to stdout in the line formats from `formats`; `--json`
-switches every report to one JSON object per line.  Integer flags take
-plain ASCII digits (`-?[0-9]+`) and rational flags exact `p/q` strings;
-anything else, decimals included, is a usage error.  `search` colors the
-edges in colex order, the one order its checkpoints name.
+Each subcommand computes its result and prints `formats.render` of it:
+a line-format report, or with `--json` one JSON object per line.
+Integer flags take plain ASCII digits (`-?[0-9]+`) and rational flags
+exact `p/q` strings; anything else, decimals included, is a usage
+error.  `construct` takes odd n only (exit 3 otherwise).  `search`
+colors the edges in colex order, the one order its checkpoints name.
 
 `run` may be called many times in one process: it builds its parser on
 the first call and reuses it, since parsing leaves no state on it.
@@ -19,9 +20,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
+from .certificates import StructureWitness
 from .constructions import (
     bondy_erdos_coloring,
     structural_certificate,
@@ -29,8 +30,6 @@ from .constructions import (
 )
 from .decompose import fl_decompose, min_degree_peel
 from .engine import (
-    EvenCaseReport,
-    Lemma4Trace,
     Parity,
     PkParameters,
     even_engine,
@@ -38,23 +37,8 @@ from .engine import (
     lemma4_inequality_check,
     pk_witness_search,
 )
-from .errors import CycleRamseyError, ascii_int, ascii_text
-from .formats import (
-    parse_coloring,
-    parse_graph,
-    parse_rational,
-    serialize_chain_report,
-    serialize_coloring,
-    serialize_decomposition,
-    serialize_even_report,
-    serialize_graph,
-    serialize_lemma4_trace,
-    serialize_peel,
-    serialize_search_result,
-    serialize_structural_certificate,
-    serialize_witness,
-    to_jsonable,
-)
+from .errors import CycleRamseyError, EvenCycleLength, ascii_int, ascii_text
+from .formats import parse_coloring, parse_graph, parse_rational, render
 from .graphs import color_class
 from .search import (
     SearchVerdict,
@@ -113,7 +97,7 @@ def build_parser() -> _Parser:
                 help="input file ('-' or omitted: stdin)",
             )
 
-    p = sub.add_parser("construct", help="emit the doubling lower-bound coloring")
+    p = sub.add_parser("construct", help="emit the doubling lower-bound coloring (odd n)")
     p.add_argument("--k", type=_int_arg, required=True)
     p.add_argument("--n", type=_int_arg, required=True)
     p.add_argument("--out", dest="output_path", default=None)
@@ -185,63 +169,37 @@ def _emit(text: str, path: str | None = None) -> None:
             fh.write(text)
 
 
-def _json_line(obj) -> str:
-    return json.dumps(to_jsonable(obj), sort_keys=True) + "\n"
-
-
 def _cmd_construct(args: argparse.Namespace) -> int:
+    if args.n % 2 == 0:
+        raise EvenCycleLength(
+            f"n = {args.n} is even: the doubling coloring's bipartite classes "
+            f"hold a C_{args.n}, so it is no lower-bound witness"
+        )
     col = bondy_erdos_coloring(args.k, args.n)
-    out = _json_line(col) if args.json_output else serialize_coloring(col)
-    _emit(out, args.output_path)
+    _emit(render(col, args.json_output), args.output_path)
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     col = parse_coloring(_read_text(args.input_path))
-    chunks = []
-    if args.n % 2 == 1:
-        cert = structural_certificate(col, args.n)
-        chunks.append(
-            _json_line(cert) if args.json_output
-            else serialize_structural_certificate(cert)
-        )
+    reports = [structural_certificate(col, args.n)] if args.n % 2 == 1 else []
     outcome = verify_mono_cycle_free(col, args.n)
-    if outcome is True:
-        chunks.append(
-            _json_line({"free": True}) if args.json_output
-            else "mono-cycle-free true\n"
-        )
-        _emit("".join(chunks))
-        return 0
-    chunks.append(
-        _json_line(outcome) if args.json_output else serialize_witness(outcome)
-    )
-    _emit("".join(chunks))
-    return 1
+    _emit("".join(render(r, args.json_output) for r in [*reports, outcome]))
+    return 0 if outcome is True else 1
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
     col = parse_coloring(_read_text(args.input_path))
-    chunks = []
-    for i in range(1, col.color_count + 1):
-        dec = fl_decompose(color_class(col, i), args.n)
-        if args.json_output:
-            obj = to_jsonable(dec)
-            obj["color"] = i
-            chunks.append(json.dumps(obj, sort_keys=True) + "\n")
-        else:
-            chunks.append(serialize_decomposition(dec, color=i))
-    _emit("".join(chunks))
+    _emit("".join(
+        render(fl_decompose(color_class(col, i), args.n), args.json_output, color=i)
+        for i in range(1, col.color_count + 1)
+    ))
     return 0
 
 
 def _cmd_peel(args: argparse.Namespace) -> int:
     G = parse_graph(_read_text(args.input_path))
-    res = min_degree_peel(G, args.N)
-    if args.json_output:
-        _emit(_json_line(res))
-    else:
-        _emit(serialize_peel(res) + serialize_graph(res.graph))
+    _emit(render(min_degree_peel(G, args.N), args.json_output))
     return 0
 
 
@@ -250,27 +208,15 @@ def _cmd_engine(args: argparse.Namespace) -> int:
     if args.n % 2 == 1:
         params = PkParameters.for_lemma(col.color_count, args.n, args.eps)
         outcome = lemma4_execute(col, args.n, params)
-        if isinstance(outcome, Lemma4Trace):
-            _emit(
-                _json_line(outcome) if args.json_output
-                else serialize_lemma4_trace(outcome)
-            )
-            return 1
     else:
         outcome = even_engine(col, args.n, args.eps)
-        if isinstance(outcome, EvenCaseReport):
-            _emit(
-                _json_line(outcome) if args.json_output
-                else serialize_even_report(outcome)
-            )
-            return 1
-    _emit(_json_line(outcome) if args.json_output else serialize_witness(outcome))
-    return 0
+    _emit(render(outcome, args.json_output))
+    return 0 if isinstance(outcome, StructureWitness) else 1
 
 
 def _cmd_ineq(args: argparse.Namespace) -> int:
     rep = lemma4_inequality_check(args.k, args.eps, args.n)
-    _emit(_json_line(rep) if args.json_output else serialize_chain_report(rep))
+    _emit(render(rep, args.json_output))
     return 0 if rep.holds else 1
 
 
@@ -280,13 +226,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         res = resume_search(args.k, args.n, args.N, prefixes, budget=args.budget)
     else:
         res = ramsey_check(args.k, args.n, args.N, budget=args.budget)
-    if args.json_output:
-        _emit(_json_line(res))
-    else:
-        out = serialize_search_result(res)
-        if res.counterexample is not None:
-            out += serialize_coloring(res.counterexample)
-        _emit(out)
+    _emit(render(res, args.json_output))
     if res.verdict is SearchVerdict.INDETERMINATE:
         if args.checkpoint is not None:
             write_checkpoint(args.checkpoint, res)
@@ -299,16 +239,10 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     if args.parity is None:
         parity = Parity.ODD if args.n % 2 == 1 else Parity.EVEN
     else:
-        parity = Parity.ODD if args.parity == "odd" else Parity.EVEN
+        parity = Parity(args.parity)
     w = pk_witness_search(col, args.n, parity)
-    if w is None:
-        _emit(
-            _json_line({"witness": None}) if args.json_output
-            else "witness none\n"
-        )
-        return 1
-    _emit(_json_line(w) if args.json_output else serialize_witness(w))
-    return 0
+    _emit(render(w, args.json_output))
+    return 1 if w is None else 0
 
 
 _HANDLERS = {
@@ -343,9 +277,5 @@ def run(argv=None) -> int:
         return 4
 
 
-def main(argv=None) -> int:
-    return run(argv)
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -15,15 +15,9 @@ import enum
 from dataclasses import dataclass
 
 from .certificates import CycleCertificate, StructureWitness, WitnessKind
-from .cycles import components, contains_cycle_of_length
+from .cycles import _mask_cycle, components
 from .errors import CycleTooShort, EvenCycleLength, InvalidParams, TargetTooLarge
-from .graphs import (
-    _MAX_ORDER,
-    EdgeColoring,
-    color_class,
-    complete_graph,
-    induced_subgraph,
-)
+from .graphs import _MAX_ORDER, EdgeColoring, color_class, complete_graph
 
 
 def bondy_erdos_coloring(k: int, n: int) -> EdgeColoring:
@@ -35,8 +29,9 @@ def bondy_erdos_coloring(k: int, n: int) -> EdgeColoring:
     and b' gets color t+2 where t is the highest bit in which b and b'
     differ — bit t flips exactly when the doubling step that introduced
     color t+2 glued two copies together, so the color-i class is 2^(k-i)
-    disjoint copies of K_{m,m} with m = 2^(i-2)*(n-1).  Orders above
-    512 raise TargetTooLarge.
+    disjoint copies of K_{m,m} with m = 2^(i-2)*(n-1), which hold a
+    C_n for even n: only odd n make it C_n-free.  Orders above 512
+    raise TargetTooLarge.
     """
     if k < 2:
         raise InvalidParams(f"need at least 2 colors, got {k}")
@@ -129,7 +124,9 @@ def verify_mono_cycle_free(col: EdgeColoring, n: int) -> bool | StructureWitness
     One scan, colors ascending and components in discovery order,
     searches every component that could host a C_n: at least n vertices
     and, for odd n, not bipartite (the components `structural_certificate`
-    leaves UNTAGGED).  The first cycle found is the witness.
+    leaves UNTAGGED).  The first cycle found is the witness: the kernel's
+    least C_n over the class's masks cut down to the component, in host
+    labels, so no subgraph is built.
     """
     if n < 3:
         raise CycleTooShort(f"cycle length {n} < 3")
@@ -138,11 +135,13 @@ def verify_mono_cycle_free(col: EdgeColoring, n: int) -> bool | StructureWitness
         for comp in components(Gi).components:
             if len(comp.vertices) < n or (n % 2 == 1 and comp.is_bipartite):
                 continue
-            sub, kept = induced_subgraph(Gi, comp.vertices)
-            cert = contains_cycle_of_length(sub, n)
-            if cert is not None:
-                cycle = CycleCertificate(tuple(kept[v] for v in cert.vertices))
+            inside = sum(1 << v for v in comp.vertices)
+            found = _mask_cycle(
+                [m & inside for m in Gi.neighbor_masks], Gi.vertex_count, n, n
+            )
+            if found is not None:
                 return StructureWitness(
-                    WitnessKind.MONO_CYCLE, i, comp.vertices, cycle=cycle
+                    WitnessKind.MONO_CYCLE, i, comp.vertices,
+                    cycle=CycleCertificate(tuple(found)),
                 )
     return True

@@ -8,14 +8,16 @@ when the file is canonical, and seed `Graph.sorted_edges` with the
 result, so a parsed graph is never sorted again.  Reports serialize to
 line-oriented text with no timings or other run-dependent noise, which
 makes them golden-file testable; `to_jsonable` provides the machine
-twin.  Rational literals are `p/q` (or bare integers) and never
-decimals, keeping the exact-arithmetic guarantee end to end.
+twin, and `render` picks which of the two a result prints as.  Rational
+literals are `p/q` (or bare integers) and never decimals, keeping the
+exact-arithmetic guarantee end to end.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import json
 from fractions import Fraction
 
 from .certificates import StructureWitness
@@ -380,3 +382,46 @@ def to_jsonable(obj):
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     return obj
+
+
+# ---------------------------------------------------------------------------
+# One report per result
+
+
+_TEXT = {
+    EdgeColoring: serialize_coloring,
+    StructuralCertificate: serialize_structural_certificate,
+    StructureWitness: serialize_witness,
+    FLDecomposition: serialize_decomposition,
+    PeelResult: lambda res: serialize_peel(res) + serialize_graph(res.graph),
+    ChainReport: serialize_chain_report,
+    Lemma4Trace: serialize_lemma4_trace,
+    EvenCaseReport: serialize_even_report,
+    SearchResult: lambda res: serialize_search_result(res) + (
+        "" if res.counterexample is None else serialize_coloring(res.counterexample)
+    ),
+}
+
+
+def render(obj, as_json: bool = False, *, color: int | None = None) -> str:
+    """The report a CLI result prints as: the text of its serializer, or
+    with `as_json` one sorted-key `to_jsonable` line.
+
+    A peel also prints its surviving graph and a search its
+    counterexample, if any.  `True` (no monochromatic C_n, from
+    `verify_mono_cycle_free`) prints `mono-cycle-free true` and `None`
+    (no `pk_witness_search` witness) `witness none`.  `color` numbers a
+    decomposition.
+    """
+    if obj is True:
+        return '{"free": true}\n' if as_json else "mono-cycle-free true\n"
+    if obj is None:
+        return '{"witness": null}\n' if as_json else "witness none\n"
+    if not as_json:
+        if color is not None:
+            return serialize_decomposition(obj, color)
+        return _TEXT[type(obj)](obj)
+    data = to_jsonable(obj)
+    if color is not None:
+        data["color"] = color
+    return json.dumps(data, sort_keys=True) + "\n"

@@ -244,6 +244,24 @@ def test_construct_to_stdout(capsys):
     assert len(out.splitlines()) == 29  # header + 28 edges
 
 
+@pytest.mark.parametrize("n", range(4, 13))
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_constructed_coloring_verifies_or_is_refused(capsys, tmp_path, k, n):
+    # for even n the doubling coloring's bipartite classes hold a C_n,
+    # so exit 0 ("definite positive result") would be a false claim
+    path = tmp_path / "col.txt"
+    code, out, err = run(
+        capsys, "construct", "--k", str(k), "--n", str(n), "--out", str(path)
+    )
+    if n % 2 == 0:
+        assert (code, out) == (3, "") and "is even" in err
+        assert not path.exists()
+        return
+    assert code == 0
+    code, out, _ = run(capsys, "verify", "--n", str(n), "--in", str(path))
+    assert code == 0 and out.endswith("mono-cycle-free true\n")
+
+
 def test_verify_free_coloring_exits_zero(capsys, tmp_path):
     path = write_be25(tmp_path)
     code, out, _ = run(capsys, "verify", "--n", "5", "--in", path)
