@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from .certificates import StructureWitness
@@ -220,7 +221,20 @@ def _cmd_ineq(args: argparse.Namespace) -> int:
     return 0 if rep.holds else 1
 
 
+def _claim_checkpoint(path: str) -> None:
+    """Raise OSError now if `path` cannot be written, so that a budgeted
+    search never runs only to lose its frontier; a file the probe made
+    is removed again."""
+    existed = os.path.lexists(path)
+    with open(path, "a", encoding="ascii"):
+        pass
+    if not existed:
+        os.remove(path)
+
+
 def _cmd_search(args: argparse.Namespace) -> int:
+    if args.checkpoint is not None:
+        _claim_checkpoint(args.checkpoint)
     if args.resume is not None:
         prefixes = read_checkpoint(args.resume, (args.k, args.n, args.N))
         res = resume_search(args.k, args.n, args.N, prefixes, budget=args.budget)

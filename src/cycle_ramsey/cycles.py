@@ -1,9 +1,10 @@
 """Structural oracles: components, bipartiteness, cycles, and the
 Erdős–Gallai threshold.
 
-`components` finds each component's bipartition or odd cycle by BFS.
-A component's maximum matching is computed on first use of its
-`matching`, so callers that need only the structure run no blossom.
+`components` finds each component's bipartition or odd cycle by one
+BFS scan per graph, which every later call shares.  A component's
+maximum matching is computed on the first read of its `matching`, once
+per graph, so callers that need only the structure run no blossom.
 
 Everything here is exact, and all bitmask cycle code lives here, over
 per-vertex neighbour masks, for graphs of a few dozen vertices.  One
@@ -51,7 +52,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
 from math import comb
 
 from .certificates import CycleCertificate, MatchingCertificate
@@ -84,7 +84,8 @@ class ComponentInfo:
     `parts` is a bipartition (A, B) with the component's smallest vertex
     in A, or None for non-bipartite components; `odd_cycle` certifies
     non-bipartiteness when the flag is False.  `graph` is the graph the
-    component came from; `matching` is computed from it on first read.
+    component came from; `matching` is computed from it on the first
+    read through any report of that graph.
     """
 
     vertices: tuple[int, ...]
@@ -93,14 +94,18 @@ class ComponentInfo:
     odd_cycle: CycleCertificate | None
     graph: Graph = field(compare=False, repr=False)
 
-    @cached_property
+    @property
     def matching(self) -> MatchingCertificate:
         """A maximum matching of the component, in the host graph's labels."""
-        sub, kept = induced_subgraph(self.graph, self.vertices)
-        # kept is ascending, so lifted edges stay normalized (u < v)
-        return MatchingCertificate(
-            frozenset((kept[a], kept[b]) for a, b in max_matching(sub).edges)
-        )
+        found = self.graph.__dict__.setdefault(_MATCHINGS, {})
+        m = found.get(self.vertices[0])
+        if m is None:
+            sub, kept = induced_subgraph(self.graph, self.vertices)
+            # kept is ascending, so lifted edges stay normalized (u < v)
+            m = found[self.vertices[0]] = MatchingCertificate(
+                frozenset((kept[a], kept[b]) for a, b in max_matching(sub).edges)
+            )
+        return m
 
     @property
     def matching_size(self) -> int:
@@ -117,6 +122,14 @@ class ComponentReport:
 
     component_id: tuple[int, ...]
     components: tuple[ComponentInfo, ...]
+
+
+# Per-graph slots in `Graph.__dict__`, beside its cached views: the scan
+# rows and the matchings by smallest vertex.  Neither refers back to the
+# graph, so they tie no reference cycle; only the `ComponentInfo`
+# wrappers, made per call, hold the graph.
+_SCAN = "_component_scan"
+_MATCHINGS = "_component_matchings"
 
 
 def _odd_cycle_from_conflict(
@@ -141,16 +154,16 @@ def _odd_cycle_from_conflict(
     return CycleCertificate(tuple(up_u + up_v[-2::-1]))
 
 
-def components(G: Graph) -> ComponentReport:
-    """Connected components with bipartiteness and a bipartition or
-    odd-cycle witness; no matching is computed until one is read."""
+def _scan(G: Graph) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
+    """BFS every component of G: the component ids and, per component,
+    (vertices, is_bipartite, parts, odd_cycle)."""
     n = G.vertex_count
     comp_id = [-1] * n
-    infos: list[ComponentInfo] = []
+    rows: list[tuple] = []
     for root in range(n):
         if comp_id[root] != -1:
             continue
-        cid = len(infos)
+        cid = len(rows)
         parent = {root: -1}
         depth = {root: 0}
         order = [root]
@@ -177,10 +190,21 @@ def components(G: Graph) -> ComponentReport:
         if odd_cycle is None:
             side_a = tuple(v for v in verts if depth[v] % 2 == 0)
             side_b = tuple(v for v in verts if depth[v] % 2 == 1)
-            infos.append(ComponentInfo(verts, True, (side_a, side_b), None, G))
+            rows.append((verts, True, (side_a, side_b), None))
         else:
-            infos.append(ComponentInfo(verts, False, None, odd_cycle, G))
-    return ComponentReport(tuple(comp_id), tuple(infos))
+            rows.append((verts, False, None, odd_cycle))
+    return tuple(comp_id), tuple(rows)
+
+
+def components(G: Graph) -> ComponentReport:
+    """Connected components with bipartiteness and a bipartition or
+    odd-cycle witness, from one scan of G that every call shares; no
+    matching is computed until one is read."""
+    scan = G.__dict__.get(_SCAN)
+    if scan is None:
+        scan = G.__dict__[_SCAN] = _scan(G)
+    comp_id, rows = scan
+    return ComponentReport(comp_id, tuple(ComponentInfo(*row, G) for row in rows))
 
 
 # ---------------------------------------------------------------------------

@@ -122,24 +122,35 @@ def check_decomposition(G: Graph, n: int, dec: FLDecomposition) -> Decomposition
     edge inside V1 ∪ V2 crosses the (V1, V2) bipartition (condition (B));
     every component of G[V3] is non-bipartite; and, when the matching
     hypothesis is claimed, the sparse edge bound (condition (C)).
+
+    (A) and (B) take one pass over the vertices of V1 ∪ V2 and their
+    neighbour masks: u fails (A) if a neighbour lies outside V1 ∪ V2,
+    and (B) if a neighbour in V1 ∪ V2 lies on u's own side (V1 when u is
+    in V1).  A claim that names a vertex outside V(G) is reported, not
+    raised: it fails the partition, and the other conditions are
+    audited on the vertices inside V(G).
     """
+    everything = set(range(G.vertex_count))
     s1, s2, s3 = set(dec.V1), set(dec.V2), set(dec.V3)
     partition_ok = (
         not (s1 & s2)
         and not (s1 & s3)
         and not (s2 & s3)
-        and (s1 | s2 | s3) == set(range(G.vertex_count))
+        and (s1 | s2 | s3) == everything
     )
-    bip = s1 | s2
-    a_ok = True
-    b_ok = True
-    for u, v in G.edges:
-        if (u in bip) != (v in bip):
+    s1 &= everything
+    s2 &= everything
+    m1 = sum(1 << v for v in s1)
+    bip = m1 | sum(1 << v for v in s2)
+    masks = G.neighbor_masks
+    a_ok = b_ok = True
+    for u in s1 | s2:
+        nb = masks[u]
+        if nb & ~bip:
             a_ok = False
-        if u in bip and v in bip:
-            if (u in s1) == (v in s1):
-                b_ok = False
-    sub3, _ = induced_subgraph(G, sorted(s3))
+        if nb & bip & (m1 if u in s1 else ~m1):
+            b_ok = False
+    sub3, _ = induced_subgraph(G, s3 & everything)
     v3_ok = all(not c.is_bipartite for c in components(sub3).components)
     if dec.hypothesis_holds:
         c_ok = (

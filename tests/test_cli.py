@@ -371,6 +371,30 @@ def test_search_color_count_over_the_cap_exits_three(capsys, monkeypatch, tmp_pa
         assert "color count 17 > 16" in err
 
 
+def test_search_refuses_an_unwritable_checkpoint_before_searching(
+    capsys, monkeypatch, tmp_path
+):
+    # a path the frontier could not be written to is refused up front,
+    # and a path the finished search never needed is left absent
+    unused = tmp_path / "unused.txt"
+    code, out, _ = run(capsys, "search", "--k", "2", "--n", "3", "--N", "6",
+                       "--checkpoint", str(unused))
+    assert code == 0 and "verdict ALL_CONTAIN" in out
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(search, "_aggregate", no_search)
+    for path in (tmp_path / "missing" / "ck.txt", tmp_path):
+        code, out, err = run(
+            capsys, "search", "--k", "2", "--n", "5", "--N", "9",
+            "--budget", "10", "--checkpoint", str(path),
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_search_all_contain_exits_zero(capsys):
     code, out, _ = run(capsys, "search", "--k", "2", "--n", "3", "--N", "6")
     assert code == 0

@@ -15,6 +15,7 @@ from cycle_ramsey import (
     CycleCertificate,
     CycleTooShort,
     EdgeColoring,
+    Graph,
     ParamOutOfRange,
     StructureWitness,
     TargetTooLarge,
@@ -167,6 +168,13 @@ def test_components_invariants(G):
             assert oc is not None and oc.length % 2 == 1
             assert verify_cycle(G, oc)
             assert set(oc.vertices) <= set(comp.vertices)
+    # a second call shares the first scan and its matchings
+    again = components(G)
+    fresh = components(Graph(G.vertex_count, G.edges))
+    assert again == rep == fresh
+    for comp, twin, other in zip(rep.components, again.components, fresh.components):
+        assert twin.matching is comp.matching
+        assert other.matching == comp.matching
 
 
 @given(graphs(max_vertices=9))

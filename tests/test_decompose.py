@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -127,6 +128,47 @@ def test_check_decomposition_catches_planted_errors():
     P = build_graph(2, [(0, 1)])
     bad_v3 = FLDecomposition((), (), (0, 1), True, 1, Fraction(5, 2))
     assert not check_decomposition(P, 5, bad_v3).v3_components_nonbipartite
+
+
+@pytest.mark.parametrize(
+    "sets",
+    [
+        ((), (), (0, 1, 2, 3, 9)),
+        ((), (), (0, 1, 2, 3, -1)),
+        ((0,), (1, 2), (3, 9)),
+        ((0, -1), (1, 2), (3,)),
+        ((0,), (1, 2, 4), (3,)),
+    ],
+)
+def test_check_decomposition_reports_vertices_outside_the_graph(sets):
+    # a claim naming a vertex outside V(G) fails the partition and is
+    # audited on its vertices inside V(G); it never raises
+    G = complete_graph(4)
+    dec = dataclasses.replace(fl_decompose(G, 5), V1=sets[0], V2=sets[1], V3=sets[2])
+    inside = [tuple(v for v in s if 0 <= v < 4) for s in sets]
+    trimmed = dataclasses.replace(dec, V1=inside[0], V2=inside[1], V3=inside[2])
+    chk = check_decomposition(G, 5, dec)
+    assert not chk.partition_ok
+    assert dataclasses.replace(chk, partition_ok=True) == dataclasses.replace(
+        check_decomposition(G, 5, trimmed), partition_ok=True
+    )
+
+
+@given(graphs(max_vertices=9), st.data())
+@settings(max_examples=150)
+def test_check_decomposition_matches_the_edge_audit(G, data):
+    # conditions (A) and (B) against a direct pass over the edges, on
+    # claims that may overlap, miss vertices or name ones outside V(G)
+    label = st.integers(-1, G.vertex_count + 1)
+    s1, s2, s3 = (set(data.draw(st.lists(label, max_size=6))) for _ in range(3))
+    dec = FLDecomposition(tuple(s1), tuple(s2), tuple(s3), False, 0, Fraction(0))
+    bip = s1 | s2
+    a_ok = all((u in bip) == (v in bip) for u, v in G.edges)
+    b_ok = not any(
+        u in bip and v in bip and (u in s1) == (v in s1) for u, v in G.edges
+    )
+    chk = check_decomposition(G, 3, dec)
+    assert (chk.condition_a_ok, chk.condition_b_ok) == (a_ok, b_ok)
 
 
 # --------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from cycle_ramsey import (
     WitnessKind,
     bondy_erdos_coloring,
     build_graph,
+    check_decomposition,
     color_class,
     complete_graph,
     components,
@@ -40,9 +41,11 @@ from cycle_ramsey import (
     make_coloring,
     min_degree_peel,
     pk_witness_search,
+    structural_certificate,
     verify_mono_cycle_free,
     verify_witness,
 )
+from cycle_ramsey import cycles
 from cycle_ramsey.formats import (
     parse_coloring,
     serialize_coloring,
@@ -365,6 +368,55 @@ def test_verify_witness_checks_cycle_length():
     )
     assert verify_witness(col, 4, w)
     assert not verify_witness(col, 5, w)  # wrong length for the target
+
+
+@pytest.mark.parametrize("k,n", [(3, 5), (2, 6)])
+def test_coloring_pipeline_scans_each_graph_once(monkeypatch, k, n):
+    # every layer reads the same colour classes: each Graph is scanned
+    # once, and each component's blossom runs at most once
+    scanned, lifted = [], []
+    real_scan, real_induced, real_matching = (
+        cycles._scan, cycles.induced_subgraph, cycles.max_matching
+    )
+    blossoms = 0
+
+    def scan(G):
+        scanned.append(G)
+        return real_scan(G)
+
+    def induced(G, W):  # in `cycles`, only a component's matching lifts
+        lifted.append((G, W))
+        return real_induced(G, W)
+
+    def matching(G):
+        nonlocal blossoms
+        blossoms += 1
+        return real_matching(G)
+
+    monkeypatch.setattr(cycles, "_scan", scan)
+    monkeypatch.setattr(cycles, "induced_subgraph", induced)
+    monkeypatch.setattr(cycles, "max_matching", matching)
+    col = parse_coloring(serialize_coloring(bondy_erdos_coloring(k, n)))
+    verify_mono_cycle_free(col, n)
+    if n % 2:
+        structural_certificate(col, n)
+    for i in range(1, col.color_count + 1):
+        G = color_class(col, i)
+        assert check_decomposition(G, n, fl_decompose(G, n)).all_ok
+    parity = Parity.ODD if n % 2 else Parity.EVEN
+    w = pk_witness_search(col, n, parity)
+    assert w is None or verify_witness(col, n, w)
+    if n % 2:
+        engine = lemma4_execute(col, n, PkParameters.for_lemma(k, n, 1))
+    else:
+        engine = even_engine(col, n, Fraction(1, 2))
+    if isinstance(engine, StructureWitness):
+        assert verify_witness(col, n, engine)
+
+    assert all(color_class(col, i) in scanned for i in range(1, k + 1))
+    assert len({id(G) for G in scanned}) == len(scanned)
+    assert blossoms == len(lifted) > 0
+    assert len({(id(G), W[0]) for G, W in lifted}) == len(lifted)
 
 
 def test_coloring_pipeline_leaves_no_reference_cycles():
