@@ -10,9 +10,11 @@ does not (COUNTEREXAMPLE, re-verified independently).
     R_2(C_7) = 13
 
 Each line gives the node count and nodes/s of both searches.  With the
-orderly prune the C_6 upper bound takes 2,431 nodes, the C_5 one 1,027
-and the C_7 one 23,037; the whole run takes 0.75-0.95 s on one core,
-interpreter start included (Python 3.11, 2-core VM).
+orderly prune, run edge by edge inside each column, the C_6 upper bound
+takes 1,359 nodes, the C_5 one 575 and the C_7 one 8,417 (2,431, 1,027
+and 23,037 when it ran only on complete K_m); the whole run takes
+0.35-0.37 s on one core, interpreter start included, against
+0.48-0.53 s before (Python 3.11, 2-core VM).
 """
 
 from __future__ import annotations

@@ -22,6 +22,21 @@ R. C. Read, "Every one a winner", Ann. Discrete Math. 2 (1978), and
 B. D. McKay, "Isomorph-free exhaustive generation", J. Algorithms 26
 (1998).
 
+The orderly prune also runs early, edge by edge, inside the column it
+will test.  Column v, the edges (0, v), ..., (v-1, v) that complete
+K_{v+1}, keeps the mask of the earlier columns p, 1 <= p < v, whose
+colors on labels 0..u-1 equal column v's.  Coloring (u, v) with color c
+is cut (one node, one orderly prune) if some such p > u has
+color(u, p) > c.  It is sound: the relabelling that keeps labels
+0..p-1 and gives vertex v label p writes column v's entries as its
+column p, so its string equals the search's up to position (u, p) and
+holds c there.  The search's string is numbered by first appearance, so
+every color below color(u, p) is named before that position and c keeps
+its name: the relabelled string is strictly smaller, and every
+completion of column v fails `_canonical` at (v-1, v).  The early cut
+thus removes only nodes the orderly prune would cut later; the DFS order
+is unchanged, so it reaches the same full colorings.
+
 With no budget cutoff an ALL_CONTAIN verdict is a proof that R_k(C_n) <= N;
 every COUNTEREXAMPLE is re-verified by the independent checker before
 being returned.  Checkpoints and reports name the order (`EDGE_ORDER`),
@@ -147,12 +162,11 @@ def _canonical(neigh: list[list[int]], m: int, path) -> bool:
         if named in tables:
             return tables[named]
         eq = [None] + [neigh[c] for c in named]
-        lt = [None]
-        below = [0] * m
-        for row in eq[1:]:
-            lt.append(below)
-            below = [x | y for x, y in zip(below, row)]
-        lt.append(below)
+        # below number 1 lies nothing and below 2 the first name's row:
+        # only the numbers from 3 on need an OR of rows
+        lt = [None, [0] * m] + eq[1:2]
+        for row in eq[2:]:
+            lt.append([x | y for x, y in zip(lt[-1], row)])
         tables[named] = eq, lt
         return eq, lt
 
@@ -227,18 +241,32 @@ def _orbit_closure(mask: int, todo: int, gens: list[list[int]]) -> int:
     return mask
 
 
+def _least_color(neigh: list[list[int]], u: int, agree: int, maxused: int) -> int:
+    """The largest color index that an earlier column p in `agree`
+    carries at (u, p): coloring (u, v) with a smaller one makes column v
+    lose to column p (the early cut of the module docstring).  `agree`
+    holds no p < u, and bit u is in no row of `neigh[c][u]`."""
+    c = maxused - 1
+    while c and not neigh[c][u] & agree:
+        c -= 1
+    return c
+
+
 def _replay_prefix(
     k: int, n: int, N: int, bits, prefix
-) -> tuple[list[list[int]], int] | str:
+) -> tuple[list[list[int]], int, int] | str:
     """Rebuild per-color adjacency masks for a color prefix, applying
-    the search's prunes along the way.  `bits` is `_aggregate`'s
+    the search's prunes along the way, and return them with the largest
+    color used and the early cut's mask of agreeing columns (for a
+    prefix that ends inside a column).  `bits` is `_aggregate`'s
     per-edge table.
 
     Returns the name of the prune that cuts the prefix, if one does (its
     subtree is empty): "cycle" when it closes a monochromatic C_n,
-    "orderly" when it completes a non-canonical K_m.  A checkpoint
-    written before the orderly prune existed may hold such a prefix, and
-    its subtree holds no class's least member.  Raises FormatError on a
+    "orderly" when its column already loses to an earlier one or it
+    completes a non-canonical K_m.  A checkpoint written before either
+    orderly test existed may hold such a prefix, and its subtree holds
+    no class's least member.  Raises FormatError on a
     prefix longer than the edge order or on colors that break the
     canonical first-appearance rule — such a prefix cannot have come
     from this search.
@@ -248,22 +276,27 @@ def _replay_prefix(
             f"prefix of {len(prefix)} colors exceeds the {len(bits)} edges of K_{N}"
         )
     neigh = [[0] * N for _ in range(k)]
-    maxused = 0
+    maxused = agree = 0
     for i, color in enumerate(prefix):
         if not 1 <= color <= min(k, maxused + 1):
             raise FormatError(
                 f"prefix color {color} at edge {i} breaks canonical order"
             )
-        u, v, bu, bv, m = bits[i]
+        u, v, bu, bv, m, start = bits[i]
+        if not u:
+            agree = start
+        if agree and color - 1 < _least_color(neigh, u, agree, maxused):
+            return "orderly"
         masks = neigh[color - 1]
         if _closes(masks, u, v, n - 1):
             return "cycle"
         masks[u] |= bv
         masks[v] |= bu
+        agree &= masks[u]
         maxused = max(maxused, color)
         if m and not _canonical(neigh, m, prefix):
             return "orderly"
-    return neigh, maxused
+    return neigh, maxused, agree
 
 
 def _coloring_from_path(k: int, N: int, path: list[int]) -> EdgeColoring:
@@ -283,10 +316,16 @@ def _aggregate(
     when the replay hits one.
     """
     t0 = time.perf_counter()
-    # per colex edge: its endpoints, their bits, and the m whose K_m it
-    # completes when the orderly test runs there (3 <= m < N), else 0
+    # per colex edge: its endpoints, their bits, the m whose K_m it
+    # completes when the orderly test runs there (3 <= m < N), else 0,
+    # and, opening a column that test will check, the early cut's first
+    # mask of agreeing columns 1..v-1, else 0
     bits = [
-        (u, v, 1 << u, 1 << v, v + 1 if u == v - 1 and 3 <= v + 1 < N else 0)
+        (
+            u, v, 1 << u, 1 << v,
+            v + 1 if u == v - 1 and 3 <= v + 1 < N else 0,
+            (1 << v) - 2 if u == 0 and 3 <= v + 1 < N else 0,
+        )
         for u, v in edge_order(N)
     ]
     M = len(bits)
@@ -296,11 +335,14 @@ def _aggregate(
     path: list[int] = []
     nodes = prunes = sym = orderly = 0
 
-    def rec(i: int, maxused: int) -> int:
+    def rec(i: int, maxused: int, agree: int) -> int:
         nonlocal nodes, prunes, sym, orderly
         if i == M:
             return _FOUND
-        u, v, bu, bv, m = bits[i]
+        u, v, bu, bv, m, start = bits[i]
+        if not u:
+            agree = start
+        least = _least_color(neigh, u, agree, maxused) if agree else 0
         top = k if maxused >= k else maxused + 1
         sym += k - top
         for c in range(top):
@@ -309,6 +351,9 @@ def _aggregate(
                     open_out.append(tuple(path) + (cc + 1,))
                 return _CUTOFF
             nodes += 1
+            if c < least:
+                orderly += 1
+                continue
             masks = neigh[c]
             if _closes(masks, u, v, n - 1):
                 prunes += 1
@@ -320,7 +365,7 @@ def _aggregate(
                 orderly += 1
                 r = _DONE
             else:
-                r = rec(i + 1, c + 1 if c == maxused else maxused)
+                r = rec(i + 1, c + 1 if c == maxused else maxused, agree & masks[u])
                 if r == _FOUND:
                     return _FOUND
             path.pop()
@@ -347,9 +392,9 @@ def _aggregate(
         elif state == "orderly":
             orderly += 1
         else:
-            neigh, maxused = state
+            neigh, maxused, agree = state
             path = list(prefix)
-            r = rec(len(prefix), maxused)
+            r = rec(len(prefix), maxused, agree)
             if r == _FOUND:
                 break
             if r == _CUTOFF:
@@ -433,11 +478,15 @@ def resume_search(
     the overall proof.  Each prefix's last color is counted here, as the
     node its run deferred, so the node and prune totals of a chain of
     budgeted runs equal those of one unbudgeted run.  `threads` accepts
-    only 1, as in `ramsey_check`.
+    only 1, as in `ramsey_check`.  An empty frontier is refused, as
+    `read_checkpoint` refuses one: it would resume into a false proof.
     """
     _validate_instance(k, n, N)
     _validate_budget(budget)
     _validate_threads(threads)
+    prefixes = tuple(prefixes)
+    if not prefixes:
+        raise ParamOutOfRange("empty frontier: an open frontier is never empty")
     return _aggregate(k, n, N, prefixes, budget)
 
 

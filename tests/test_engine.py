@@ -421,7 +421,8 @@ def test_coloring_pipeline_scans_each_graph_once(monkeypatch, k, n):
 
 def test_coloring_pipeline_leaves_no_reference_cycles():
     # Shared classes and slices must not tie objects into cycles that only
-    # the cyclic collector can free (a components() cache on Graph would).
+    # the cyclic collector can free (a cached component report that
+    # referred back to its Graph would).
     texts = [
         (serialize_coloring(bondy_erdos_coloring(3, 5)), 5),
         (serialize_coloring(bondy_erdos_coloring(2, 6)), 6),

@@ -510,13 +510,13 @@ def test_search_report_counts_every_prune():
     res = ramsey_check(2, 5, 9)
     assert serialize_search_result(res).splitlines()[1:] == [
         "verdict ALL_CONTAIN",
-        "nodes 1027",
-        "cycle-prunes 392",
+        "nodes 575",
+        "cycle-prunes 162",
         "symmetry-prunes 1",
-        "orderly-prunes 122",
+        "orderly-prunes 126",
     ]
     stats = to_jsonable(res)["stats"]
-    assert (stats["symmetry_prunes"], stats["orderly_prunes"]) == (1, 122)
+    assert (stats["symmetry_prunes"], stats["orderly_prunes"]) == (1, 126)
 
 
 # --------------------------------------------------------------------------

@@ -188,7 +188,7 @@ def test_determinism_and_stats():
     b = ramsey_check(2, 5, 8)
     assert a.verdict is SearchVerdict.COUNTEREXAMPLE
     assert a.counterexample == b.counterexample
-    assert a.stats.nodes == b.stats.nodes == 233
+    assert a.stats.nodes == b.stats.nodes == 207
     assert a.stats.cycle_prunes > 0 and a.stats.symmetry_prunes > 0
     assert a.stats.orderly_prunes > 0
 
@@ -196,14 +196,14 @@ def test_determinism_and_stats():
 @pytest.mark.parametrize(
     "n,N,triple",
     [
-        (3, 6, (75, 35, 1, 3)),
-        (3, 5, (47, 21, 1, 0)),
-        (4, 6, (115, 47, 1, 11)),
+        (3, 6, (65, 26, 1, 7)),
+        (3, 5, (47, 20, 1, 1)),
+        (4, 6, (95, 32, 1, 16)),
         (4, 5, (19, 7, 1, 0)),
         (6, 7, (29, 8, 1, 0)),
-        (5, 8, (233, 107, 1, 3)),
-        (7, 12, (1273, 581, 1, 40)),
-        (7, 13, (23037, 8059, 1, 3460)),
+        (5, 8, (207, 81, 1, 16)),
+        (7, 12, (907, 322, 1, 116)),
+        (7, 13, (8417, 2059, 1, 2150)),
     ],
 )
 def test_certify_counters_are_pinned(n, N, triple):
@@ -212,6 +212,18 @@ def test_certify_counters_are_pinned(n, N, triple):
     # must leave the search tree as it is.  The C_7 rows run the closure
     # test three DFS levels deep; the rows above reach two at most.
     assert counters(ramsey_check(2, n, N)) == triple
+
+
+@pytest.mark.slow
+def test_two_color_c8_value_is_eleven():
+    # R_2(C_8) = 11 on both sides, with the counters pinned as above
+    below = ramsey_check(2, 8, 10)
+    assert below.verdict is SearchVerdict.COUNTEREXAMPLE
+    assert verify_mono_cycle_free(below.counterexample, 8) is True
+    assert counters(below) == (63, 12, 1, 6)
+    at = ramsey_check(2, 8, 11)
+    assert at.verdict is SearchVerdict.ALL_CONTAIN
+    assert counters(at) == (42331, 10352, 1, 10814)
 
 
 @pytest.mark.parametrize(
@@ -296,6 +308,76 @@ def test_least_member_of_every_class_survives_the_prune(k, n, N):
         for m in range(3, N + 1):
             assert orderly_test(k, m, least[: m * (m - 1) // 2])
     assert seen
+
+
+def column_loses(string, v: int, u: int) -> bool:
+    """The early cut's condition at (u, v) of a colex string: some
+    earlier column p > u agrees with column v on labels 0..u-1 and has a
+    larger color at (u, p)."""
+    color = dict(zip(edge_order(v + 1), string))
+    return any(
+        all(color[a, p] == color[a, v] for a in range(u))
+        and color[u, p] > color[u, v]
+        for p in range(u + 1, v)
+    )
+
+
+@pytest.mark.parametrize(
+    "k,m,losing",
+    [(2, 3, 0), (2, 4, 2), (2, 5, 40), (2, 6, 304), (3, 3, 0), (3, 4, 18),
+     (3, 5, 495)],
+)
+def test_early_cut_fires_only_where_every_completion_is_non_least(k, m, losing):
+    # Every first-appearance string of K_m whose K_{m-1} is least.  The
+    # search's replay cuts a prefix of the last column exactly where the
+    # condition holds at one of its edges, and then no completion of the
+    # column is the least of its relabelling orbit.  `losing` strings
+    # have such a prefix.
+    v = m - 1
+    base = v * (v - 1) // 2
+    inner = {least_string(dict(zip(edge_order(v), s)), v)
+             for s in itertools.product(range(1, k + 1), repeat=base)}
+    strings = set()
+    for head in inner:
+        for column in itertools.product(range(1, k + 1), repeat=v):
+            names = {c: c for c in head}
+            string = head + tuple(names.setdefault(c, len(names) + 1) for c in column)
+            if max(string) <= k:
+                strings.add(string)
+    perms = list(itertools.permutations(range(m)))
+    fired = 0
+    for string in strings:
+        cut = False
+        for u in range(v - 1):  # (v-1, v) runs `_canonical` as well
+            prefix = string[: base + u + 1]
+            # C_{m+2} cannot close in K_{m+1}: only the orderly tests cut
+            res = resume_search(k, m + 2, m + 1, [prefix], budget=0)
+            cut = cut or column_loses(string, v, u)
+            assert (res.verdict is SearchVerdict.ALL_CONTAIN) == cut, prefix
+            assert (res.stats.nodes, res.stats.orderly_prunes) == (1, cut)
+        if cut:
+            fired += 1
+            color = dict(zip(edge_order(m), string))
+            assert any(relabelled_string(color, m, p) < string for p in perms)
+    assert fired == losing
+
+
+def test_canonical_census_of_r2_c7_is_pinned(monkeypatch):
+    # The K_m colorings `_canonical` accepts, per m, while certifying
+    # R_2(C_7) <= 13.  A prune that only cuts what the orderly test would
+    # reject leaves them as they are; m = 3..6 is A007869.
+    accepted: dict[int, int] = {}
+    real = search._canonical
+
+    def counting(neigh, m, path):
+        ok = real(neigh, m, path)
+        accepted[m] = accepted.get(m, 0) + ok
+        return ok
+
+    monkeypatch.setattr(search, "_canonical", counting)
+    assert ramsey_check(2, 7, 13).verdict is SearchVerdict.ALL_CONTAIN
+    assert accepted == {3: 2, 4: 6, 5: 18, 6: 78, 7: 178, 8: 140, 9: 36,
+                        10: 10, 11: 6, 12: 2}
 
 
 # --------------------------------------------------------------------------
@@ -444,9 +526,12 @@ def test_finished_result_has_no_checkpoint(tmp_path, N):
     assert not path.exists()
 
 
-def test_resume_of_empty_frontier_is_all_contain_with_no_work():
-    res = resume_search(2, 5, 8, [], budget=5)
-    assert res.verdict is SearchVerdict.ALL_CONTAIN and counters(res) == (0, 0, 0, 0)
+def test_resume_of_empty_frontier_is_refused():
+    # K_8 has a C_5-free 2-coloring: an empty frontier must not resume
+    # into a proof that it has none
+    for budget in (None, 5):
+        with pytest.raises(ParamOutOfRange, match="empty frontier"):
+            resume_search(2, 5, 8, [], budget=budget)
 
 
 @pytest.mark.parametrize(
@@ -663,7 +748,7 @@ def test_certify_script_certifies_the_small_values():
         "R_2(C_7) = 13",
     ]
     assert all(": certified  [" in line for line in lines)
-    assert "all-contain at 13: 23037 nodes" in lines[-1]
+    assert "all-contain at 13: 8417 nodes" in lines[-1]
 
 
 def test_lower_bound_script_climbs_to_twelve():
