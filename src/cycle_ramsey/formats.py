@@ -2,15 +2,20 @@
 
 Graph and coloring files are canonical: header line, then one line per
 edge with u < v, sorted lexicographically, ASCII, LF line endings — so
-equal objects produce byte-identical files.  The parsers take edges in
-any order and orientation; they sort them once, a single linear pass
-when the file is canonical, and seed `Graph.sorted_edges` with the
-result, so a parsed graph is never sorted again.  Reports serialize to
-line-oriented text with no timings or other run-dependent noise, which
-makes them golden-file testable; `to_jsonable` provides the machine
-twin, and `render` picks which of the two a result prints as.  Rational
-literals are `p/q` (or bare integers) and never decimals, keeping the
-exact-arithmetic guarantee end to end.
+equal objects produce byte-identical files.  A file byte-identical to
+what `serialize_graph` or `serialize_coloring` writes for the object it
+holds (single spaces, no comment or blank line, plain decimals, edges
+ascending, a final LF) is read in bulk by `_canonical_file`; every
+other file, in any edge order or orientation, with comments, CRLF, `01`
+or `+1`, and every faulty file, goes through the line parser
+`_edge_file`, which raises every parse error.  Either way the parsed
+graph's `Graph.sorted_edges` is seeded, so it is never sorted again.
+Reports serialize to line-oriented text with no timings or other
+run-dependent noise, which makes them golden-file testable;
+`to_jsonable` provides the machine twin, and `render` picks which of
+the two a result prints as.  Rational literals are `p/q` (or bare
+integers) and never decimals, keeping the exact-arithmetic guarantee
+end to end.
 """
 
 from __future__ import annotations
@@ -115,14 +120,9 @@ def _edge_file(text: str, colored: bool) -> tuple[int, list[int], dict[Edge, int
             continue
         if len(tokens) != width or tokens[0] != "e":
             raise FormatError(f"line {lineno}: expected '{line_usage}'")
-        a, b = tokens[1], tokens[2]
-        c = tokens[3] if colored else "0"
-        if (a + b + c).isdigit():  # plain digits need no per-token check
-            a, b, c = int(a), int(b), int(c)
-        else:
-            nums = _ints(tokens[1:], lineno)
-            a, b = nums[0], nums[1]
-            c = nums[2] if colored else 0
+        nums = _ints(tokens[1:], lineno)
+        a, b = nums[0], nums[1]
+        c = nums[2] if colored else 0
         if fault is not None:
             continue
         if a == b:
@@ -144,18 +144,76 @@ def _edge_file(text: str, colored: bool) -> tuple[int, list[int], dict[Edge, int
     return v, header, edges
 
 
+# The decimal spelling of every integer up to the vertex cap: one lookup
+# both refuses `01`, `+1` and `-1` and applies the cap.
+_CANONICAL_INTS = {str(i): i for i in range(_MAX_ORDER + 1)}
+
+
+def _canonical_file(
+    text: str, colored: bool
+) -> tuple[int, int, list[Edge], tuple[int, ...]] | None:
+    """(V, k, sorted edges, colors) of a coloring file, or of a graph file
+    when not `colored` (k and colors then 0 and ()), when `text` is
+    byte-identical to what the serializer writes for that object; else
+    None, and the text is left to `_edge_file`."""
+    width = 4 if colored else 3
+    tokens = text.split()
+    body = tokens[width - 1 :]
+    m = len(body) // width
+    if (
+        len(tokens) < width - 1
+        or tokens[0] != ("coloring" if colored else "graph")
+        or len(body) != m * width
+        or body[0::width].count("e") != m
+        or " ".join(tokens).replace(" e ", "\ne ") + "\n" != text
+    ):
+        return None
+    number = _CANONICAL_INTS.__getitem__
+    try:
+        v = number(tokens[1])
+        us = list(map(number, body[1::width]))
+        vs = list(map(number, body[2::width]))
+        if colored:
+            k = number(tokens[2])
+            colors = tuple(map(number, body[3::width]))
+        else:
+            k, colors = 0, ()
+    except KeyError:
+        return None
+    if colored and not (
+        1 <= k <= _MAX_COLORS and (not m or 1 <= min(colors) and max(colors) <= k)
+    ):
+        return None
+    edges = list(zip(us, vs))
+    # u < v < V on every line and strictly ascending lines: no loop, no
+    # duplicate, nothing out of range or out of order
+    if m and not (
+        max(vs) < v
+        and all(map(int.__lt__, us, vs))
+        and all(map(tuple.__lt__, edges, edges[1:]))
+    ):
+        return None
+    return v, k, edges, colors
+
+
 def parse_graph(text: str) -> Graph:
+    canonical = _canonical_file(text, colored=False)
+    if canonical is not None:
+        v, _, edges, _ = canonical
+        return _sorted_graph(v, edges)
     v, _, edges = _edge_file(text, colored=False)
     return _sorted_graph(v, sorted(edges))
 
 
 def parse_coloring(text: str) -> EdgeColoring:
+    canonical = _canonical_file(text, colored=True)
+    if canonical is not None:
+        v, k, edges, colors = canonical
+        return EdgeColoring(_sorted_graph(v, edges), k, colors)
     v, (_, k), colors = _edge_file(text, colored=True)
-    lines = list(colors)
-    order = sorted(lines)
-    # a canonical file lists its colors in sorted edge order already
-    ordered = colors.values() if order == lines else map(colors.__getitem__, order)
-    return EdgeColoring(_sorted_graph(v, order), k, tuple(ordered))
+    order = sorted(colors)
+    ordered = tuple(map(colors.__getitem__, order))
+    return EdgeColoring(_sorted_graph(v, order), k, ordered)
 
 
 # ---------------------------------------------------------------------------

@@ -47,17 +47,17 @@ class Graph:
     edges: frozenset[Edge]
 
     def __post_init__(self) -> None:
-        if self.vertex_count < 0:
+        n = self.vertex_count
+        if n < 0:
             raise VertexOutOfRange("vertex_count must be non-negative")
         for u, v in self.edges:
+            if 0 <= u < v < n:
+                continue
             if u == v:
                 raise LoopEdge(f"self-loop at vertex {u}")
             if u > v:
                 raise VertexOutOfRange(f"edge ({u},{v}) is not normalized (u < v)")
-            if u < 0 or v >= self.vertex_count:
-                raise VertexOutOfRange(
-                    f"edge ({u},{v}) outside vertex range 0..{self.vertex_count - 1}"
-                )
+            raise VertexOutOfRange(f"edge ({u},{v}) outside vertex range 0..{n - 1}")
 
     @property
     def edge_count(self) -> int:
@@ -185,9 +185,11 @@ class EdgeColoring:
             raise ColorOutOfRange(
                 f"{len(self.colors)} colors for {self.base.edge_count} edges"
             )
-        for c in self.colors:
-            if not 1 <= c <= self.color_count:
-                raise ColorOutOfRange(f"color {c} outside 1..{self.color_count}")
+        colors = self.colors
+        if colors and not (1 <= min(colors) and max(colors) <= self.color_count):
+            for c in colors:  # name the first bad color in edge order
+                if not 1 <= c <= self.color_count:
+                    raise ColorOutOfRange(f"color {c} outside 1..{self.color_count}")
 
     @cached_property
     def _classes(self) -> dict[int, Graph]:

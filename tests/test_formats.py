@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cycle_ramsey import (
@@ -29,6 +29,7 @@ from cycle_ramsey import (
     structural_certificate,
     erdos_gallai_sweep,
 )
+from cycle_ramsey import formats
 from cycle_ramsey.errors import ascii_int
 from cycle_ramsey.formats import (
     parse_coloring,
@@ -45,6 +46,7 @@ from cycle_ramsey.formats import (
     serialize_witness,
     to_jsonable,
 )
+from cycle_ramsey.graphs import _MAX_COLORS, _MAX_ORDER
 
 from strategies import colorings, graphs
 
@@ -226,6 +228,17 @@ def _two_pass_ints(tokens, lineno):
         raise FormatError(f"line {lineno}: {exc}") from None
 
 
+def _two_pass_caps(lineno, v, k=1):
+    if v > _MAX_ORDER:
+        raise TargetTooLarge(
+            f"line {lineno}: {v} vertices; files are capped at {_MAX_ORDER}"
+        )
+    if k > _MAX_COLORS:
+        raise TargetTooLarge(
+            f"line {lineno}: {k} colors; files are capped at {_MAX_COLORS}"
+        )
+
+
 def _two_pass_graph(text):
     lines = _two_pass_lines(text)
     if not lines:
@@ -234,6 +247,7 @@ def _two_pass_graph(text):
     if len(header) != 2 or header[0] != "graph":
         raise FormatError(f"line {lineno}: expected 'graph <V>'")
     (v,) = _two_pass_ints(header[1:], lineno)
+    _two_pass_caps(lineno, v)
     edges = []
     for lineno, tokens in lines[1:]:
         if len(tokens) != 3 or tokens[0] != "e":
@@ -250,6 +264,7 @@ def _two_pass_coloring(text):
     if len(header) != 3 or header[0] != "coloring":
         raise FormatError(f"line {lineno}: expected 'coloring <V> <k>'")
     v, k = _two_pass_ints(header[1:], lineno)
+    _two_pass_caps(lineno, v, k)
     assignment = {}
     edges = []
     for lineno, tokens in lines[1:]:
@@ -414,6 +429,105 @@ def test_parsing_is_order_independent_and_seeds_sorted_edges(col, rnd, shuffle):
     assert serialize_graph(G) == canonical_graph
     assert serialize_coloring(parse_coloring(canonical)) == canonical
     assert serialize_graph(parse_graph(canonical_graph)) == canonical_graph
+
+
+def _one_edit_mutants(text, rnd: random.Random):
+    """`text`, a serialized file, and variants of it that differ by one
+    edit: spacing, line ends, integer spellings, line order, an edge
+    reversed, a loop, an endpoint out of range, a duplicate line, a
+    colour out of range, and headers at and over the caps."""
+    header, *lines = text.splitlines()
+    kind, v, *k = header.split()
+
+    def file(head, body):
+        return "".join(line + "\n" for line in [" ".join(head), *body])
+
+    out = [
+        text,
+        text[:-1],  # no final newline
+        text + "\n",  # a blank line
+        text.replace("\n", "\r\n"),
+        text.replace(" ", "  ", 1),
+        text.replace("\n", " \n", 1),
+        text.replace(" ", "\t", 1),
+        " " + text,
+        file([kind, "0" + v, *k], lines),
+        file([kind, "+" + v, *k], lines),
+        file([kind, str(_MAX_ORDER), *k], lines),
+        file([kind, str(_MAX_ORDER + 1), *k], lines),
+    ]
+    if k:
+        out.append(file([kind, v, str(_MAX_COLORS)], lines))
+        out.append(file([kind, v, str(_MAX_COLORS + 1)], lines))
+    if not lines:
+        return out
+    i = rnd.randrange(len(lines))
+    tokens = lines[i].split()
+    e, a, b, *c = tokens
+    j = rnd.randrange(1, len(tokens))
+
+    def edited(*new_lines):
+        return file([kind, v, *k], [*lines[:i], *new_lines, *lines[i + 1 :]])
+
+    out += [
+        edited(" ".join(tokens[:j] + ["0" + tokens[j]] + tokens[j + 1 :])),
+        edited(" ".join(tokens[:j] + ["+" + tokens[j]] + tokens[j + 1 :])),
+        edited(lines[i].replace(" ", "  ", 1)),
+        edited(lines[i] + " "),
+        edited(lines[i].replace(" ", "\t", 1)),
+        edited(lines[i] + " # a comment"),
+        edited(" ".join([e, b, a, *c])),  # one pair reversed
+        edited(" ".join([e, a, a, *c])),  # a loop
+        edited(" ".join([e, a, v, *c])),  # an endpoint out of range
+        edited(lines[i], lines[i]),  # a duplicate line
+    ]
+    if c:
+        out.append(edited(f"{e} {a} {b} 0"))
+        out.append(edited(f"{e} {a} {b} {int(k[0]) + 1}"))
+    if len(lines) > 1:  # two lines swapped
+        i = rnd.randrange(len(lines) - 1)
+        swapped = [*lines[:i], lines[i + 1], lines[i], *lines[i + 2 :]]
+        out.append(file([kind, v, *k], swapped))
+    return out
+
+
+@given(colorings(min_vertices=0, max_vertices=7), st.randoms(use_true_random=False))
+@example(constant_coloring(complete_graph(0)), random.Random(0))
+@example(constant_coloring(complete_graph(1), 2, 2), random.Random(0))
+@example(constant_coloring(build_graph(4, []), 3), random.Random(0))
+@settings(max_examples=120)
+def test_bulk_reader_matches_two_pass_reader(col, rnd: random.Random):
+    # every serialized file and every one-edit mutant of it parses to the
+    # reference reader's object or raises its error, and the bulk path
+    # takes a text exactly when it is the serializer's output
+    for text, colored, parse, serialize in (
+        (serialize_coloring(col), True, parse_coloring, serialize_coloring),
+        (serialize_graph(col.base), False, parse_graph, serialize_graph),
+    ):
+        for mutant in _one_edit_mutants(text, rnd):
+            _agree(mutant)
+            _agree_graph(mutant)
+            status, parsed = _outcome(parse, mutant)
+            canonical = status == "ok" and serialize(parsed) == mutant
+            taken = formats._canonical_file(mutant, colored) is not None
+            assert taken == canonical, repr(mutant)
+            assert formats._canonical_file(mutant, not colored) is None
+
+
+def test_serialized_files_skip_the_line_parser(monkeypatch):
+    col = bondy_erdos_coloring(6, 5)  # K_128
+    text, graph_text = serialize_coloring(col), serialize_graph(col.base)
+
+    def no_line_parser(*_, **__):
+        raise AssertionError("line parser ran")
+
+    monkeypatch.setattr(formats, "_edge_file", no_line_parser)
+    assert parse_coloring(text) == col
+    assert parse_graph(graph_text) == col.base
+    for parse, canonical in ((parse_coloring, text), (parse_graph, graph_text)):
+        for variant in ("# a comment\n" + canonical, canonical.replace("\n", "\r\n")):
+            with pytest.raises(AssertionError, match="line parser ran"):
+                parse(variant)
 
 
 # --------------------------------------------------------------------------

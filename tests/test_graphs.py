@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cycle_ramsey import (
     ColorOutOfRange,
+    CycleRamseyError,
     CycleTooShort,
     DuplicateEdge,
     EdgeColoring,
@@ -33,20 +34,59 @@ def test_normalize_edge_orders_endpoints():
     assert normalize_edge(1, 3) == (1, 3)
 
 
+def _fault(make):
+    with pytest.raises(CycleRamseyError) as info:
+        make()
+    return type(info.value), str(info.value)
+
+
 def test_graph_rejects_loop():
-    with pytest.raises(LoopEdge):
-        Graph(3, frozenset({(1, 1)}))
+    assert _fault(lambda: Graph(3, frozenset({(1, 1)}))) == (
+        LoopEdge, "self-loop at vertex 1"
+    )
     with pytest.raises(LoopEdge):
         build_graph(3, [(2, 2)])
 
 
 def test_graph_rejects_out_of_range_and_unnormalized():
-    with pytest.raises(VertexOutOfRange):
-        Graph(3, frozenset({(0, 3)}))
-    with pytest.raises(VertexOutOfRange):
-        Graph(3, frozenset({(2, 0)}))  # stored edges must have u < v
+    out_of_range = [
+        ((0, 3), "edge (0,3) outside vertex range 0..2"),
+        ((-1, 2), "edge (-1,2) outside vertex range 0..2"),
+        ((2, 0), "edge (2,0) is not normalized (u < v)"),  # stored u < v
+    ]
+    for edge, message in out_of_range:
+        fault = _fault(lambda: Graph(3, frozenset({edge})))
+        assert fault == (VertexOutOfRange, message)
+    assert _fault(lambda: Graph(0, frozenset({(0, 1)}))) == (
+        VertexOutOfRange, "edge (0,1) outside vertex range 0..-1"
+    )
     with pytest.raises(VertexOutOfRange):
         build_graph(2, [(-1, 0)])
+
+
+def _checked_edges(n, edges):
+    """The edge checks of `Graph` as one test per fault, in set order."""
+    for u, v in edges:
+        if u == v:
+            raise LoopEdge(f"self-loop at vertex {u}")
+        if u > v:
+            raise VertexOutOfRange(f"edge ({u},{v}) is not normalized (u < v)")
+        if u < 0 or v >= n:
+            raise VertexOutOfRange(f"edge ({u},{v}) outside vertex range 0..{n - 1}")
+
+
+@given(
+    st.integers(0, 4),
+    st.frozensets(st.tuples(st.integers(-2, 5), st.integers(-2, 5)), max_size=6),
+)
+@settings(max_examples=200)
+def test_graph_checks_match_one_test_per_fault(n, edges):
+    try:
+        _checked_edges(n, edges)
+    except CycleRamseyError as exc:
+        assert _fault(lambda: Graph(n, edges)) == (type(exc), str(exc))
+    else:
+        assert Graph(n, edges).edges == edges
 
 
 def test_build_graph_rejects_duplicates_in_either_orientation():
@@ -147,8 +187,18 @@ def test_coloring_validation():
         EdgeColoring(G, 0, ())
     with pytest.raises(ColorOutOfRange):
         EdgeColoring(G, 2, (1,))  # wrong arity
-    with pytest.raises(ColorOutOfRange):
-        EdgeColoring(G, 2, (1, 3))  # color out of range
+    for colors, bad in [((0, 1), 0), ((1, 3), 3), ((2, 0), 0)]:
+        assert _fault(lambda: EdgeColoring(G, 2, colors)) == (
+            ColorOutOfRange, f"color {bad} outside 1..2"
+        )
+    # several bad colours: the first in edge order is named, not the
+    # smallest or the largest
+    K4 = complete_graph(4)
+    for colors, bad in [((1, 5, 2, 0, 1, 1), 5), ((1, 0, 2, 5, 1, 1), 0)]:
+        assert _fault(lambda: EdgeColoring(K4, 2, colors)) == (
+            ColorOutOfRange, f"color {bad} outside 1..2"
+        )
+    assert EdgeColoring(K4, 2, (1, 2, 2, 1, 1, 2)).colors == (1, 2, 2, 1, 1, 2)
 
 
 def test_make_coloring_requires_exact_cover():
