@@ -3,22 +3,23 @@
 
 For every labeled graph on v vertices and every target length n: meeting
 the edge threshold (n-1)(v-1)/2 + 1 must force a cycle of length at
-least n.  The sweep walks a Gray code over edge subsets, so each of the
-2^C(v,2) graphs costs at most one adjacency-bit flip.  A graph that
-meets a threshold needs a cycle search only when none of the cycles
-found so far (the last one of each length) is long enough and lies
-inside it, and runs of the Gray code that such a cycle covers are
-counted without being walked.  v = 7 means 2^21 graphs, 2,014,992 of
-them checked with 77,948 cycle searches, in about 1.4 s on one core.
-v = 8 means 2^28 graphs: one run (Python 3.11, one core of a 2-core
-VM) printed
+least n.  The sweep walks a Gray code over edge subsets and tracks only
+each graph's edge bits; neighbour masks are built only for the graphs
+it searches.  A graph that meets a threshold needs a cycle search only
+when none of the cycles found so far (the last six of each length) is
+long enough and lies inside it, and runs of the Gray code that such a
+cycle covers are counted without being walked.  v = 7 means 2^21
+graphs, 2,014,992 of them checked with 23,216 cycle searches, in about
+0.7 s on one core.  v = 8 means 2^28 graphs: one run (Python 3.11, one
+core of a 2-core VM) printed
 
     graphs 268435456 checked 266752238
     violations 0
-    elapsed 72.3s cycle-searches 2820249 checked/s 3,691,624
+    elapsed 38.3s cycle-searches 733893 checked/s 6,964,347
 
-The cycle kernel before its start, open-ends and last-level cuts took
-2.0 s and 100.5 s on the same machine, run just before.
+The sweep that kept one cycle per length and updated the masks at
+every step took 1.3 s and 64.8 s (77,948 and 2,820,249 searches) on the
+same machine, run just before.
 
 Each order's `elapsed` line gives its time, kernel calls and checked
 graphs per second.  --max-vertices is 1..8 and every --lengths value

@@ -42,7 +42,8 @@ the search guarantees.
 The Erdős–Gallai sweep uses no theorem to skip a graph.  It accepts a
 checked graph only when a mask test shows that the graph holds every
 edge of a cycle of length >= n that the kernel found on an earlier
-graph.  A block of Gray-code steps is skipped only when it cannot
+graph; it keeps the last few such cycles of each length, and builds
+neighbour masks only for the graphs it hands to the kernel.  A block of Gray-code steps is skipped only when it cannot
 toggle any edge of such a cycle (or holds no graph that meets a
 threshold), so every graph in it is accepted by the same test.  Every
 violation is decided by the kernel on the current graph.
@@ -415,6 +416,7 @@ class SweepReport:
 
 _SWEEP_MAX_VERTICES = 8
 _SWEEP_KEEP_VIOLATIONS = 20
+_SWEEP_POOL_DEPTH = 6  # kernel-found cycles the sweep keeps per length
 
 
 def erdos_gallai_sweep(vertex_count: int, lengths=None) -> SweepReport:
@@ -425,20 +427,23 @@ def erdos_gallai_sweep(vertex_count: int, lengths=None) -> SweepReport:
     e(G) >= eg_threshold(n, v) must imply a cycle of length >= n.  Only
     the largest applicable n is searched per graph — a cycle that long
     witnesses every smaller target too.  Enumeration walks a Gray code
-    over edge subsets so each step toggles one adjacency bit.  The sweep
-    keeps a pool: the last cycle the kernel found of each length, as a
-    mask over the Gray code's edge bits.  A checked graph needs no
+    over edge subsets, so each step toggles one edge bit; the kernel's
+    neighbour masks are brought up to the current graph, one XOR pair
+    per edge that differs from the graph they last held, only right
+    before a kernel call.  The sweep keeps a pool: the last
+    `_SWEEP_POOL_DEPTH` cycles the kernel found of each length, newest
+    first, each as a mask over the edge bits.  A checked graph needs no
     search when a pool cycle of length >= n lies inside it, one mask
-    test per cycle; at v = 7 the kernel runs 77,948 times for 2,014,992
-    checked graphs.  After a step with t >= 2 trailing zeros, the next
-    2^t - 1 steps toggle only the t lowest edge bits.  If a pool cycle
-    on the fixed higher bits is long enough for the block's densest
-    graph, or that graph meets no threshold, the block is skipped: its
-    checked graphs are counted from a binomial table and one toggle of
-    edge t - 1 lands on its last graph.  The masks store vertex x as
-    v-1-x, so the kernel's least cycle runs through high-index edges,
-    which the Gray code toggles rarely; natural labels need 210,741
-    searches at v = 7.
+    test per cycle; at v = 7 the kernel runs 23,216 times for 2,014,992
+    checked graphs (77,948 with one pooled cycle per length).  After a
+    step with t >= 2 trailing zeros, the next 2^t - 1 steps toggle only
+    the t lowest edge bits.  If a pool cycle on the fixed higher bits is
+    long enough for the block's densest graph, or that graph meets no
+    threshold, the block is skipped: its checked graphs are counted
+    from a binomial table and the walk goes on from its last graph.
+    The masks store vertex x as v-1-x, so the kernel's least cycle runs
+    through high-index edges, which the Gray code toggles rarely;
+    natural labels need 55,577 searches at v = 7.
     """
     v = vertex_count
     if v < 1:
@@ -484,11 +489,14 @@ def erdos_gallai_sweep(vertex_count: int, lengths=None) -> SweepReport:
         flips.append((p, q, 1 << p, 1 << q))
         edge_bit[p, q] = edge_bit[q, p] = 1 << j
     neigh = [0] * v
+    held = 0  # the graph whose edges `neigh` holds
     checked = searches = violation_count = 0
     kept: list[tuple[int, tuple[Edge, ...]]] = []
-    # pool[L]: edge bits of the last cycle of length L the kernel found;
-    # -1, which no graph contains, until one is found.
-    pool = [-1] * (v + 1)
+    # pool[L]: edge bits of the last cycles of length L the kernel found,
+    # newest first; covers[n] = pool[n] + pool[n + 1] + ... + pool[v], and
+    # [] for each target n > v.
+    pool = [[] for _ in range(v + 1)]
+    covers = [[] for _ in range(max((v, *lengths)) + 2)]
     total = 1 << ne
     # Gray code: graph after step i is i ^ (i >> 1); the flipped edge at
     # step i is the lowest set bit of i.  Step 0, the empty graph, never
@@ -497,19 +505,22 @@ def erdos_gallai_sweep(vertex_count: int, lengths=None) -> SweepReport:
     while i < total:
         low = i & -i
         t = low.bit_length() - 1
-        p, q, pm, qm = flips[t]
-        neigh[p] ^= qm
-        neigh[q] ^= pm
         graph = i ^ (i >> 1)
         n = binding[graph.bit_count()]
         if n:
             checked += 1
             missing = ~graph
-            for w in pool[n:]:
+            for w in covers[n]:
                 if not w & missing:
                     break
             else:
                 searches += 1
+                diff, held = graph ^ held, graph
+                while diff:
+                    p, q, pm, qm = flips[(diff & -diff).bit_length() - 1]
+                    neigh[p] ^= qm
+                    neigh[q] ^= pm
+                    diff &= diff - 1
                 found = _mask_cycle(neigh, v, n, v)
                 if found is None:
                     violation_count += 1
@@ -522,7 +533,10 @@ def erdos_gallai_sweep(vertex_count: int, lengths=None) -> SweepReport:
                     w = edge_bit[found[-1], found[0]]
                     for x, y in zip(found, found[1:]):
                         w |= edge_bit[x, y]
-                    pool[len(found)] = w
+                    size = len(found)
+                    pool[size] = [w] + pool[size][: _SWEEP_POOL_DEPTH - 1]
+                    for m in range(size, 2, -1):
+                        covers[m] = pool[m] + covers[m + 1]
         i += 1
         if t < 2:  # a one-graph block costs as much to test as to check
             continue
@@ -534,16 +548,12 @@ def erdos_gallai_sweep(vertex_count: int, lengths=None) -> SweepReport:
         n = binding[h + t]
         if n:
             missing = ~high
-            for w in pool[n:]:
+            for w in covers[n]:
                 if not w & missing:
                     break
             else:
                 continue
         checked += block_checked[h][t]
-        # the block ends one toggle of edge t - 1 from step i's graph
-        p, q, pm, qm = flips[t - 1]
-        neigh[p] ^= qm
-        neigh[q] ^= pm
         i += low - 1
     return SweepReport(
         v, lengths, total, checked, violation_count, tuple(kept), searches

@@ -54,17 +54,26 @@ from .search import EDGE_ORDER, SearchResult, SearchVerdict
 
 
 def serialize_graph(G: Graph) -> str:
-    lines = [f"graph {G.vertex_count}"]
-    lines.extend(f"e {u} {v}" for u, v in G.sorted_edges)
-    return "\n".join(lines) + "\n"
+    # Both edge-file writers join each line from strings made once per
+    # vertex or colour, a few times faster than formatting every line.
+    n = G.vertex_count
+    heads = [f"e {u} " for u in range(n)]
+    tails = [f"{v}\n" for v in range(n)]
+    parts = [f"graph {n}\n"]
+    for u, v in G.sorted_edges:
+        parts += heads[u], tails[v]
+    return "".join(parts)
 
 
 def serialize_coloring(col: EdgeColoring) -> str:
-    lines = [f"coloring {col.base.vertex_count} {col.color_count}"]
-    lines.extend(
-        f"e {u} {v} {c}" for (u, v), c in zip(col.base.sorted_edges, col.colors)
-    )
-    return "\n".join(lines) + "\n"
+    n, k = col.base.vertex_count, col.color_count
+    heads = [f"e {u} " for u in range(n)]
+    names = [f"{v}" for v in range(n)]
+    tails = [f" {c}\n" for c in range(k + 1)]
+    parts = [f"coloring {n} {k}\n"]
+    for (u, v), c in zip(col.base.sorted_edges, col.colors):
+        parts += heads[u], names[v], tails[c]
+    return "".join(parts)
 
 
 def _ints(tokens: list[str], lineno: int) -> list[int]:

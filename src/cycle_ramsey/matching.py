@@ -93,9 +93,14 @@ def max_matching(G: Graph) -> MatchingCertificate:
         if match[u] == -1 and match[v] == -1:
             match[u] = v
             match[v] = u
+    # An augmenting path joins two exposed vertices, so once at most one
+    # is left no root can augment.
+    exposed = match.count(-1)
     for v in range(n):
-        if match[v] == -1:
-            _find_augmenting_path(G, match, v)
+        if exposed < 2:
+            break
+        if match[v] == -1 and _find_augmenting_path(G, match, v) != -1:
+            exposed -= 2
     edges = frozenset(
         normalize_edge(v, match[v]) for v in range(n) if match[v] > v
     )

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import importlib.util
 import itertools
+import re
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -394,8 +396,8 @@ def test_sweep_small_orders_clean():
 @pytest.mark.parametrize(
     "v,checked,searches",
     [
-        (1, 0, 0), (2, 0, 0), (3, 1, 1), (4, 22, 13), (5, 638, 171), (6, 27824, 3529),
-        pytest.param(7, 2014992, 77948, marks=pytest.mark.slow),
+        (1, 0, 0), (2, 0, 0), (3, 1, 1), (4, 22, 7), (5, 638, 64), (6, 27824, 1179),
+        pytest.param(7, 2014992, 23216, marks=pytest.mark.slow),
     ],
 )
 def test_sweep_checked_count(v, checked, searches):
@@ -452,6 +454,37 @@ def test_sweep_matches_fresh_search_below_threshold(monkeypatch, v, lengths):
     assert rep.violation_count > 0
 
 
+@pytest.mark.parametrize("lowered", [False, True], ids=["real", "lowered"])
+@pytest.mark.parametrize("lengths", [None, (4,), (3, 6)], ids=["all", "4", "3-6"])
+@pytest.mark.parametrize("v", [3, 4, 5, 6])
+def test_sweep_kernel_sees_the_current_graph(monkeypatch, v, lengths, lowered):
+    # The walk tracks only the Gray code's edge bits and brings the masks
+    # up to date right before each kernel call: every call must get the
+    # masks of the graph the walk is on, in the sweep's reversed labels
+    # (vertex x stored as v-1-x).
+    if lowered:
+        real = cycles.eg_threshold
+        monkeypatch.setattr(cycles, "eg_threshold", lambda n, v: max(1, real(n, v) - 1))
+    edges = list(itertools.combinations(range(v), 2))
+    kernel = cycles._mask_cycle
+    seen = []
+
+    def checked_kernel(neigh, nverts, lo, hi):
+        graph = sys._getframe(1).f_locals["graph"]
+        want = [0] * v
+        for j, (a, b) in enumerate(edges):
+            if graph >> j & 1:
+                want[v - 1 - a] |= 1 << (v - 1 - b)
+                want[v - 1 - b] |= 1 << (v - 1 - a)
+        assert neigh == want, (graph, neigh, want)
+        seen.append(graph)
+        return kernel(neigh, nverts, lo, hi)
+
+    monkeypatch.setattr(cycles, "_mask_cycle", checked_kernel)
+    rep = erdos_gallai_sweep(v, lengths)
+    assert len(seen) == rep.cycle_searches
+
+
 def test_sweep_respects_length_subset():
     rep = erdos_gallai_sweep(5, lengths=[4])
     assert rep.lengths == (4,)
@@ -467,15 +500,20 @@ def test_sweep_rejects_bad_params():
         erdos_gallai_sweep(5, lengths=[2])
 
 
+def _sweep_script():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "erdos_gallai_sweep.py"
+    spec = importlib.util.spec_from_file_location("erdos_gallai_sweep_script", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
 @pytest.mark.parametrize(
     "argv",
     [["--max-vertices", "9"], ["--max-vertices", "0"], ["--lengths", "4", "2"]],
 )
 def test_sweep_script_rejects_bad_args_before_sweeping(monkeypatch, argv):
-    path = Path(__file__).resolve().parent.parent / "scripts" / "erdos_gallai_sweep.py"
-    spec = importlib.util.spec_from_file_location("erdos_gallai_sweep_script", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = _sweep_script()
 
     def no_sweep(*args, **kwargs):
         raise AssertionError("a sweep ran")
@@ -484,3 +522,18 @@ def test_sweep_script_rejects_bad_args_before_sweeping(monkeypatch, argv):
     with pytest.raises(SystemExit) as exc:
         script.main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv", [["--max-vertices", "5"], ["--max-vertices", "5", "--lengths", "4"]]
+)
+def test_sweep_script_reports_a_clean_sweep(capsys, argv):
+    assert _sweep_script().main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "sweep clean"
+    orders = [line.split()[2] for line in lines if line.startswith("eg-sweep v ")]
+    timed = [line for line in lines if line.startswith("elapsed ")]
+    assert orders == ["1", "2", "3", "4", "5"]
+    assert len(timed) == 5
+    for line in timed:
+        assert re.fullmatch(r"elapsed \d+\.\ds cycle-searches \d+ checked/s [\d,]+", line)

@@ -124,6 +124,33 @@ def test_coloring_file_round_trip(col):
     assert parse_coloring(serialize_coloring(col)) == col
 
 
+def _formatted_per_edge(col):
+    """Reference: the serializers as they were, one f-string per edge."""
+    graph = [f"graph {col.base.vertex_count}"]
+    graph.extend(f"e {u} {v}" for u, v in col.base.sorted_edges)
+    coloring = [f"coloring {col.base.vertex_count} {col.color_count}"]
+    coloring.extend(
+        f"e {u} {v} {c}" for (u, v), c in zip(col.base.sorted_edges, col.colors)
+    )
+    return "\n".join(graph) + "\n", "\n".join(coloring) + "\n"
+
+
+@given(
+    st.one_of(
+        colorings(min_vertices=0, max_vertices=12, max_colors=16),
+        colorings(min_vertices=0, max_vertices=14, complete=True),
+    )
+)
+@example(constant_coloring(complete_graph(0)))
+@example(constant_coloring(complete_graph(1), 2, 2))
+@example(constant_coloring(build_graph(4, []), 3))
+@example(bondy_erdos_coloring(4, 5))
+@settings(max_examples=150)
+def test_serializers_match_per_edge_formatting(col):
+    want = _formatted_per_edge(col)
+    assert (serialize_graph(col.base), serialize_coloring(col)) == want
+
+
 def test_parsers_accept_any_edge_order_and_orientation():
     text = "coloring 3 2\ne 2 1 2\ne 0 1 1\n"
     col = parse_coloring(text)

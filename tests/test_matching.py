@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import itertools
 
+import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycle_ramsey import (
     Graph,
@@ -12,10 +14,12 @@ from cycle_ramsey import (
     complete_graph,
     cycle_graph,
     max_matching,
+    normalize_edge,
     verify_matching,
 )
+from cycle_ramsey import matching
 
-from strategies import all_pairs, brute_matching_number, graphs
+from strategies import all_pairs, brute_matching_number, graphs, graphs_of_density
 
 
 def test_empty_and_single_edge():
@@ -94,3 +98,51 @@ def test_verify_matching_rejects_bad_certificates():
         G, MatchingCertificate(frozenset({(0, 1), (1, 2)}))
     )
     assert verify_matching(G, good)
+
+
+def _matching_trying_every_root(G):
+    """Reference: `max_matching` as it was before it stopped early, with
+    every vertex still exposed after the greedy seed tried as a root."""
+    n = G.vertex_count
+    match = [-1] * n
+    for u, v in G.sorted_edges:
+        if match[u] == -1 and match[v] == -1:
+            match[u] = v
+            match[v] = u
+    for v in range(n):
+        if match[v] == -1:
+            matching._find_augmenting_path(G, match, v)
+    return frozenset(normalize_edge(v, match[v]) for v in range(n) if match[v] > v)
+
+
+@given(st.one_of(graphs(max_vertices=10), graphs_of_density(min_vertices=2)))
+@settings(max_examples=150)
+def test_early_stop_returns_the_same_matching(G):
+    # The roots skipped once at most one vertex is exposed could not
+    # augment, so the matching is edge for edge the same.
+    assert max_matching(G).edges == _matching_trying_every_root(G)
+
+
+@pytest.mark.parametrize(
+    "v,edges,calls",
+    [
+        (4, [(0, 1), (1, 2), (2, 3)], 0),  # greedy seed is perfect
+        (3, [(0, 1), (1, 2)], 0),  # one vertex left exposed: no path exists
+        (7, all_pairs(7), 0),  # K_7: greedy leaves vertex 6 alone
+        (4, [(0, 1), (0, 2), (1, 3)], 1),  # 2 and 3 exposed: one augmentation
+        (5, [(0, 1), (0, 2), (1, 3)], 1),  # and isolated 4 is never tried
+    ],
+)
+def test_no_root_is_tried_once_one_vertex_is_exposed(monkeypatch, v, edges, calls):
+    made = []
+    real = matching._find_augmenting_path
+
+    def counted(G, match, root):
+        made.append(root)
+        return real(G, match, root)
+
+    monkeypatch.setattr(matching, "_find_augmenting_path", counted)
+    G = build_graph(v, edges)
+    cert = max_matching(G)
+    assert len(made) == calls
+    assert cert.size == brute_matching_number(G)
