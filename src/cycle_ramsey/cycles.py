@@ -2,9 +2,12 @@
 Erdős–Gallai threshold.
 
 `components` finds each component's bipartition or odd cycle by one
-BFS scan per graph, which every later call shares.  A component's
-maximum matching is computed on the first read of its `matching`, once
-per graph, so callers that need only the structure run no blossom.
+BFS pass per component over the neighbour masks, once per graph; every
+later call shares the scan.  The odd-cycle test rides in the same pass:
+a neighbour of a dequeued vertex with its depth parity lies in its own
+layer, which is complete by then.  A component's maximum matching is
+computed on the first read of its `matching`, once per graph, so
+callers that need only the structure run no blossom.
 
 Everything here is exact, and all bitmask cycle code lives here, over
 per-vertex neighbour masks, for graphs of a few dozen vertices.  One
@@ -43,15 +46,15 @@ The Erdős–Gallai sweep uses no theorem to skip a graph.  It accepts a
 checked graph only when a mask test shows that the graph holds every
 edge of a cycle of length >= n that the kernel found on an earlier
 graph; it keeps the last few such cycles of each length, and builds
-neighbour masks only for the graphs it hands to the kernel.  A block of Gray-code steps is skipped only when it cannot
-toggle any edge of such a cycle (or holds no graph that meets a
-threshold), so every graph in it is accepted by the same test.  Every
-violation is decided by the kernel on the current graph.
+neighbour masks only for the graphs it hands to the kernel.  A block of
+Gray-code steps is skipped only when it cannot toggle any edge of such
+a cycle (or holds no graph that meets a threshold), so every graph in
+it is accepted by the same test.  Every violation is decided by the
+kernel on the current graph.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from math import comb
 
@@ -134,7 +137,7 @@ _MATCHINGS = "_component_matchings"
 
 
 def _odd_cycle_from_conflict(
-    parent: dict[int, int], depth: dict[int, int], u: int, v: int
+    parent: list[int], depth: list[int], u: int, v: int
 ) -> CycleCertificate:
     """Close the BFS-tree paths of a same-parity edge (u, v) into an odd cycle."""
     up_u, up_v = [u], [v]
@@ -157,43 +160,43 @@ def _odd_cycle_from_conflict(
 
 def _scan(G: Graph) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
     """BFS every component of G: the component ids and, per component,
-    (vertices, is_bipartite, parts, odd_cycle)."""
+    (vertices, is_bipartite, parts, odd_cycle).  A dequeued vertex takes
+    its unseen neighbours ascending; the odd cycle closes the first edge
+    xy, in BFS order of x and then ascending y > x, of one depth parity."""
     n = G.vertex_count
+    masks = G.neighbor_masks
     comp_id = [-1] * n
+    parent = [-1] * n
+    depth = [0] * n
     rows: list[tuple] = []
     for root in range(n):
         if comp_id[root] != -1:
             continue
         cid = len(rows)
-        parent = {root: -1}
-        depth = {root: 0}
-        order = [root]
         comp_id[root] = cid
-        queue = deque([root])
-        while queue:
-            x = queue.popleft()
-            for y in G.adjacency[x]:
-                if y not in depth:
-                    depth[y] = depth[x] + 1
-                    parent[y] = x
-                    comp_id[y] = cid
-                    order.append(y)
-                    queue.append(y)
+        side = [1 << root, 0]  # the even- and odd-depth vertices found
         odd_cycle = None
-        for x in order:
-            for y in G.adjacency[x]:
-                if y > x and depth[x] % 2 == depth[y] % 2:
-                    odd_cycle = _odd_cycle_from_conflict(parent, depth, x, y)
-                    break
-            if odd_cycle is not None:
-                break
+        order = [root]
+        for x in order:  # the BFS queue: children join behind x
+            d = depth[x]
+            if odd_cycle is None and (clash := masks[x] & side[d & 1] & -(2 << x)):
+                y = (clash & -clash).bit_length() - 1
+                odd_cycle = _odd_cycle_from_conflict(parent, depth, x, y)
+            new = masks[x] & ~(side[0] | side[1])
+            side[~d & 1] |= new
+            while new:
+                low = new & -new
+                new ^= low
+                y = low.bit_length() - 1
+                depth[y] = d + 1
+                parent[y] = x
+                comp_id[y] = cid
+                order.append(y)
         verts = tuple(sorted(order))
+        parts = None
         if odd_cycle is None:
-            side_a = tuple(v for v in verts if depth[v] % 2 == 0)
-            side_b = tuple(v for v in verts if depth[v] % 2 == 1)
-            rows.append((verts, True, (side_a, side_b), None))
-        else:
-            rows.append((verts, False, None, odd_cycle))
+            parts = tuple(tuple(v for v in verts if side[p] >> v & 1) for p in (0, 1))
+        rows.append((verts, odd_cycle is None, parts, odd_cycle))
     return tuple(comp_id), tuple(rows)
 
 

@@ -197,8 +197,10 @@ def min_degree_peel(G: Graph, target_N: int) -> PeelResult:
         victim = min(alive, key=lambda v: (degree[v], v))
         removals.append((victim, degree[victim]))
         alive.remove(victim)
-        for w in G.adjacency[victim]:
-            if w in alive:
-                degree[w] -= 1
+        rest = G.neighbor_masks[victim]
+        while rest:  # a removed vertex's count is never read again
+            low = rest & -rest
+            rest ^= low
+            degree[low.bit_length() - 1] -= 1
     sub, kept = induced_subgraph(G, alive)
     return PeelResult(sub, kept, tuple(removals))

@@ -6,8 +6,9 @@ stored as normalized pairs (u, v) with u < v, so the edge set can never
 hold a duplicate or a reversed copy of an edge.
 
 Derived views are built once and shared: a graph caches its sorted
-edges, masks and neighbour lists, a coloring caches all of its color
-classes, and a slice that keeps every vertex is the object itself.
+edges and its neighbour masks, the one adjacency view every walk reads,
+a coloring caches all of its color classes, and a slice that keeps
+every vertex is the object itself.
 """
 
 from __future__ import annotations
@@ -76,20 +77,10 @@ class Graph:
             masks[v] |= 1 << u
         return tuple(masks)
 
-    @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Per-vertex sorted neighbor lists, consistent with the edge set.
-
-        Filled in sorted edge order, each list is already ascending: a
-        vertex's lower neighbours all arrive before its higher ones."""
-        lists: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for u, v in self.sorted_edges:
-            lists[u].append(v)
-            lists[v].append(u)
-        return tuple(map(tuple, lists))
-
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        if not 0 <= v < self.vertex_count:
+            raise VertexOutOfRange(f"vertex {v} not in graph of order {self.vertex_count}")
+        return self.neighbor_masks[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
         return normalize_edge(u, v) in self.edges

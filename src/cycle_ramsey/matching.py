@@ -9,8 +9,6 @@ dependencies to trust.
 
 from __future__ import annotations
 
-from collections import deque
-
 from .certificates import MatchingCertificate
 from .graphs import Graph, normalize_edge
 
@@ -26,7 +24,7 @@ def _find_augmenting_path(G: Graph, match: list[int], root: int) -> int:
     parent = [-1] * n
     base = list(range(n))
     used[root] = True
-    queue = deque([root])
+    queue = [root]
 
     def lca(a: int, b: int) -> int:
         marked = [False] * n
@@ -50,9 +48,13 @@ def _find_augmenting_path(G: Graph, match: list[int], root: int) -> int:
             child = match[v]
             v = parent[match[v]]
 
-    while queue:
-        v = queue.popleft()
-        for to in G.adjacency[v]:
+    masks = G.neighbor_masks
+    for v in queue:  # FIFO: vertices join behind v
+        rest = masks[v]
+        while rest:  # neighbours ascending
+            low = rest & -rest
+            rest ^= low
+            to = low.bit_length() - 1
             if base[v] == base[to] or match[v] == to:
                 continue
             if to == root or (match[to] != -1 and parent[match[to]] != -1):

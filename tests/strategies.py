@@ -9,6 +9,7 @@ small instances.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 
 from hypothesis import strategies as st
 
@@ -156,7 +157,8 @@ def plain_dfs_cycle(neigh: list[int], nverts: int, lo: int, hi: int) -> list[int
 
 
 def brute_is_bipartite(G: Graph) -> bool:
-    """Two-colorability by trying every side assignment per component."""
+    """Two-colorability by propagating sides per component, asking
+    `has_edge` of every vertex pair."""
     color = [-1] * G.vertex_count
     for root in range(G.vertex_count):
         if color[root] != -1:
@@ -165,10 +167,71 @@ def brute_is_bipartite(G: Graph) -> bool:
         queue = [root]
         while queue:
             u = queue.pop()
-            for w in G.adjacency[u]:
+            for w in range(G.vertex_count):
+                if w == u or not G.has_edge(u, w):
+                    continue
                 if color[w] == -1:
                     color[w] = 1 - color[u]
                     queue.append(w)
                 elif color[w] == color[u]:
                     return False
     return True
+
+
+def reference_scan(G: Graph) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
+    """The component scan in its plain two-loop form, for comparison with
+    `cycles._scan`: neighbour lists from `G.sorted_edges`, a deque BFS per
+    component, then a second walk in BFS order for the first edge xy,
+    y > x ascending, whose ends have the same depth parity.  Returns the
+    component ids and, per component, (vertices, is_bipartite, parts,
+    odd-cycle vertex sequence or None)."""
+    n = G.vertex_count
+    adjacency: list[list[int]] = [[] for _ in range(n)]
+    for u, v in G.sorted_edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    comp_id = [-1] * n
+    rows: list[tuple] = []
+    for root in range(n):
+        if comp_id[root] != -1:
+            continue
+        cid = len(rows)
+        parent = {root: -1}
+        depth = {root: 0}
+        order = [root]
+        comp_id[root] = cid
+        queue = deque([root])
+        while queue:
+            x = queue.popleft()
+            for y in adjacency[x]:
+                if y not in depth:
+                    depth[y] = depth[x] + 1
+                    parent[y] = x
+                    comp_id[y] = cid
+                    order.append(y)
+                    queue.append(y)
+        odd_cycle = None
+        for x in order:
+            for y in adjacency[x]:
+                if y > x and depth[x] % 2 == depth[y] % 2:
+                    # tree paths from x and y up to their lowest common
+                    # ancestor, joined with the ancestor listed once
+                    up_x, up_y = [x], [y]
+                    while up_x[-1] != up_y[-1]:
+                        a, b = up_x[-1], up_y[-1]
+                        if depth[a] >= depth[b]:
+                            up_x.append(parent[a])
+                        if depth[b] >= depth[a]:
+                            up_y.append(parent[b])
+                    odd_cycle = tuple(up_x + up_y[-2::-1])
+                    break
+            if odd_cycle is not None:
+                break
+        verts = tuple(sorted(order))
+        if odd_cycle is None:
+            side_a = tuple(v for v in verts if depth[v] % 2 == 0)
+            side_b = tuple(v for v in verts if depth[v] % 2 == 1)
+            rows.append((verts, True, (side_a, side_b), None))
+        else:
+            rows.append((verts, False, None, odd_cycle))
+    return tuple(comp_id), tuple(rows)

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -539,13 +540,24 @@ def test_build_parser_returns_a_new_parser_each_call(capsys):
     assert "invalid choice: 'x'" in err  # --extra is not run's flag
 
 
+def _child_env() -> dict[str, str]:
+    """This environment with the repository's `src` first on PYTHONPATH,
+    so a child interpreter imports the package under test."""
+    env = dict(os.environ)
+    paths = [str(Path(__file__).resolve().parents[1] / "src")]
+    if env.get("PYTHONPATH"):
+        paths.append(env["PYTHONPATH"])
+    env["PYTHONPATH"] = os.pathsep.join(paths)
+    return env
+
+
 def test_importing_the_cli_builds_no_parser():
     # the parser is built on the first run, so importing stays cheap
     code = (
         "import cycle_ramsey.cli as cli; "
         "assert cli._run_parser.cache_info().currsize == 0"
     )
-    subprocess.run([sys.executable, "-c", code], check=True, env=os.environ)
+    subprocess.run([sys.executable, "-c", code], check=True, env=_child_env())
 
 
 def test_importing_the_cli_loads_no_multiprocessing():
@@ -554,7 +566,7 @@ def test_importing_the_cli_loads_no_multiprocessing():
         "import sys, cycle_ramsey, cycle_ramsey.cli; "
         "assert 'multiprocessing' not in sys.modules"
     )
-    subprocess.run([sys.executable, "-c", code], check=True, env=os.environ)
+    subprocess.run([sys.executable, "-c", code], check=True, env=_child_env())
 
 
 # --------------------------------------------------------------------------

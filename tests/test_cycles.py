@@ -10,7 +10,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cycle_ramsey import (
@@ -51,6 +51,7 @@ from strategies import (
     graphs,
     graphs_of_density,
     plain_dfs_cycle,
+    reference_scan,
     sparse_graphs,
 )
 
@@ -137,6 +138,26 @@ def test_component_scans_run_no_matching(monkeypatch):
     assert check_decomposition(G, 5, dec).all_ok
     assert isinstance(even_engine(col, 4, 1), StructureWitness)
     assert verify_witness(col, 5, odd)
+
+
+@given(st.one_of(graphs(), sparse_graphs(max_vertices=12)))
+@settings(max_examples=300)
+@example(Graph(0, frozenset()))
+@example(Graph(6, frozenset()))
+@example(build_graph(7, [(1, 2), (2, 3), (1, 3), (3, 5)]))  # isolated 0, 4, 6
+@example(build_graph(8, [(0, 5), (5, 2), (2, 7), (7, 0), (3, 6)]))  # 4-cycle, 2 isolated
+def test_component_scan_matches_the_reference_scan(G):
+    # the BFS tie-breaking (neighbours ascending, first clash in BFS
+    # order) fixes every row, so the one-pass scan must reproduce it
+    comp_id, rows = reference_scan(G)
+    rep = components(G)
+    assert rep.component_id == comp_id
+    assert len(rep.components) == len(rows)
+    for comp, (verts, bipartite, parts, odd) in zip(rep.components, rows):
+        assert comp.vertices == verts
+        assert comp.is_bipartite == bipartite
+        assert comp.parts == parts
+        assert (comp.odd_cycle.vertices if comp.odd_cycle else None) == odd
 
 
 @given(graphs(max_vertices=9))

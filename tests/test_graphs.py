@@ -114,11 +114,18 @@ def test_cycle_graph_structure():
         cycle_graph(2)
 
 
-def test_adjacency_and_masks_agree():
+def test_masks_and_has_edge_agree():
     G = build_graph(5, [(0, 1), (0, 4), (2, 3)])
-    assert G.adjacency[0] == (1, 4)
-    assert G.neighbor_masks[0] == (1 << 1) | (1 << 4)
+    assert G.neighbor_masks == ((1 << 1) | (1 << 4), 1, 1 << 3, 1 << 2, 1)
     assert G.has_edge(4, 0) and not G.has_edge(1, 2)
+
+
+def test_degree_refuses_vertices_outside_the_graph():
+    C5 = cycle_graph(5)
+    assert C5.degree(4) == 2
+    for v in (-1, 5):
+        with pytest.raises(VertexOutOfRange):
+            C5.degree(v)
 
 
 def test_induced_subgraph_relabels_ascending():
@@ -162,12 +169,16 @@ def test_induced_subgraph_keeps_exactly_inner_edges(G, data):
 
 @given(graphs(max_vertices=9))
 @settings(max_examples=60)
-def test_adjacency_is_ascending_and_matches_masks(G):
-    for v in range(G.vertex_count):
-        ns = G.adjacency[v]
-        assert all(a < b for a, b in zip(ns, ns[1:]))
-        mask = G.neighbor_masks[v]
-        assert ns == tuple(w for w in range(G.vertex_count) if mask >> w & 1)
+def test_masks_are_symmetric_loop_free_and_match_has_edge(G):
+    n = G.vertex_count
+    masks = G.neighbor_masks
+    assert len(masks) == n
+    for v in range(n):
+        assert masks[v] >> n == 0 and not masks[v] >> v & 1
+        for w in range(n):
+            assert (masks[v] >> w & 1) == (masks[w] >> v & 1)
+            assert bool(masks[v] >> w & 1) == (v != w and G.has_edge(v, w))
+        assert G.degree(v) == sum(1 for u, w in G.edges if v in (u, w))
 
 
 @given(colorings(max_vertices=7))
