@@ -13,11 +13,13 @@ node budget, so every rung is conclusive unless the budget runs out:
 
 Typical outcome with the default budget of 1,000,000 nodes: witnesses on
 K_9, K_10 and K_11 in 58, 133 and 454 nodes, so R_3(C_6) >= 12, and
-INDETERMINATE on K_12 after about 38 s (Python 3.11, 2-core VM; 16 s on
-the same box when the orderly prune ran only on complete K_m).  The
-orderly prune makes those nodes cover far more of the K_12 space than
-plain search would, at a higher cost per node: accepting a canonical K_9
-or K_10 means exhausting every relabelling that ties, about 1 ms, and
+INDETERMINATE on K_12 after about 40 s (Python 3.11, 2-core VM; 41.7 s
+in the same session when the canonicity test went back only one level
+after each automorphism it found, 16 s on the same box when the orderly
+prune ran only on complete K_m).  The orderly prune makes those nodes
+cover far more of the K_12 space than plain search would, at a higher
+cost per node: accepting a canonical K_9 or K_10 means searching the
+relabellings that tie up to the automorphisms found, about 1 ms, and
 the nodes its early cut removes were the cheap ones.
 """
 

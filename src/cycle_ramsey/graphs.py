@@ -87,9 +87,12 @@ class Graph:
 
 
 def _sorted_graph(vertex_count: int, sorted_edges: list[Edge]) -> Graph:
-    """A Graph from normalized edges already in ascending order, which
-    seed its `sorted_edges` cache instead of being sorted again."""
-    G = Graph(vertex_count, frozenset(sorted_edges))
+    """A Graph from valid edges in ascending order, which seed its
+    `sorted_edges` cache; only the vertex count is checked."""
+    if vertex_count < 0:
+        raise VertexOutOfRange("vertex_count must be non-negative")
+    G = object.__new__(Graph)  # skips `__post_init__`'s per-edge checks
+    G.__dict__.update(vertex_count=vertex_count, edges=frozenset(sorted_edges))
     G.__dict__["sorted_edges"] = tuple(sorted_edges)
     return G
 
@@ -112,13 +115,13 @@ def build_graph(vertex_count: int, edge_list) -> Graph:
         if e in seen:
             raise DuplicateEdge(f"edge {e} listed twice")
         seen.add(e)
-    return Graph(vertex_count, frozenset(seen))
+    return _sorted_graph(vertex_count, sorted(seen))
 
 
 def complete_graph(n: int) -> Graph:
     if n < 0:
         raise VertexOutOfRange("order must be non-negative")
-    return Graph(n, frozenset((u, v) for u in range(n) for v in range(u + 1, n)))
+    return _sorted_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
 def cycle_graph(n: int) -> Graph:

@@ -10,8 +10,10 @@ touched.  Three prunes cut a branch:
 * orderly (isomorph rejection): once the edge (m-2, m-1) completes K_m,
   for 3 <= m < N, the branch is cut unless that K_m coloring is
   canonical, that is, no vertex relabelling gives a strictly smaller
-  colex color string, colors renamed by first appearance (see
-  `_canonical`).
+  colex color string, colors renamed by first appearance.  `_canonical`
+  skips relabellings by the automorphisms it finds, by orbits and by
+  unwinding as nauty does (B. D. McKay, "Practical graph isomorphism",
+  Congr. Numer. 30 (1981)).
 
 Why the orderly prune keeps the search complete: the string of K_{m-1}
 is a prefix of the string of K_m, and a relabelling of K_{m-1} extends
@@ -71,6 +73,9 @@ from .graphs import (
 )
 
 _MAX_HOST = 18  # binom(18,2) = 153 edges; far beyond that the DFS is hopeless
+# `_canonical`'s index of position (0, j) in a colex string, and zero row
+_BASES = tuple(j * (j - 1) // 2 for j in range(_MAX_HOST))
+_ZEROS = (0,) * _MAX_HOST
 
 # The name of the edge order, written into checkpoints and reports so a
 # file states which edges its color prefixes index.
@@ -146,45 +151,48 @@ def _canonical(neigh: list[list[int]], m: int, path) -> bool:
     onto that of its image with the same strings.  So once x is
     searched, its orbit under the automorphisms found so far that fix
     the labels chosen before j needs no search.
+
+    The identity is the first tie: candidates go in ascending order and,
+    `path` being numbered by first appearance, its color is the lowest
+    unnamed one at each new color.  So a later tie g, d the lowest label
+    it moves, maps the finished subtree of (0..d-1, d) onto that of
+    (0..d-1, g[d]), and the search unwinds to label d's candidates:
+    `smaller` returns -1 for a smaller string, m when done, else d.
     """
     k = len(neigh)
     full = (1 << m) - 1
     sigma: list[int] = []  # sigma[j]: the vertex given label j
     # automorphisms found, each with the mask of the vertices it fixes
     autos: list[tuple[list[int], int]] = []
-    bases = [j * (j - 1) // 2 for j in range(m)]
     tables: dict[tuple[int, ...], tuple[list, list]] = {}
 
     def table(named: tuple[int, ...]) -> tuple[list, list]:
         """For the renaming that numbers color index named[t-1] as t:
         eq[t][s], the mask of s's neighbours whose edge gets number t,
         and lt[t][s], of those whose edge gets a smaller number."""
-        if named in tables:
-            return tables[named]
         eq = [None] + [neigh[c] for c in named]
         # below number 1 lies nothing and below 2 the first name's row:
         # only the numbers from 3 on need an OR of rows
-        lt = [None, [0] * m] + eq[1:2]
+        lt = [None, _ZEROS] + eq[1:2]
         for row in eq[2:]:
             lt.append([x | y for x, y in zip(lt[-1], row)])
         tables[named] = eq, lt
         return eq, lt
 
-    def smaller(j, a, cand, used, named, eq, lt) -> bool:
+    def smaller(j, a, cand, used, named, eq, lt) -> int:
         """Filter `cand` through positions (a, j), ..., (j-1, j), then
-        search below each tie; True once a smaller string is found.
-        `eq` and `lt` are the tables of the renaming `named`."""
-        base = bases[j]
+        search below each tie; `eq` and `lt` are the tables of `named`."""
+        base = _BASES[j]
         nnamed = len(named)
         while a < j:
             s = sigma[a]
             t = path[base + a]
             if cand & lt[t][s]:
-                return True
+                return -1
             if t <= nnamed:
                 cand &= eq[t][s]
                 if not cand:
-                    return False
+                    return m
                 a += 1
                 continue
             # t is the string's next new color: each unnamed one may be it
@@ -192,15 +200,17 @@ def _canonical(neigh: list[list[int]], m: int, path) -> bool:
                 sub = cand & neigh[c][s]
                 if sub and c not in named:
                     more = named + (c,)
-                    if smaller(j, a + 1, sub, used, more, *table(more)):
-                        return True
-            return False
+                    eq, lt = tables.get(more) or table(more)
+                    r = smaller(j, a + 1, sub, used, more, eq, lt)
+                    if r < j:
+                        return r
+            return m
         if j + 1 == m:  # cand is the last vertex: the relabelling ties
             g = sigma + [cand.bit_length() - 1]
             fixed = sum(1 << x for x in range(m) if g[x] == x)
             if fixed != full:
                 autos.append((g, fixed))
-            return False
+            return (fixed + 1 & ~fixed).bit_length() - 1  # m for the identity
         gens: list[list[int]] = []
         known = seen = 0
         while cand:
@@ -209,21 +219,22 @@ def _canonical(neigh: list[list[int]], m: int, path) -> bool:
             if seen & b:
                 continue
             sigma.append(b.bit_length() - 1)
-            found = smaller(j + 1, 0, full & ~(used | b), used | b, named, eq, lt)
+            r = smaller(j + 1, 0, full & ~(used | b), used | b, named, eq, lt)
             sigma.pop()
-            if found:
-                return True
+            if r < j:
+                return r
             if not cand:
-                return False
+                return m
             todo = b
             if len(autos) > known:
                 gens += [g for g, fixed in autos[known:] if not used & ~fixed]
                 known = len(autos)
                 todo |= seen
             seen = _orbit_closure(seen | b, todo, gens) if gens else seen | b
-        return False
+        return m
 
-    return not smaller(0, 0, full, 0, (), *table(()))
+    eq, lt = table(())
+    return smaller(0, 0, full, 0, (), eq, lt) >= 0
 
 
 def _orbit_closure(mask: int, todo: int, gens: list[list[int]]) -> int:

@@ -14,6 +14,7 @@ from collections import deque
 from hypothesis import strategies as st
 
 from cycle_ramsey import EdgeColoring, Graph, build_graph, complete_graph
+from cycle_ramsey.search import _orbit_closure
 
 
 def all_pairs(v: int) -> list[tuple[int, int]]:
@@ -72,6 +73,55 @@ def colorings(
         st.lists(st.integers(min_value=1, max_value=k), min_size=m, max_size=m)
     )
     return EdgeColoring(base, k, tuple(colors))
+
+
+@st.composite
+def symmetric_strings(draw, max_order: int = 9, max_colors: int = 3):
+    """(k, m, string): the colex string of a k-coloring of K_m with a large
+    automorphism group, colors numbered by first appearance: a circulant
+    (the color of uv depends only on v - u mod m, up to sign), a blow-up
+    of a coloring of K_b, b <= 3, on consecutive blocks with one color
+    inside each block, or a coloring with at most three edges off color
+    1.  The vertices are then relabelled at random or by at most two
+    transpositions; the latter keep a string near its least one, so a
+    smaller string, if any, lies deep in the canonicity test's search."""
+    k = draw(st.integers(1, max_colors))
+    m = draw(st.integers(3, max_order))
+    colors = st.integers(1, k)
+    family = draw(st.sampled_from(["circulant", "blow-up", "nearly monochromatic"]))
+    if family == "circulant":
+        by_gap = draw(st.lists(colors, min_size=m // 2 + 1, max_size=m // 2 + 1))
+        color = {(u, v): by_gap[min(v - u, m - v + u)] for u, v in all_pairs(m)}
+    elif family == "blow-up":
+        b = draw(st.integers(1, 3))
+        cuts = sorted(draw(st.lists(st.integers(0, m), min_size=b - 1, max_size=b - 1)))
+        block = [sum(v >= c for c in cuts) for v in range(m)]
+        inner = draw(st.lists(colors, min_size=b, max_size=b))
+        cross = draw(st.lists(colors, min_size=3, max_size=3))  # blocks 01, 02, 12
+        color = {
+            (u, v): inner[block[u]] if block[u] == block[v]
+            else cross[block[u] + block[v] - 1]
+            for u, v in all_pairs(m)
+        }
+    else:
+        color = dict.fromkeys(all_pairs(m), 1)
+        off = draw(st.lists(st.sampled_from(all_pairs(m)), max_size=3, unique=True))
+        for e in off:
+            color[e] = draw(colors)
+    if draw(st.booleans()):
+        perm = draw(st.permutations(range(m)))
+    else:
+        perm = list(range(m))
+        for _ in range(draw(st.integers(0, 2))):
+            pair = st.lists(st.integers(0, m - 1), min_size=2, max_size=2, unique=True)
+            a, b = draw(pair)
+            perm[a], perm[b] = perm[b], perm[a]
+    names: dict[int, int] = {}
+    string = tuple(
+        names.setdefault(color[min(x, y), max(x, y)], len(names) + 1)
+        for x, y in ((perm[u], perm[v]) for v in range(m) for u in range(v))
+    )
+    return k, m, string
 
 
 # --------------------------------------------------------------------------
@@ -235,3 +285,77 @@ def reference_scan(G: Graph) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
         else:
             rows.append((verts, False, None, odd_cycle))
     return tuple(comp_id), tuple(rows)
+
+
+def reference_canonical(neigh: list[list[int]], m: int, path) -> bool:
+    """The orderly canonicity test without the return to the first label
+    an automorphism moves, for comparison with `search._canonical` (same
+    arguments and answer): every tie leaf returns to its parent, and only
+    the orbit prune skips candidates."""
+    k = len(neigh)
+    full = (1 << m) - 1
+    sigma: list[int] = []
+    autos: list[tuple[list[int], int]] = []
+    bases = [j * (j - 1) // 2 for j in range(m)]
+    tables: dict[tuple[int, ...], tuple[list, list]] = {}
+
+    def table(named: tuple[int, ...]) -> tuple[list, list]:
+        if named in tables:
+            return tables[named]
+        eq = [None] + [neigh[c] for c in named]
+        lt = [None, [0] * m] + eq[1:2]
+        for row in eq[2:]:
+            lt.append([x | y for x, y in zip(lt[-1], row)])
+        tables[named] = eq, lt
+        return eq, lt
+
+    def smaller(j, a, cand, used, named, eq, lt) -> bool:
+        base = bases[j]
+        nnamed = len(named)
+        while a < j:
+            s = sigma[a]
+            t = path[base + a]
+            if cand & lt[t][s]:
+                return True
+            if t <= nnamed:
+                cand &= eq[t][s]
+                if not cand:
+                    return False
+                a += 1
+                continue
+            for c in range(k):
+                sub = cand & neigh[c][s]
+                if sub and c not in named:
+                    more = named + (c,)
+                    if smaller(j, a + 1, sub, used, more, *table(more)):
+                        return True
+            return False
+        if j + 1 == m:
+            g = sigma + [cand.bit_length() - 1]
+            fixed = sum(1 << x for x in range(m) if g[x] == x)
+            if fixed != full:
+                autos.append((g, fixed))
+            return False
+        gens: list[list[int]] = []
+        known = seen = 0
+        while cand:
+            b = cand & -cand
+            cand ^= b
+            if seen & b:
+                continue
+            sigma.append(b.bit_length() - 1)
+            found = smaller(j + 1, 0, full & ~(used | b), used | b, named, eq, lt)
+            sigma.pop()
+            if found:
+                return True
+            if not cand:
+                return False
+            todo = b
+            if len(autos) > known:
+                gens += [g for g, fixed in autos[known:] if not used & ~fixed]
+                known = len(autos)
+                todo |= seen
+            seen = _orbit_closure(seen | b, todo, gens) if gens else seen | b
+        return False
+
+    return not smaller(0, 0, full, 0, (), *table(()))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +26,12 @@ from cycle_ramsey import (
     induced_subgraph,
     make_coloring,
     normalize_edge,
+)
+from cycle_ramsey.formats import (
+    parse_coloring,
+    parse_graph,
+    serialize_coloring,
+    serialize_graph,
 )
 
 from strategies import colorings, graphs
@@ -62,6 +70,12 @@ def test_graph_rejects_out_of_range_and_unnormalized():
     )
     with pytest.raises(VertexOutOfRange):
         build_graph(2, [(-1, 0)])
+    assert _fault(lambda: build_graph(-1, [])) == (
+        VertexOutOfRange, "vertex_count must be non-negative"
+    )
+    assert _fault(lambda: build_graph(-1, [(0, 1)])) == (
+        VertexOutOfRange, "edge (0,1) outside vertex range 0..-2"
+    )
 
 
 def _checked_edges(n, edges):
@@ -87,6 +101,37 @@ def test_graph_checks_match_one_test_per_fault(n, edges):
         assert _fault(lambda: Graph(n, edges)) == (type(exc), str(exc))
     else:
         assert Graph(n, edges).edges == edges
+
+
+@given(colorings(max_vertices=8), st.data())
+@settings(max_examples=150)
+def test_unchecked_constructors_build_what_graph_validates(col, data):
+    # `build_graph`, `complete_graph` and the internal constructor behind
+    # induced subgraphs, color classes and both parser paths skip the
+    # per-edge checks of `Graph.__post_init__`: each graph they build
+    # must pass them and cache its edges in ascending order.
+    def same(H, edges):
+        checked = Graph(H.vertex_count, frozenset(edges))
+        assert H == checked and hash(H) == hash(checked)
+        assert H.sorted_edges == checked.sorted_edges
+
+    G = col.base
+    n = G.vertex_count
+    same(build_graph(n, [(v, u) for u, v in G.sorted_edges]), G.edges)
+    same(complete_graph(n), itertools.combinations(range(n), 2))
+    kept = sorted(data.draw(st.sets(st.integers(0, n - 1))))
+    inner = itertools.combinations(range(len(kept)), 2)
+    same(
+        induced_subgraph(G, kept)[0],
+        [(a, b) for a, b in inner if G.has_edge(kept[a], kept[b])],
+    )
+    for i in range(1, col.color_count + 1):
+        same(color_class(col, i), [e for e in G.edges if col.color_of(*e) == i])
+    for text in (serialize_graph(G), "# not canonical\n" + serialize_graph(G)):
+        same(parse_graph(text), G.edges)
+    for text in (serialize_coloring(col), "\n" + serialize_coloring(col)):
+        assert parse_coloring(text) == col
+        same(parse_coloring(text).base, G.edges)
 
 
 def test_build_graph_rejects_duplicates_in_either_orientation():

@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cycle_ramsey import (
@@ -33,6 +33,8 @@ from cycle_ramsey import (
 )
 from cycle_ramsey import search
 from cycle_ramsey.search import _canonical
+
+from strategies import reference_canonical, symmetric_strings
 
 
 def counters(res) -> tuple[int, int, int, int]:
@@ -83,13 +85,14 @@ def brute_canonical(string, m: int) -> bool:
     return least_string(color, m) == tuple(string)
 
 
-def orderly_test(k: int, m: int, string) -> bool:
-    """`_canonical` on the K_m coloring whose colex string is `string`."""
+def orderly_test(k: int, m: int, string, canonical=_canonical) -> bool:
+    """`_canonical`, or another test with its arguments, on the K_m
+    coloring whose colex string is `string`."""
     neigh = [[0] * m for _ in range(k)]
     for (u, v), c in zip(edge_order(m), string):
         neigh[c - 1][u] |= 1 << v
         neigh[c - 1][v] |= 1 << u
-    return _canonical(neigh, m, string)
+    return canonical(neigh, m, string)
 
 
 @st.composite
@@ -204,6 +207,8 @@ def test_determinism_and_stats():
         (5, 8, (207, 81, 1, 16)),
         (7, 12, (907, 322, 1, 116)),
         (7, 13, (8417, 2059, 1, 2150)),
+        (6, 8, (1359, 396, 1, 284)),
+        (5, 9, (575, 162, 1, 126)),
     ],
 )
 def test_certify_counters_are_pinned(n, N, triple):
@@ -271,6 +276,28 @@ def test_canonical_colorings_have_canonical_prefixes(case):
     for s in (string, least):
         if orderly_test(k, m, s):
             assert orderly_test(k, m - 1, s[: (m - 1) * (m - 2) // 2])
+
+
+@given(symmetric_strings())
+# K_3 and K_4 in color 1 joined in color 2: the tie with vertex 1 at
+# label 0 is an automorphism, and label 0 must still go on to vertex 3
+@example((2, 7, (1, 1, 1, 2, 2, 2, 2, 2, 2, 1, 2, 2, 2, 1, 1, 2, 2, 2, 1, 1, 1)))
+@settings(max_examples=300, deadline=None)
+def test_canonicity_matches_the_reference_on_symmetric_strings(case):
+    # The return to the first label an automorphism moves skips only
+    # subtrees the automorphism maps from finished ones, so it changes no
+    # answer; large automorphism groups make it jump most.
+    k, m, string = case
+    assert orderly_test(k, m, string) == orderly_test(
+        k, m, string, reference_canonical
+    )
+
+
+@given(symmetric_strings(max_order=7))
+@settings(max_examples=60, deadline=None)
+def test_canonicity_on_symmetric_strings_matches_brute_force(case):
+    k, m, string = case
+    assert orderly_test(k, m, string) == brute_canonical(string, m)
 
 
 @pytest.mark.parametrize("k,m", [(3, 4), (3, 5), (2, 6)])
@@ -378,6 +405,28 @@ def test_canonical_census_of_r2_c7_is_pinned(monkeypatch):
     assert ramsey_check(2, 7, 13).verdict is SearchVerdict.ALL_CONTAIN
     assert accepted == {3: 2, 4: 6, 5: 18, 6: 78, 7: 178, 8: 140, 9: 36,
                         10: 10, 11: 6, 12: 2}
+
+
+def test_canonical_agrees_with_the_reference_on_the_search_calls(monkeypatch):
+    # every K_m the certify searches and R_2(C_7) <= 13 test, answered
+    # the same with and without the return to the first moved label
+    calls = 0
+    real = search._canonical
+
+    def checked(neigh, m, path):
+        nonlocal calls
+        calls += 1
+        ok = real(neigh, m, path)
+        assert ok == reference_canonical(neigh, m, path), (m, path[: m * (m - 1) // 2])
+        return ok
+
+    monkeypatch.setattr(search, "_canonical", checked)
+    for n, R in ((3, 6), (4, 6), (6, 8), (5, 9)):
+        for N in (R, R - 1):
+            ramsey_check(2, n, N)
+    assert calls == 349
+    ramsey_check(2, 7, 13)
+    assert calls == 349 + 1278
 
 
 # --------------------------------------------------------------------------
