@@ -121,27 +121,33 @@ def verify_mono_cycle_free(col: EdgeColoring, n: int) -> bool | StructureWitness
     """True iff no color class of `col` contains a C_n; otherwise a
     witness naming the offending color and cycle.
 
-    One scan, colors ascending and components in discovery order,
-    searches every component that could host a C_n: at least n vertices
-    and, for odd n, not bipartite (the components `structural_certificate`
-    leaves UNTAGGED).  The first cycle found is the witness: the kernel's
-    least C_n over the class's masks cut down to the component, in host
-    labels, so no subgraph is built.
+    The witness is the kernel's least C_n (see `cycles._mask_cycle`) in
+    the first color class that holds one, and its component is the scan
+    row of the cycle's first vertex.  Each class is searched once, over
+    its masks cut down to the components that could host a C_n: at
+    least n vertices and, for odd n, not bipartite (the components
+    `structural_certificate` leaves UNTAGGED).  Every C_n lies in such a
+    component, so the cut drops no C_n and cannot change the least one;
+    it only spares the kernel the rest of the class.
     """
     if n < 3:
         raise CycleTooShort(f"cycle length {n} < 3")
     for i in range(1, col.color_count + 1):
         Gi = color_class(col, i)
-        for comp in components(Gi).components:
-            if len(comp.vertices) < n or (n % 2 == 1 and comp.is_bipartite):
-                continue
-            inside = sum(1 << v for v in comp.vertices)
-            found = _mask_cycle(
-                [m & inside for m in Gi.neighbor_masks], Gi.vertex_count, n, n
+        rep = components(Gi)
+        inside = 0
+        for comp in rep.components:
+            if len(comp.vertices) >= n and (n % 2 == 0 or not comp.is_bipartite):
+                inside |= sum(1 << v for v in comp.vertices)
+        if not inside:
+            continue
+        found = _mask_cycle(
+            [m & inside for m in Gi.neighbor_masks], Gi.vertex_count, n, n
+        )
+        if found is not None:
+            return StructureWitness(
+                WitnessKind.MONO_CYCLE, i,
+                rep.components[rep.component_id[found[0]]].vertices,
+                cycle=CycleCertificate(tuple(found)),
             )
-            if found is not None:
-                return StructureWitness(
-                    WitnessKind.MONO_CYCLE, i, comp.vertices,
-                    cycle=CycleCertificate(tuple(found)),
-                )
     return True

@@ -26,21 +26,22 @@ and a path is cut once all of them lie on it.  At length hi - 1 the
 only children left are closing ones, and the least is the lowest unused
 end next to the path's last vertex, one intersection.  The kernel
 assumes symmetric, loop-free masks, as every caller builds them: the
-ends are read from s's own mask.  `_mask_component_cycle` adds
-the component rule of `verify_mono_cycle_free` for one colour class:
-components ordered by smallest vertex, the first one that holds a C_n,
-and the kernel's cycle within it.  The randomized hunt uses it on its
-incremental per-colour masks, so it recolours exactly the cycle the
-checker would report.  One narrower test stays separate from the
-kernel: the search's closure test `_closes(neigh, a, b, length)` asks
-whether a simple a..b path of exactly `length` edges exists, which is
-whether colouring the edge ab closes a C_(length+1).  One rule serves
-every length >= 3: a DFS from a places the first length - 3 interior
-vertices, and the last two, x and y, come from intersecting masks, with
-y a neighbour of b and x a common neighbour of y and the DFS's last
-vertex, both unused.  Length 2 is the one intersection of a's and b's
-masks.  The test assumes symmetric, loop-free masks and a != b, which
-the search guarantees.
+ends are read from s's own mask.  The kernel's answer is also the
+monochromatic witness: `verify_mono_cycle_free` reports the least C_n
+of the first colour class that holds one, and the randomized hunt asks
+the kernel the same question on its incremental per-colour masks, so it
+recolours exactly the cycle the checker would report.  The checker
+first cuts each class down to the components that could host a C_n,
+which drops no C_n and so leaves the least one unchanged.  One narrower
+test stays separate from the kernel: the search's closure test
+`_closes(neigh, a, b, length)` asks whether a simple a..b path of
+exactly `length` edges exists, which is whether colouring the edge ab
+closes a C_(length+1).  One rule serves every length >= 3: a DFS from a
+places the first length - 3 interior vertices, and the last two, x and
+y, come from intersecting masks, with y a neighbour of b and x a common
+neighbour of y and the DFS's last vertex, both unused.  Length 2 is the
+one intersection of a's and b's masks.  The test assumes symmetric,
+loop-free masks and a != b, which the search guarantees.
 
 The Erdős–Gallai sweep uses no theorem to skip a graph.  It accepts a
 checked graph only when a mask test shows that the graph holds every
@@ -276,35 +277,6 @@ def _mask_cycle(neigh: list[int], nverts: int, lo: int, hi: int) -> list[int] | 
     return None
 
 
-def _mask_component_cycle(
-    neigh: list[int], nverts: int, n: int
-) -> tuple[int, list[int]] | None:
-    """(component mask, C_n) for the first component, by smallest vertex,
-    that holds a C_n, with its lexicographically least min-vertex-first
-    C_n; None if no component holds one.
-
-    Components come from a bitmask BFS; each one with at least n
-    vertices is searched by `_mask_cycle` over its own masks only.
-    """
-    unseen = (1 << nverts) - 1
-    while unseen:
-        comp = frontier = unseen & -unseen
-        while frontier:
-            reach = 0
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                reach |= neigh[low.bit_length() - 1]
-            frontier = reach & ~comp
-            comp |= frontier
-        unseen &= ~comp
-        if comp.bit_count() >= n:
-            found = _mask_cycle([m & comp for m in neigh], nverts, n, n)
-            if found is not None:
-                return comp, found
-    return None
-
-
 def _closes(neigh: list[int], a: int, b: int, length: int) -> bool:
     """True iff the mask graph has a simple a..b path of exactly `length`
     >= 2 edges, that is, whether colouring ab closes a C_(length+1).
@@ -497,9 +469,10 @@ def erdos_gallai_sweep(vertex_count: int, lengths=None) -> SweepReport:
     kept: list[tuple[int, tuple[Edge, ...]]] = []
     # pool[L]: edge bits of the last cycles of length L the kernel found,
     # newest first; covers[n] = pool[n] + pool[n + 1] + ... + pool[v], and
-    # [] for each target n > v.
+    # [] for each binding target n > v.  Sized by the targets that can
+    # bind, not by `lengths`: a huge requested length never binds.
     pool = [[] for _ in range(v + 1)]
-    covers = [[] for _ in range(max((v, *lengths)) + 2)]
+    covers = [[] for _ in range(max((v, *binding)) + 2)]
     total = 1 << ne
     # Gray code: graph after step i is i ^ (i >> 1); the flipped edge at
     # step i is the lowest set bit of i.  Step 0, the empty graph, never

@@ -31,11 +31,8 @@ from .cycles import SweepReport
 from .decompose import FLDecomposition, PeelResult
 from .engine import ChainReport, EvenCaseReport, Lemma4Trace
 from .errors import (
-    DuplicateEdge,
     FormatError,
-    LoopEdge,
     TargetTooLarge,
-    VertexOutOfRange,
     ascii_int,
     parse_rational,
 )
@@ -46,6 +43,8 @@ from .graphs import (
     EdgeColoring,
     Graph,
     _sorted_graph,
+    build_graph,
+    normalize_edge,
 )
 from .search import EDGE_ORDER, SearchResult, SearchVerdict
 
@@ -83,15 +82,16 @@ def _ints(tokens: list[str], lineno: int) -> list[int]:
         raise FormatError(f"line {lineno}: {exc}") from None
 
 
-def _edge_file(text: str, colored: bool) -> tuple[int, list[int], dict[Edge, int]]:
-    """(V, header numbers, edge -> color) of a coloring file, or of a
-    graph file when not `colored` (its edges then map to 0).
+def _edge_file(text: str, colored: bool) -> tuple[Graph, list[int], list[list[int]]]:
+    """(graph, header numbers, edge lines) of a coloring file, or of a
+    graph file when not `colored`; each edge line is [u, v, c] or [u, v]
+    as written.
 
     One pass over the lines; a line that is not blank once `#` and what
     follows are stripped is data, and the first is the header.  A format
-    error is raised where it is met.  A loop, an endpoint outside
-    0..V-1 or a repeated edge (in either orientation) is raised only
-    once the whole file has parsed, the first in line order.  A header
+    error is raised where it is met.  Once the whole file has parsed,
+    `build_graph` raises the first loop, endpoint outside 0..V-1 or
+    repeated edge (in either orientation) in line order.  A header
     asking for more than `_MAX_ORDER` vertices or `_MAX_COLORS` colors
     is refused before any line after it is read.
     """
@@ -106,9 +106,7 @@ def _edge_file(text: str, colored: bool) -> tuple[int, list[int], dict[Edge, int
         kind, usage, line_usage = "graph", "graph <V>", "e <u> <v>"
     width = 4 if colored else 3
     header = None
-    v = 0
-    edges: dict[Edge, int] = {}
-    fault = None  # the first graph error, raised after the format checks
+    rows: list[list[int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split("#", 1)[0].split() if "#" in raw else raw.split()
         if not tokens:
@@ -129,28 +127,10 @@ def _edge_file(text: str, colored: bool) -> tuple[int, list[int], dict[Edge, int
             continue
         if len(tokens) != width or tokens[0] != "e":
             raise FormatError(f"line {lineno}: expected '{line_usage}'")
-        nums = _ints(tokens[1:], lineno)
-        a, b = nums[0], nums[1]
-        c = nums[2] if colored else 0
-        if fault is not None:
-            continue
-        if a == b:
-            fault = LoopEdge(f"self-loop at vertex {a}")
-        elif not (0 <= a < v and 0 <= b < v):
-            fault = VertexOutOfRange(
-                f"edge ({a},{b}) outside vertex range 0..{v - 1}"
-            )
-        else:
-            e = (a, b) if a < b else (b, a)
-            if e in edges:
-                fault = DuplicateEdge(f"edge {e} listed twice")
-            else:
-                edges[e] = c
+        rows.append(_ints(tokens[1:], lineno))
     if header is None:
         raise FormatError(f"empty {kind} file")
-    if fault is not None:
-        raise fault
-    return v, header, edges
+    return build_graph(v, (row[:2] for row in rows)), header, rows
 
 
 # The decimal spelling of every integer up to the vertex cap: one lookup
@@ -210,8 +190,7 @@ def parse_graph(text: str) -> Graph:
     if canonical is not None:
         v, _, edges, _ = canonical
         return _sorted_graph(v, edges)
-    v, _, edges = _edge_file(text, colored=False)
-    return _sorted_graph(v, sorted(edges))
+    return _edge_file(text, colored=False)[0]
 
 
 def parse_coloring(text: str) -> EdgeColoring:
@@ -219,10 +198,9 @@ def parse_coloring(text: str) -> EdgeColoring:
     if canonical is not None:
         v, k, edges, colors = canonical
         return EdgeColoring(_sorted_graph(v, edges), k, colors)
-    v, (_, k), colors = _edge_file(text, colored=True)
-    order = sorted(colors)
-    ordered = tuple(map(colors.__getitem__, order))
-    return EdgeColoring(_sorted_graph(v, order), k, ordered)
+    G, (_, k), rows = _edge_file(text, colored=True)
+    color = {normalize_edge(u, v): c for u, v, c in rows}
+    return EdgeColoring(G, k, tuple(map(color.__getitem__, G.sorted_edges)))
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ import time
 from dataclasses import dataclass
 
 from .constructions import verify_mono_cycle_free
-from .cycles import _closes, _mask_component_cycle
+from .cycles import _closes, _mask_cycle
 from .errors import (
     CycleRamseyError,
     CycleTooShort,
@@ -635,20 +635,21 @@ def lower_bound_witness_search(
     colors = [rng.randint(1, k) for _ in range(base.edge_count)]
     edge_index = {e: i for i, e in enumerate(base.sorted_edges)}
     # Per-colour neighbour masks, updated in place on each recolouring,
-    # and each colour's cached `_mask_component_cycle` result; a
-    # recolouring drops the cache of its two colours only.
+    # and each colour's cached least C_n from the kernel, the cycle
+    # `verify_mono_cycle_free` reports for that class; a recolouring
+    # drops the cache of its two colours only.
     neigh = [[0] * N for _ in range(k)]
     for (u, v), c in zip(base.sorted_edges, colors):
         neigh[c - 1][u] |= 1 << v
         neigh[c - 1][v] |= 1 << u
-    found: dict[int, tuple[int, list[int]] | None] = {}
+    found: dict[int, list[int] | None] = {}
     for step in range(steps_allowed):
         vs = None
         for c in range(k):
             if c not in found:
-                found[c] = _mask_component_cycle(neigh[c], N, n)
-            if found[c] is not None:
-                vs = found[c][1]
+                found[c] = _mask_cycle(neigh[c], N, n, n)
+            vs = found[c]
+            if vs is not None:
                 break
         if vs is None:
             col = EdgeColoring(base, k, tuple(colors))

@@ -6,6 +6,7 @@ import importlib.util
 import itertools
 import re
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -42,7 +43,7 @@ from cycle_ramsey import (
     verify_witness,
 )
 from cycle_ramsey import cycles
-from cycle_ramsey.cycles import _closes, _mask_component_cycle
+from cycle_ramsey.cycles import _closes
 
 from strategies import (
     brute_cycle_lengths,
@@ -356,23 +357,35 @@ def split_colorings(draw, max_vertices: int = 9, max_colors: int = 3):
 
 @given(split_colorings(), st.integers(3, 7))
 @settings(max_examples=200)
-def test_component_cycle_matches_checker_witness(col, n):
-    # The hunt's mask helper, run over the colors ascending, must name the
-    # same (color, component, cycle) as the independent checker, for odd
-    # and even n alike.
-    v = col.base.vertex_count
-    got = None
-    for i in range(1, col.color_count + 1):
-        found = _mask_component_cycle(list(color_class(col, i).neighbor_masks), v, n)
-        if found is not None:
-            comp, cycle = found
-            got = (i, tuple(w for w in range(v) if comp >> w & 1), tuple(cycle))
-            break
+def test_checker_witness_is_the_least_cycle_of_the_first_class(col, n):
+    # The checker's witness is the kernel's least C_n of the first color
+    # class that holds one, for odd and even n alike, and its component
+    # is the scan row of the cycle's first vertex.
     witness = verify_mono_cycle_free(col, n)
-    if witness is True:
-        assert got is None
+    for i in range(1, col.color_count + 1):
+        Gi = color_class(col, i)
+        cert = contains_cycle_of_length(Gi, n)
+        if cert is not None:
+            break
     else:
-        assert got == (witness.color, witness.component, witness.cycle.vertices)
+        assert witness is True
+        return
+    assert (witness.color, witness.cycle) == (i, cert)
+    rep = components(Gi)
+    assert witness.component == rep.components[rep.component_id[cert.vertices[0]]].vertices
+
+
+def test_checker_witness_ignores_the_component_order():
+    # Component (0, 5..10) comes first in the scan and holds the C_6
+    # 5..10, but the class's least C_6 runs from vertex 1 in the other
+    # component, and that is the witness.
+    ring = [(5, 6), (6, 7), (7, 8), (8, 9), (9, 10), (5, 10)]
+    other = [(1, 2), (2, 3), (3, 4), (4, 11), (11, 12), (1, 12)]
+    col = constant_coloring(build_graph(13, [(0, 5), *ring, *other]))
+    witness = verify_mono_cycle_free(col, 6)
+    assert witness.color == 1
+    assert witness.cycle.vertices == (1, 2, 3, 4, 11, 12)
+    assert witness.component == (1, 2, 3, 4, 11, 12)
 
 
 def brute_path_ends(G, length: int) -> set[tuple[int, int]]:
@@ -512,6 +525,18 @@ def test_sweep_respects_length_subset():
     assert rep.ok
 
 
+def test_sweep_memory_does_not_grow_with_an_unreachable_length():
+    # no graph on 4 vertices can meet the threshold of a C_1000000
+    tracemalloc.start()
+    try:
+        rep = erdos_gallai_sweep(4, lengths=[10**6])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert rep.ok and rep.lengths == (10**6,) and rep.graphs_checked == 0
+
+
 def test_sweep_rejects_bad_params():
     with pytest.raises(TargetTooLarge):
         erdos_gallai_sweep(9)
@@ -546,7 +571,13 @@ def test_sweep_script_rejects_bad_args_before_sweeping(monkeypatch, argv):
 
 
 @pytest.mark.parametrize(
-    "argv", [["--max-vertices", "5"], ["--max-vertices", "5", "--lengths", "4"]]
+    "argv",
+    [
+        ["--max-vertices", "5"],
+        ["--max-vertices", "5", "--lengths", "4"],
+        # a length no graph can bind is passed straight to the sweep
+        ["--max-vertices", "5", "--lengths", "4", "1000000"],
+    ],
 )
 def test_sweep_script_reports_a_clean_sweep(capsys, argv):
     assert _sweep_script().main(argv) == 0
