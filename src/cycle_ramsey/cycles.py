@@ -47,17 +47,16 @@ The Erdős–Gallai sweep uses no theorem to skip a graph.  It accepts a
 checked graph only when a mask test shows that the graph holds every
 edge of a cycle of length >= n that the kernel found on an earlier
 graph; it keeps the last few such cycles of each length, and builds
-neighbour masks only for the graphs it hands to the kernel.  A block of
-Gray-code steps is skipped only when it cannot toggle any edge of such
-a cycle (or holds no graph that meets a threshold), so every graph in
-it is accepted by the same test.  Every violation is decided by the
-kernel on the current graph.
+neighbour masks only for the graphs it hands to the kernel.  It decides
+the graphs that share their high edge bits together: a block's graphs
+are the bits of one int, and a kept cycle accepts, in a few big-int
+ANDs, all of them that hold its low edges and need no longer cycle.
+Every violation is decided by the kernel on the current graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
 
 from .certificates import CycleCertificate, MatchingCertificate
 from .errors import CycleTooShort, ParamOutOfRange, TargetTooLarge
@@ -391,7 +390,8 @@ class SweepReport:
 
 _SWEEP_MAX_VERTICES = 8
 _SWEEP_KEEP_VIOLATIONS = 20
-_SWEEP_POOL_DEPTH = 6  # kernel-found cycles the sweep keeps per length
+_SWEEP_LANE = 11  # low edge bits the sweep decides at once, as 2^T-bit sets
+_SWEEP_POOL_DEPTH = 32  # kernel-found cycles the sweep keeps per length
 
 
 def erdos_gallai_sweep(vertex_count: int, lengths=None) -> SweepReport:
@@ -401,24 +401,30 @@ def erdos_gallai_sweep(vertex_count: int, lengths=None) -> SweepReport:
     For each graph G and each target n in `lengths` (default 3..v):
     e(G) >= eg_threshold(n, v) must imply a cycle of length >= n.  Only
     the largest applicable n is searched per graph — a cycle that long
-    witnesses every smaller target too.  Enumeration walks a Gray code
-    over edge subsets, so each step toggles one edge bit; the kernel's
-    neighbour masks are brought up to the current graph, one XOR pair
-    per edge that differs from the graph they last held, only right
-    before a kernel call.  The sweep keeps a pool: the last
-    `_SWEEP_POOL_DEPTH` cycles the kernel found of each length, newest
-    first, each as a mask over the edge bits.  A checked graph needs no
-    search when a pool cycle of length >= n lies inside it, one mask
-    test per cycle; at v = 7 the kernel runs 23,216 times for 2,014,992
-    checked graphs (77,948 with one pooled cycle per length).  After a
-    step with t >= 2 trailing zeros, the next 2^t - 1 steps toggle only
-    the t lowest edge bits.  If a pool cycle on the fixed higher bits is
-    long enough for the block's densest graph, or that graph meets no
-    threshold, the block is skipped: its checked graphs are counted
-    from a binomial table and the walk goes on from its last graph.
-    The masks store vertex x as v-1-x, so the kernel's least cycle runs
-    through high-index edges, which the Gray code toggles rarely;
-    natural labels need 55,577 searches at v = 7.
+    witnesses every smaller target too.  An explicit empty `lengths` is
+    refused: it would check no graph and read as clean.
+
+    The walk goes over the edge subsets a block at a time.  The low
+    T = min(_SWEEP_LANE, ne) edge bits form the lane: block j holds the
+    high edge bits j ^ (j >> 1), and a set of its graphs is a 2^T-bit
+    int whose slot s stands for the low edge bits s ^ (s >> 1).  Graph
+    j << T | r of the Gray code is slot r of block j if j is even and
+    slot 2^T - 1 - r if j is odd (the code is reflected: flipping bit
+    T - 1 of r ^ (r >> 1) gives the pattern of 2^T - 1 - r), so walking
+    even blocks up and odd ones down keeps Gray order, and `violations`
+    keeps it too.  The slots that meet a threshold, and per length L
+    those that bind at most L, are table lookups by the block's high
+    edge count.  A pool holds the last `_SWEEP_POOL_DEPTH` cycles the
+    kernel found of each length; one of length L whose high edges lie in
+    the block accepts each slot that holds its low edges (an AND of
+    per-bit slot sets) and binds at most L.  Each slot left goes, in
+    that order, to the kernel on neighbour masks brought up to its
+    graph, one XOR pair per edge that differs from the graph they last
+    held: no cycle is a violation, and a cycle found joins the pool and
+    accepts the slots it covers.  At v = 7 the kernel runs 4,285 times
+    for 2,014,992 checked graphs.  The masks store vertex x as v-1-x, so
+    the kernel's least cycle runs through the high-index edges a block
+    holds fixed; natural labels need 5,933 calls.
     """
     v = vertex_count
     if v < 1:
@@ -430,6 +436,8 @@ def erdos_gallai_sweep(vertex_count: int, lengths=None) -> SweepReport:
         )
     if lengths is None:
         lengths = range(3, v + 1)
+    elif not (lengths := tuple(lengths)):
+        raise ParamOutOfRange("empty list of target lengths")
     lengths = tuple(sorted(set(lengths)))
     for n in lengths:
         if n < 3:
@@ -444,17 +452,23 @@ def erdos_gallai_sweep(vertex_count: int, lengths=None) -> SweepReport:
         for n in lengths:
             if e >= eg_threshold(n, v):
                 binding[e] = max(binding[e], n)
-    # block_checked[h][t]: checked graphs among the 2^t - 1 steps after a
-    # step with t trailing zeros whose graph has h edges on bits >= t.
-    # Those steps visit every t-bit low pattern but 1 << (t-1), the one
-    # the step itself left.
-    block_checked = [
-        [
-            sum(comb(t, k) for k in range(t + 1) if binding[h + k])
-            - (t > 0 and binding[h + 1] > 0)
-            for t in range(ne + 1 - h)
-        ]
-        for h in range(ne + 1)
+    T = min(_SWEEP_LANE, ne)
+    full = (1 << (1 << T)) - 1
+    ones = [  # ones[b]: the slots s with bit b set; none for b = T
+        full // ((1 << (2 << b)) - 1) * (((1 << (1 << b)) - 1) << (1 << b))
+        for b in range(T)
+    ] + [0]
+    has = [ones[b] ^ ones[b + 1] for b in range(T)]  # s ^ (s >> 1) holds b
+    atmost = [full] * (T + 1)  # atmost[k]: the slots with <= k low edges
+    for m in has:
+        atmost = [a & ~m | b & m for a, b in zip(atmost, [0] + atmost)]
+    # reach_by[h][L]: the slots of a block with h high edges whose binding
+    # is at most L.  binding never falls as edges grow, so they are the
+    # slots with at most top[L] - h low edges.
+    top = [sum(n <= L for n in binding) - 1 for L in range(v + 1)]
+    reach_by = [
+        [atmost[min(k, T)] if (k := t - h) >= 0 else 0 for t in top]
+        for h in range(ne - T + 1)
     ]
 
     flips = []  # per edge bit: its reversed labels p, q and their masks
@@ -467,70 +481,55 @@ def erdos_gallai_sweep(vertex_count: int, lengths=None) -> SweepReport:
     held = 0  # the graph whose edges `neigh` holds
     checked = searches = violation_count = 0
     kept: list[tuple[int, tuple[Edge, ...]]] = []
-    # pool[L]: edge bits of the last cycles of length L the kernel found,
-    # newest first; covers[n] = pool[n] + pool[n + 1] + ... + pool[v], and
-    # [] for each binding target n > v.  Sized by the targets that can
-    # bind, not by `lengths`: a huge requested length never binds.
+    # pool[L]: the last cycles of length L the kernel found, newest
+    # first, each as its high edge bits >> T and the slots that hold its
+    # low edges.
     pool = [[] for _ in range(v + 1)]
-    covers = [[] for _ in range(max((v, *binding)) + 2)]
-    total = 1 << ne
-    # Gray code: graph after step i is i ^ (i >> 1); the flipped edge at
-    # step i is the lowest set bit of i.  Step 0, the empty graph, never
-    # meets a threshold (they are all >= 1).
-    i = 1
-    while i < total:
-        low = i & -i
-        t = low.bit_length() - 1
-        graph = i ^ (i >> 1)
-        n = binding[graph.bit_count()]
-        if n:
-            checked += 1
-            missing = ~graph
-            for w in covers[n]:
-                if not w & missing:
-                    break
-            else:
-                searches += 1
-                diff, held = graph ^ held, graph
-                while diff:
-                    p, q, pm, qm = flips[(diff & -diff).bit_length() - 1]
-                    neigh[p] ^= qm
-                    neigh[q] ^= pm
-                    diff &= diff - 1
-                found = _mask_cycle(neigh, v, n, v)
-                if found is None:
-                    violation_count += 1
-                    if len(kept) < _SWEEP_KEEP_VIOLATIONS:
-                        edge_list = tuple(
-                            e for j, e in enumerate(edges) if graph >> j & 1
-                        )
-                        kept.append((n, edge_list))
-                else:
-                    w = edge_bit[found[-1], found[0]]
-                    for x, y in zip(found, found[1:]):
-                        w |= edge_bit[x, y]
-                    size = len(found)
-                    pool[size] = [w] + pool[size][: _SWEEP_POOL_DEPTH - 1]
-                    for m in range(size, 2, -1):
-                        covers[m] = pool[m] + covers[m + 1]
-        i += 1
-        if t < 2:  # a one-graph block costs as much to test as to check
-            continue
-        # Steps i..i + 2^t - 2 toggle only bits below t.  Skip them when
-        # their densest graph meets no threshold or a pool cycle on the
-        # fixed high bits is long enough for it.
-        high = graph & -low
-        h = high.bit_count()
-        n = binding[h + t]
-        if n:
-            missing = ~high
-            for w in covers[n]:
-                if not w & missing:
-                    break
-            else:
+    for j in range(1 << (ne - T)):
+        high = j ^ (j >> 1)
+        reach = reach_by[high.bit_count()]
+        todo = full ^ reach[0]  # the slots that meet a threshold
+        checked += todo.bit_count()
+        missing = ~high
+        for size in range(3, v + 1):
+            hit = 0
+            for wh, cover in pool[size]:
+                if not wh & missing:
+                    hit |= cover
+            todo &= ~(hit & reach[size])
+        high <<= T
+        while todo:  # lowest slot first in even blocks, highest in odd ones
+            s = (todo.bit_length() if j & 1 else (todo & -todo).bit_length()) - 1
+            todo ^= 1 << s
+            graph = high | s ^ (s >> 1)
+            n = binding[graph.bit_count()]
+            searches += 1
+            diff, held = graph ^ held, graph
+            while diff:
+                p, q, pm, qm = flips[(diff & -diff).bit_length() - 1]
+                neigh[p] ^= qm
+                neigh[q] ^= pm
+                diff &= diff - 1
+            found = _mask_cycle(neigh, v, n, v)
+            if found is None:
+                violation_count += 1
+                if len(kept) < _SWEEP_KEEP_VIOLATIONS:
+                    edge_list = tuple(
+                        e for i, e in enumerate(edges) if graph >> i & 1
+                    )
+                    kept.append((n, edge_list))
                 continue
-        checked += block_checked[h][t]
-        i += low - 1
+            w = edge_bit[found[-1], found[0]]
+            for x, y in zip(found, found[1:]):
+                w |= edge_bit[x, y]
+            cover = full
+            low_edges = w & ~(-1 << T)
+            while low_edges:
+                cover &= has[(low_edges & -low_edges).bit_length() - 1]
+                low_edges &= low_edges - 1
+            size = len(found)
+            pool[size] = [(w >> T, cover)] + pool[size][: _SWEEP_POOL_DEPTH - 1]
+            todo &= ~(cover & reach[size])
     return SweepReport(
-        v, lengths, total, checked, violation_count, tuple(kept), searches
+        v, lengths, 1 << ne, checked, violation_count, tuple(kept), searches
     )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import itertools
+import math
 import re
 import sys
 import tracemalloc
@@ -430,8 +431,8 @@ def test_sweep_small_orders_clean():
 @pytest.mark.parametrize(
     "v,checked,searches",
     [
-        (1, 0, 0), (2, 0, 0), (3, 1, 1), (4, 22, 7), (5, 638, 64), (6, 27824, 1179),
-        pytest.param(7, 2014992, 23216, marks=pytest.mark.slow),
+        (1, 0, 0), (2, 0, 0), (3, 1, 1), (4, 22, 7), (5, 638, 37), (6, 27824, 246),
+        pytest.param(7, 2014992, 4285, marks=pytest.mark.slow),
     ],
 )
 def test_sweep_checked_count(v, checked, searches):
@@ -486,6 +487,39 @@ def test_sweep_matches_fresh_search_below_threshold(monkeypatch, v, lengths):
     assert replace(rep, cycle_searches=want.cycle_searches) == want
     assert rep.cycle_searches <= want.cycle_searches
     assert rep.violation_count > 0
+
+
+@pytest.mark.parametrize("lowered", [False, True], ids=["real", "lowered"])
+@pytest.mark.parametrize("v", [3, 4, 5, 6])
+def test_sweep_matches_fresh_search_at_every_lane_width(monkeypatch, v, lowered):
+    # Lane widths 0..ne: one graph per block, partial lanes with many odd
+    # blocks (walked from their highest slot down), and one block for all.
+    if lowered:
+        real = cycles.eg_threshold
+        monkeypatch.setattr(cycles, "eg_threshold", lambda n, v: max(1, real(n, v) - 1))
+    for lengths in (None, (4,), (3, 6)):
+        want = _sweep_by_fresh_search(v, lengths)
+        for lane in range(v * (v - 1) // 2 + 1):
+            monkeypatch.setattr(cycles, "_SWEEP_LANE", lane)
+            rep = erdos_gallai_sweep(v, lengths)
+            assert replace(rep, cycle_searches=want.cycle_searches) == want, (lengths, lane)
+
+
+@pytest.mark.parametrize(
+    "v", [1, 2, 3, 4, 5, 6, pytest.param(7, marks=pytest.mark.slow)]
+)
+def test_sweep_checked_count_matches_binomial_oracle(v):
+    # Independent of the walk: a graph is checked iff its edge count
+    # meets the threshold of some requested length.
+    ne = v * (v - 1) // 2
+    for lengths in (None, (4,), (3, 6), (max(v, 3),)):
+        targets = range(3, v + 1) if lengths is None else lengths
+        want = sum(
+            math.comb(ne, e)
+            for e in range(ne + 1)
+            if any(e >= eg_threshold(n, v) for n in targets)
+        )
+        assert erdos_gallai_sweep(v, lengths).graphs_checked == want, lengths
 
 
 @pytest.mark.parametrize("lowered", [False, True], ids=["real", "lowered"])
@@ -546,6 +580,13 @@ def test_sweep_rejects_bad_params():
         erdos_gallai_sweep(5, lengths=[2])
 
 
+def test_sweep_rejects_an_empty_length_list():
+    # an explicit empty list would check no graph and read as clean
+    with pytest.raises(ParamOutOfRange):
+        erdos_gallai_sweep(5, lengths=[])
+    assert erdos_gallai_sweep(2).lengths == ()  # the default 3..v may be empty
+
+
 def _sweep_script():
     path = Path(__file__).resolve().parent.parent / "scripts" / "erdos_gallai_sweep.py"
     spec = importlib.util.spec_from_file_location("erdos_gallai_sweep_script", path)
@@ -556,7 +597,10 @@ def _sweep_script():
 
 @pytest.mark.parametrize(
     "argv",
-    [["--max-vertices", "9"], ["--max-vertices", "0"], ["--lengths", "4", "2"]],
+    [
+        ["--max-vertices", "9"], ["--max-vertices", "0"], ["--lengths", "4", "2"],
+        ["--lengths"],
+    ],
 )
 def test_sweep_script_rejects_bad_args_before_sweeping(monkeypatch, argv):
     script = _sweep_script()
