@@ -17,10 +17,10 @@ graph-by-graph walk that skipped covered runs of the Gray code;
 
     graphs 268435456 checked 266752238
     violations 0
-    elapsed 3.9s cycle-searches 114459 checked/s 68,504,501
+    elapsed 4.548s cycle-searches 114459 checked/s 58,655,671
 
-The graph-by-graph walk took 39.8 s with 733,893 searches on the same
-machine, run just after.
+and ten runs there took 3.0-4.9 s.  The graph-by-graph walk took
+39.8 s with 733,893 searches on the same machine.
 
 Each order's `elapsed` line gives its time, kernel calls and checked
 graphs per second.  --max-vertices is 1..8, and --lengths takes at
@@ -58,7 +58,7 @@ def main(argv=None) -> int:
         dt = time.perf_counter() - t0
         print(serialize_sweep_report(rep), end="")
         print(
-            f"elapsed {dt:.1f}s cycle-searches {rep.cycle_searches} "
+            f"elapsed {dt:.3f}s cycle-searches {rep.cycle_searches} "
             f"checked/s {rep.graphs_checked / dt:,.0f}"
         )
         clean = clean and rep.ok

@@ -17,23 +17,24 @@ neighbours ascending.  That is the lexicographically least qualifying
 cycle listed from its minimum vertex, and it is the certificate
 contract: `contains_cycle_of_length`, `longest_cycle` and the sweep wrap
 the kernel, so every returned cycle (hence every witness and hunt
-trajectory) depends on the graph alone.  The kernel cuts three kinds of
-branch, each holding no qualifying cycle, so the least cycle is still
-the first one found.  A cycle whose minimum vertex is s leaves s and
-returns to it through two distinct neighbours of s above s (its
-`ends`).  So a start with fewer than two such neighbours is skipped,
-and a path is cut once all of them lie on it.  At length hi - 1 the
-only children left are closing ones, and the least is the lowest unused
-end next to the path's last vertex, one intersection.  The kernel
-assumes symmetric, loop-free masks, as every caller builds them: the
-ends are read from s's own mask.  The kernel's answer is also the
-monochromatic witness: `verify_mono_cycle_free` reports the least C_n
-of the first colour class that holds one, and the randomized hunt asks
-the kernel the same question on its incremental per-colour masks, so it
-recolours exactly the cycle the checker would report.  The checker
-first cuts each class down to the components that could host a C_n,
-which drops no C_n and so leaves the least one unchanged.  One narrower
-test stays separate from the kernel: the search's closure test
+trajectory) depends on the graph alone.  The kernel cuts only branches
+that hold no least listing of a qualifying cycle (see `_mask_cycle`),
+so the least cycle is still the first one found.  It skips a start s
+with fewer than two neighbours above s (its `ends`); it lists each
+cycle in one direction only, since of a cycle's two listings from s the
+least has its second vertex below its last, so a path may close only at
+an end above its first step (which needs lo >= 3); it cuts a path once
+every such end lies on it; it walks the last open vertex's children in
+a local loop, and at length hi - 1 it closes by one mask intersection.
+The kernel assumes symmetric, loop-free masks, as every caller builds
+them: the ends are read from s's own mask.  The kernel's answer is also
+the monochromatic witness: `verify_mono_cycle_free` reports the least
+C_n of the first colour class that holds one, and the randomized hunt
+asks the kernel the same question on its incremental per-colour masks,
+so it recolours exactly the cycle the checker would report.  The
+checker first cuts each class down to the components that could host
+a C_n, which drops no C_n and so leaves the least one unchanged.  One
+narrower test stays separate from the kernel: the search's closure test
 `_closes(neigh, a, b, length)` asks whether a simple a..b path of
 exactly `length` edges exists, which is whether colouring the edge ab
 closes a C_(length+1).  One rule serves every length >= 3: a DFS from a
@@ -223,15 +224,23 @@ def _mask_cycle(neigh: list[int], nverts: int, lo: int, hi: int) -> list[int] | 
     Iterative DFS from each start vertex s ascending, over vertices >= s
     only, neighbours ascending; paths stop growing at length hi.  The
     first closing path in this order is the lexicographically least
-    min-vertex-first vertex sequence among all qualifying cycles.  Three
-    cuts drop only subtrees that hold no qualifying cycle, so the first
-    one found is unchanged.  A cycle leaves s and returns to it through
-    two distinct members of `ends`, the neighbours of s above s: a start
-    with fewer than two is skipped, and a path is not extended once
-    every member of `ends` lies on it.  At length hi - 1 the children
-    can only close the cycle, so the least of them that does, the lowest
-    bit of the unused `ends` next to the path's last vertex, is taken by
-    one intersection instead of a stack frame.
+    min-vertex-first vertex sequence among all qualifying cycles.  The
+    cuts drop only subtrees that hold no such least sequence, so the
+    first one found is unchanged.  A cycle leaves s and returns to it
+    through two distinct members of `ends`, the neighbours of s above s:
+    a start with fewer than two is skipped.  Its reverse listing is the
+    other candidate, so the least one has its second vertex e1 below its
+    last: a path may close only at the ends above e1, `stack[0]` (the
+    first-step candidates not yet taken), and is not extended once
+    every one of them lies on it.  At lo = 2 this would drop the
+    2-"cycle" [s, e1], so lo >= 3 is load-bearing.  The last open vertex
+    w is walked inline: its children x are taken in a local loop, in the
+    order and with the two tests of a stack frame (x closes, else the
+    lowest open end next to x closes), so the least cycle comes first as
+    before.  At length hi - 1 the children can only close the cycle, so
+    the least of them that does, the lowest bit of the open ends next to
+    the path's last vertex, is taken by one intersection: in the inline
+    loop, or at the first step when hi = 3.
     """
     if hi < lo:
         return None
@@ -244,7 +253,7 @@ def _mask_cycle(neigh: list[int], nverts: int, lo: int, hi: int) -> list[int] | 
             continue
         path = [s]
         visited = start
-        stack = [ends]
+        stack = [ends]  # stack[0]: the ends above the first step
         depth = 2  # the path's length once a candidate from stack[-1] joins
         while True:
             cand = stack[-1]
@@ -257,18 +266,33 @@ def _mask_cycle(neigh: list[int], nverts: int, lo: int, hi: int) -> list[int] | 
                 continue
             low = cand & -cand
             stack[-1] = cand ^ low
-            if depth >= lo and low & ends:
+            closing = stack[0]
+            if depth >= lo and low & closing:
                 path.append(low.bit_length() - 1)
                 return path
-            open_ends = ends & ~(visited | low)
+            open_ends = closing & ~(visited | low)
             if open_ends:
                 w = low.bit_length() - 1
-                if depth < last:
+                if depth < last - 1:
                     visited |= low
                     path.append(w)
                     stack.append(neigh[w] & above & ~visited)
                     depth += 1
-                else:
+                elif depth < last:
+                    # w's children x, in the order a frame would take them
+                    xs = neigh[w] & above & ~(visited | low)
+                    while xs:
+                        xl = xs & -xs
+                        xs ^= xl
+                        if last >= lo and xl & closing:
+                            path += (w, xl.bit_length() - 1)
+                            return path
+                        x = xl.bit_length() - 1
+                        close = neigh[x] & open_ends & ~xl
+                        if close:
+                            path += (w, x, (close & -close).bit_length() - 1)
+                            return path
+                else:  # depth == last, reached only when hi = 3
                     close = neigh[w] & open_ends
                     if close:
                         path += (w, (close & -close).bit_length() - 1)

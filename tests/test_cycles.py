@@ -632,4 +632,4 @@ def test_sweep_script_reports_a_clean_sweep(capsys, argv):
     assert orders == ["1", "2", "3", "4", "5"]
     assert len(timed) == 5
     for line in timed:
-        assert re.fullmatch(r"elapsed \d+\.\ds cycle-searches \d+ checked/s [\d,]+", line)
+        assert re.fullmatch(r"elapsed \d+\.\d{3}s cycle-searches \d+ checked/s [\d,]+", line)

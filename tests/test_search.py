@@ -34,7 +34,7 @@ from cycle_ramsey import (
 from cycle_ramsey import search
 from cycle_ramsey.search import _canonical
 
-from strategies import reference_canonical, symmetric_strings
+from strategies import plain_dfs_cycle, reference_canonical, symmetric_strings
 
 
 def counters(res) -> tuple[int, int, int, int]:
@@ -769,6 +769,41 @@ def test_randomized_hunt_follows_the_checker(k, n, N):
             k, n, N, mode=WitnessMode.RANDOMIZED, seed=seed, budget=150
         )
         assert (res.steps, res.coloring) == hunt_oracle(k, n, N, seed, 150)
+
+
+@pytest.mark.parametrize(
+    "N,budget,want",
+    [
+        (9, 600, [(57, True), (37, True), (9, True), (37, True)]),
+        (10, 600, [(600, False)] * 4),
+        (11, 600, [(600, False)] * 4),
+        (10, 5000, [(5000, False), (5000, False), (4310, True), (4143, True)]),
+    ],
+)
+def test_randomized_hunt_trajectories_are_pinned(N, budget, want):
+    # The oracle above asks the same kernel, so a kernel that changed its
+    # witness rule would still agree with it; these pinned step counts
+    # would not.
+    got = [lower_bound_witness_search(3, 6, N, seed=s, budget=budget) for s in range(4)]
+    assert [(r.steps, r.coloring is not None) for r in got] == want
+
+
+def test_hunt_kernel_calls_match_the_plain_dfs(monkeypatch):
+    # Every kernel call of one (3, 6, 11) trajectory, on the hunt's own
+    # incremental masks, must return the cycle the DFS without cuts finds.
+    kernel = search._mask_cycle
+    calls = []
+
+    def recorded(neigh, nverts, lo, hi):
+        found = kernel(neigh, nverts, lo, hi)
+        calls.append((list(neigh), nverts, lo, hi, found))
+        return found
+
+    monkeypatch.setattr(search, "_mask_cycle", recorded)
+    lower_bound_witness_search(3, 6, 11, seed=0, budget=500)
+    assert any(found is None for *_, found in calls)
+    for neigh, nverts, lo, hi, found in calls:
+        assert found == plain_dfs_cycle(neigh, nverts, lo, hi), neigh
 
 
 # --------------------------------------------------------------------------
