@@ -19,15 +19,20 @@ contract: `contains_cycle_of_length`, `longest_cycle` and the sweep wrap
 the kernel, so every returned cycle (hence every witness and hunt
 trajectory) depends on the graph alone.  The kernel cuts only branches
 that hold no least listing of a qualifying cycle (see `_mask_cycle`),
-so the least cycle is still the first one found.  It skips a start s
-with fewer than two neighbours above s (its `ends`); it lists each
-cycle in one direction only, since of a cycle's two listings from s the
-least has its second vertex below its last, so a path may close only at
-an end above its first step (which needs lo >= 3); it cuts a path once
-every such end lies on it; it walks the last open vertex's children in
-a local loop, and at length hi - 1 it closes by one mask intersection.
-The kernel assumes symmetric, loop-free masks, as every caller builds
-them: the ends are read from s's own mask.  The kernel's answer is also
+so the least cycle is still the first one found.  It lists each cycle
+in one direction only, since of a cycle's two listings from s the least
+has its second vertex below its last, so a path may close only at an
+end of s above its first step e1 (which needs lo >= 3); it cuts a path
+once every such end lies on it.  It takes e1 in a loop of its own, over
+the ends ascending and never at the last one, so a start with fewer
+than two neighbours above it is skipped.  For an exact window
+lo = hi >= 4 it walks below e1 only if a path of lo - 2 edges above s
+runs from e1 to an end above e1, which is whether a qualifying cycle
+starts s, e1 at all; the search's closure test asks this same question
+(see below).  It walks the last open vertex's children in a local loop,
+and at length hi - 1 it closes by one mask intersection.  The kernel
+assumes symmetric, loop-free masks, as every caller builds them: the
+ends are read from s's own mask.  The kernel's answer is also
 the monochromatic witness: `verify_mono_cycle_free` reports the least
 C_n of the first colour class that holds one, and the randomized hunt
 asks the kernel the same question on its incremental per-colour masks,
@@ -37,12 +42,14 @@ a C_n, which drops no C_n and so leaves the least one unchanged.  One
 narrower test stays separate from the kernel: the search's closure test
 `_closes(neigh, a, b, length)` asks whether a simple a..b path of
 exactly `length` edges exists, which is whether colouring the edge ab
-closes a C_(length+1).  One rule serves every length >= 3: a DFS from a
-places the first length - 3 interior vertices, and the last two, x and
-y, come from intersecting masks, with y a neighbour of b and x a common
-neighbour of y and the DFS's last vertex, both unused.  Length 2 is the
-one intersection of a's and b's masks.  The test assumes symmetric,
-loop-free masks and a != b, which the search guarantees.
+closes a C_(length+1).  One rule serves every length >= 3: its helper
+`_reaches_ends`, a DFS from a, places the first length - 3 interior
+vertices, and the last two, x and y, come from intersecting masks, with
+y one of the ends (here b's neighbours) and x a common neighbour of y
+and the DFS's last vertex, both unused.  The kernel's first-step
+pre-test calls the same helper.  Length 2 is the one intersection of
+a's and b's masks.  The test assumes symmetric, loop-free masks and
+a != b, which the search guarantees.
 
 The Erdős–Gallai sweep uses no theorem to skip a graph.  It accepts a
 checked graph only when a mask test shows that the graph holds every
@@ -221,82 +228,102 @@ def _mask_cycle(neigh: list[int], nverts: int, lo: int, hi: int) -> list[int] | 
     for the empty window hi = lo - 1.  Masks must be symmetric and
     loop-free.
 
-    Iterative DFS from each start vertex s ascending, over vertices >= s
-    only, neighbours ascending; paths stop growing at length hi.  The
-    first closing path in this order is the lexicographically least
+    DFS from each start vertex s ascending, over vertices >= s only,
+    neighbours ascending; paths stop growing at length hi.  The first
+    closing path in this order is the lexicographically least
     min-vertex-first vertex sequence among all qualifying cycles.  The
     cuts drop only subtrees that hold no such least sequence, so the
     first one found is unchanged.  A cycle leaves s and returns to it
-    through two distinct members of `ends`, the neighbours of s above s:
-    a start with fewer than two is skipped.  Its reverse listing is the
-    other candidate, so the least one has its second vertex e1 below its
-    last: a path may close only at the ends above e1, `stack[0]` (the
-    first-step candidates not yet taken), and is not extended once
-    every one of them lies on it.  At lo = 2 this would drop the
-    2-"cycle" [s, e1], so lo >= 3 is load-bearing.  The last open vertex
-    w is walked inline: its children x are taken in a local loop, in the
-    order and with the two tests of a stack frame (x closes, else the
-    lowest open end next to x closes), so the least cycle comes first as
-    before.  At length hi - 1 the children can only close the cycle, so
-    the least of them that does, the lowest bit of the open ends next to
-    the path's last vertex, is taken by one intersection: in the inline
-    loop, or at the first step when hi = 3.
+    through two distinct members of `ends`, the neighbours of s above s.
+    Its reverse listing is the other candidate, so the least one has its
+    second vertex e1 below its last: a path may close only at `closing`,
+    the ends above e1, and is not extended once every one of them lies
+    on it.  At lo = 2 this would drop the 2-"cycle" [s, e1], so lo >= 3
+    is load-bearing.  The first step e1 is walked in a loop of its own,
+    over the ends ascending, which is the DFS's own order; it stops at
+    the last end, which has no end above it (so a start with fewer than
+    two ends is skipped), and at hi = 3 the least close is one
+    intersection.  For an exact window lo = hi >= 4 a first step is
+    taken only if `_reaches_ends` finds an e1..y path of lo - 2 edges
+    above s with y in `closing`: that is exactly a qualifying cycle
+    below e1, so a first step it rules out holds none, and the DFS below
+    one it admits finds the least as before.  The DFS stack holds the
+    candidates from depth 3 on.  The last open vertex w is walked
+    inline: its children x are taken in a local loop, in the order and
+    with the two tests of a stack frame (x closes, else the lowest open
+    end next to x closes), so the least cycle comes first as before.
+    At length hi - 1 the children can only close the cycle, so the least
+    of them that does, the lowest bit of the open ends next to the
+    path's last vertex, is taken by one intersection: in the inline
+    loop, at the first frame when hi = 4, or at the first step when
+    hi = 3.
     """
     if hi < lo:
         return None
     last = hi - 1
+    exact = lo == hi  # lo = hi = 3 is decided before the pre-test
     for s in range(nverts - lo + 1):
         start = 1 << s
         above = -start  # every vertex >= s
-        ends = neigh[s] & above
-        if not ends & (ends - 1):
-            continue
-        path = [s]
-        visited = start
-        stack = [ends]  # stack[0]: the ends above the first step
-        depth = 2  # the path's length once a candidate from stack[-1] joins
-        while True:
-            cand = stack[-1]
-            if not cand:
-                stack.pop()
-                if not stack:
-                    break
-                visited ^= 1 << path.pop()
-                depth -= 1
+        closing = neigh[s] & above  # the ends; in the loop, those above e1
+        while closing & (closing - 1):  # an end is left above the lowest
+            e1_bit = closing & -closing
+            closing ^= e1_bit
+            e1 = e1_bit.bit_length() - 1
+            if last == 2:  # hi = 3: e1's next vertex closes the cycle
+                close = neigh[e1] & closing
+                if close:
+                    return [s, e1, (close & -close).bit_length() - 1]
                 continue
-            low = cand & -cand
-            stack[-1] = cand ^ low
-            closing = stack[0]
-            if depth >= lo and low & closing:
-                path.append(low.bit_length() - 1)
-                return path
-            open_ends = closing & ~(visited | low)
-            if open_ends:
-                w = low.bit_length() - 1
-                if depth < last - 1:
-                    visited |= low
-                    path.append(w)
-                    stack.append(neigh[w] & above & ~visited)
-                    depth += 1
-                elif depth < last:
-                    # w's children x, in the order a frame would take them
-                    xs = neigh[w] & above & ~(visited | low)
-                    while xs:
-                        xl = xs & -xs
-                        xs ^= xl
-                        if last >= lo and xl & closing:
-                            path += (w, xl.bit_length() - 1)
-                            return path
-                        x = xl.bit_length() - 1
-                        close = neigh[x] & open_ends & ~xl
+            if exact and not _reaches_ends(
+                neigh, e1, above & ~(start | e1_bit), closing, lo - 4
+            ):
+                continue
+            path = [s, e1]
+            visited = start | e1_bit
+            stack = [neigh[e1] & above & ~visited]
+            depth = 3  # the path's length once a candidate from stack[-1] joins
+            while True:
+                cand = stack[-1]
+                if not cand:
+                    stack.pop()
+                    if not stack:
+                        break
+                    visited ^= 1 << path.pop()
+                    depth -= 1
+                    continue
+                low = cand & -cand
+                stack[-1] = cand ^ low
+                if depth >= lo and low & closing:
+                    path.append(low.bit_length() - 1)
+                    return path
+                open_ends = closing & ~(visited | low)
+                if open_ends:
+                    w = low.bit_length() - 1
+                    if depth < last - 1:
+                        visited |= low
+                        path.append(w)
+                        stack.append(neigh[w] & above & ~visited)
+                        depth += 1
+                    elif depth < last:
+                        # w's children x, in the order a frame would take them
+                        xs = neigh[w] & above & ~(visited | low)
+                        while xs:
+                            xl = xs & -xs
+                            xs ^= xl
+                            if last >= lo and xl & closing:
+                                path += (w, xl.bit_length() - 1)
+                                return path
+                            x = xl.bit_length() - 1
+                            close = neigh[x] & open_ends & ~xl
+                            if close:
+                                path += (w, x, (close & -close).bit_length() - 1)
+                                return path
+                    else:  # depth == last, reached only when hi = 4
+                        close = neigh[w] & open_ends
                         if close:
-                            path += (w, x, (close & -close).bit_length() - 1)
+                            path += (w, (close & -close).bit_length() - 1)
                             return path
-                else:  # depth == last, reached only when hi = 3
-                    close = neigh[w] & open_ends
-                    if close:
-                        path += (w, (close & -close).bit_length() - 1)
-                        return path
     return None
 
 

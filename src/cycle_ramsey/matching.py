@@ -95,14 +95,16 @@ def max_matching(G: Graph) -> MatchingCertificate:
         if match[u] == -1 and match[v] == -1:
             match[u] = v
             match[v] = u
-    # An augmenting path joins two exposed vertices, so once at most one
-    # is left no root can augment.
+    # An augmenting path joins two live exposed vertices.  A root whose
+    # search fails ends no augmenting path later either (Edmonds), so it
+    # is counted out; once at most one live one is left, no root can
+    # augment.
     exposed = match.count(-1)
     for v in range(n):
         if exposed < 2:
             break
-        if match[v] == -1 and _find_augmenting_path(G, match, v) != -1:
-            exposed -= 2
+        if match[v] == -1:
+            exposed -= 1 if _find_augmenting_path(G, match, v) == -1 else 2
     edges = frozenset(
         normalize_edge(v, match[v]) for v in range(n) if match[v] > v
     )

@@ -44,9 +44,10 @@ from cycle_ramsey import (
     verify_witness,
 )
 from cycle_ramsey import cycles
-from cycle_ramsey.cycles import _closes
+from cycle_ramsey.cycles import _closes, _reaches_ends
 
 from strategies import (
+    all_pairs,
     brute_cycle_lengths,
     brute_is_bipartite,
     brute_matching_number,
@@ -341,6 +342,59 @@ def test_kernel_matches_plain_dfs_on_larger_graphs(G, data):
 
 
 @st.composite
+def near_trees(draw):
+    """A graph on 12-16 vertices with v to 5v/4 edges: enough first steps
+    and short cycles, few cycles of any one longer length."""
+    v = draw(st.integers(12, 16))
+    edges = draw(st.lists(st.sampled_from(all_pairs(v)), min_size=v,
+                          max_size=5 * v // 4, unique=True))
+    return build_graph(v, edges)
+
+
+@given(near_trees())
+@settings(max_examples=60, deadline=None)
+def test_kernel_matches_plain_dfs_on_sparse_graphs_with_exact_windows(G):
+    # Such graphs hold no C_n for most exact windows n = 4..9, so the
+    # first-step pre-test rules out most first steps: whatever it drops
+    # must hold no cycle of the window.
+    v = G.vertex_count
+    masks = list(G.neighbor_masks)
+    for n in range(4, 10):
+        assert cycles._mask_cycle(masks, v, n, n) == plain_dfs_cycle(masks, v, n, n), n
+
+
+def test_kernel_pre_tests_each_first_step_against_the_ends_above_it(monkeypatch):
+    # The Petersen graph holds no C_7, so every first step e1 of the
+    # exact window [7, 7] is ruled out by one pre-test: a path of 5 edges
+    # from e1 above s, avoiding e1, to an end of s above e1.  The last end
+    # has none above it and is not tried.
+    G = petersen()
+    masks = list(G.neighbor_masks)
+    asked = []
+    nested = [0]
+    real = cycles._reaches_ends
+
+    def spy(neigh, cur, free, ends, depth):
+        if not nested[0]:
+            asked.append((cur, free & 1023, ends, depth))
+        nested[0] += 1
+        try:
+            return real(neigh, cur, free, ends, depth)
+        finally:
+            nested[0] -= 1
+
+    monkeypatch.setattr(cycles, "_reaches_ends", spy)
+    assert cycles._mask_cycle(masks, 10, 7, 7) is None
+    want = []
+    for s in range(4):
+        ends = [e for e in range(s + 1, 10) if G.has_edge(s, e)]
+        for i, e1 in enumerate(ends[:-1]):
+            free = 1023 & -(1 << s) & ~(1 << s | 1 << e1)
+            want.append((e1, free, sum(1 << e for e in ends[i + 1:]), 3))
+    assert asked == want
+
+
+@st.composite
 def split_colorings(draw, max_vertices: int = 9, max_colors: int = 3):
     """A coloring of a random graph whose edges stay inside up to three
     random vertex blocks, so every color class splits into components."""
@@ -414,6 +468,39 @@ def test_closure_test_matches_path_oracle(G, length):
     ends = brute_path_ends(G, length)
     for a, b in itertools.permutations(range(G.vertex_count), 2):
         assert _closes(masks, a, b, length) == ((a, b) in ends), (a, b)
+
+
+def brute_reaches_ends(G, cur: int, free: set[int], ends: set[int], depth: int) -> bool:
+    """Some simple path cur, v_1..v_depth, x, y inside `free` with y in
+    `ends`, from the permutations of depth + 2 free vertices."""
+    for walk in itertools.permutations(sorted(free), depth + 2):
+        if walk[-1] in ends and all(
+            G.has_edge(p, q) for p, q in zip((cur,) + walk, walk)
+        ):
+            return True
+    return False
+
+
+@given(st.one_of(sparse_graphs(2, 8), graphs(2, 8)), st.data())
+@settings(max_examples=150, deadline=None)
+def test_reaches_ends_matches_path_oracle(G, data):
+    # The closure test's helper, also the kernel's first-step pre-test,
+    # against brute force: cur outside `free`, several ends, depth 0..4,
+    # and `free` given as a finite mask or, as its callers build it, as
+    # one with every bit above the graph set.
+    v = G.vertex_count
+    masks = list(G.neighbor_masks)
+    cur = data.draw(st.integers(0, v - 1))
+    others = [w for w in range(v) if w != cur]
+    free = set(data.draw(st.lists(st.sampled_from(others), unique=True)))
+    ends = set(data.draw(st.lists(st.integers(0, v - 1), unique=True)))
+    free_mask = sum(1 << w for w in free)
+    if data.draw(st.booleans()):
+        free_mask |= -1 << v
+    ends_mask = sum(1 << w for w in ends)
+    for depth in range(5):
+        want = brute_reaches_ends(G, cur, free, ends, depth)
+        assert _reaches_ends(masks, cur, free_mask, ends_mask, depth) == want, depth
 
 
 # --------------------------------------------------------------------------

@@ -118,8 +118,9 @@ def _matching_trying_every_root(G):
 @given(st.one_of(graphs(max_vertices=10), graphs_of_density(min_vertices=2)))
 @settings(max_examples=150)
 def test_early_stop_returns_the_same_matching(G):
-    # The roots skipped once at most one vertex is exposed could not
-    # augment, so the matching is edge for edge the same.
+    # The roots skipped once at most one live vertex is exposed could
+    # not augment (a failed root is dead for good), so the matching is
+    # edge for edge the same.
     assert max_matching(G).edges == _matching_trying_every_root(G)
 
 
@@ -131,6 +132,7 @@ def test_early_stop_returns_the_same_matching(G):
         (7, all_pairs(7), 0),  # K_7: greedy leaves vertex 6 alone
         (4, [(0, 1), (0, 2), (1, 3)], 1),  # 2 and 3 exposed: one augmentation
         (5, [(0, 1), (0, 2), (1, 3)], 1),  # and isolated 4 is never tried
+        (4, [(0, 1), (0, 2), (0, 3)], 1),  # K_1,3: dead root 2 leaves only 3
     ],
 )
 def test_no_root_is_tried_once_one_vertex_is_exposed(monkeypatch, v, edges, calls):
