@@ -9,15 +9,10 @@ does not (COUNTEREXAMPLE, re-verified independently).
     R_2(C_3) = 6    R_2(C_4) = 6    R_2(C_6) = 8    R_2(C_5) = 9
     R_2(C_7) = 13
 
-Each line gives the node count and nodes/s of both searches.  With the
-orderly prune, run edge by edge inside each column, the C_6 upper bound
-takes 1,359 nodes, the C_5 one 575 and the C_7 one 8,417 (2,431, 1,027
-and 23,037 when it ran only on complete K_m).  The whole run takes
-0.47-0.59 s on one core, interpreter start included, against
-0.44-0.71 s when the canonicity test went back only one level after
-each automorphism it found, 10 alternating runs each (Python 3.11,
-2-core VM, in a phase where the same script had earlier taken
-0.35-0.37 s).
+Each line gives the node count and nodes/s of both searches.  The C_6
+upper bound takes 1,359 nodes, the C_5 one 575 and the C_7 one 8,417.
+The whole run takes 0.47-0.59 s on one core, interpreter start included
+(10 runs; Python 3.11, 2-core VM).
 """
 
 from __future__ import annotations

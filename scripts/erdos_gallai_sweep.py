@@ -10,17 +10,14 @@ length are kept) accepts, in a few big-int ANDs, every one of them that
 holds it and needs no longer cycle.  Only the graphs left get a cycle
 search, on neighbour masks built for them alone.  v = 7 means 2^21
 graphs, 2,014,992 of them checked with 4,285 cycle searches, in
-0.04-0.07 s on one core (0.6-1.1 s, with 23,216 searches, for the
-graph-by-graph walk that skipped covered runs of the Gray code;
-3 alternating runs each).  v = 8 means 2^28 graphs: one run (Python
-3.11, one core of a 2-core VM) printed
+0.04-0.07 s on one core (3 runs).  v = 8 means 2^28 graphs: one run
+(Python 3.11, one core of a 2-core VM) printed
 
     graphs 268435456 checked 266752238
     violations 0
     elapsed 4.548s cycle-searches 114459 checked/s 58,655,671
 
-and ten runs there took 3.0-4.9 s.  The graph-by-graph walk took
-39.8 s with 733,893 searches on the same machine.
+and ten runs there took 3.0-4.9 s.
 
 Each order's `elapsed` line gives its time, kernel calls and checked
 graphs per second.  --max-vertices is 1..8, and --lengths takes at

@@ -13,14 +13,15 @@ node budget, so every rung is conclusive unless the budget runs out:
 
 Typical outcome with the default budget of 1,000,000 nodes: witnesses on
 K_9, K_10 and K_11 in 58, 133 and 454 nodes, so R_3(C_6) >= 12, and
-INDETERMINATE on K_12 after about 40 s (Python 3.11, 2-core VM; 41.7 s
-in the same session when the canonicity test went back only one level
-after each automorphism it found, 16 s on the same box when the orderly
-prune ran only on complete K_m).  The orderly prune makes those nodes
-cover far more of the K_12 space than plain search would, at a higher
-cost per node: accepting a canonical K_9 or K_10 means searching the
-relabellings that tie up to the automorphisms found, about 1 ms, and
-the nodes its early cut removes were the cheap ones.
+INDETERMINATE on K_12 after about 40 s (Python 3.11, 2-core VM).  The
+orderly prune makes those nodes cover far more of the K_12 space than
+plain search would, at a higher cost per node: accepting a canonical
+K_9 or K_10 means searching the relabellings that tie up to the
+automorphisms found, about 1 ms.
+
+The script exits 0 when some rung found a witness and 1 when none did.
+--budget must be at least 1 and 1 <= --min-host <= --max-host <= 18;
+any other value is a usage error (exit 2) before the first rung.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import time
 
 from cycle_ramsey import SearchVerdict, ramsey_check
 from cycle_ramsey.formats import serialize_coloring
+from cycle_ramsey.search import _MAX_HOST
 
 K, N_CYCLE = 3, 6
 
@@ -44,6 +46,10 @@ def main() -> int:
         help="print the witness of the largest host in file format",
     )
     args = ap.parse_args()
+    if args.budget < 1:
+        ap.error("--budget must be at least 1")
+    if not 1 <= args.min_host <= args.max_host <= _MAX_HOST:
+        ap.error(f"need 1 <= --min-host <= --max-host <= {_MAX_HOST}")
 
     best = None
     for N in range(args.min_host, args.max_host + 1):

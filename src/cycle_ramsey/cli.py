@@ -19,6 +19,7 @@ copy cannot change what `run` accepts.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import os
 import sys
@@ -43,6 +44,7 @@ from .formats import parse_coloring, parse_graph, parse_rational, render
 from .graphs import color_class
 from .search import (
     SearchVerdict,
+    _checkpoint_temp,
     ramsey_check,
     read_checkpoint,
     resume_search,
@@ -222,14 +224,16 @@ def _cmd_ineq(args: argparse.Namespace) -> int:
 
 
 def _claim_checkpoint(path: str) -> None:
-    """Raise OSError now if `path` cannot be written, so that a budgeted
-    search never runs only to lose its frontier; a file the probe made
-    is removed again."""
-    existed = os.path.lexists(path)
-    with open(path, "a", encoding="ascii"):
-        pass
-    if not existed:
-        os.remove(path)
+    """Raise OSError now if a checkpoint cannot be written to `path`, so
+    that a budgeted search never runs only to lose its frontier.  The
+    writer makes its temporary file beside `path` and renames it onto
+    `path`, so the probe makes and removes that file and refuses a
+    directory at `path`."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    tmp = _checkpoint_temp(path)
+    open(tmp, "w", encoding="ascii").close()
+    os.remove(tmp)
 
 
 def _cmd_search(args: argparse.Namespace) -> int:

@@ -47,7 +47,9 @@ since a color prefix means nothing without it.
 
 from __future__ import annotations
 
+import contextlib
 import enum
+import os
 import random
 import time
 from dataclasses import dataclass
@@ -263,57 +265,6 @@ def _least_color(neigh: list[list[int]], u: int, agree: int, maxused: int) -> in
     return c
 
 
-def _replay_prefix(
-    k: int, n: int, N: int, bits, prefix
-) -> tuple[list[list[int]], int, int] | str:
-    """Rebuild per-color adjacency masks for a color prefix, applying
-    the search's prunes along the way, and return them with the largest
-    color used and the early cut's mask of agreeing columns (for a
-    prefix that ends inside a column).  `bits` is `_aggregate`'s
-    per-edge table.
-
-    Returns the name of the prune that cuts the prefix, if one does (its
-    subtree is empty): "cycle" when it closes a monochromatic C_n,
-    "orderly" when its column already loses to an earlier one or it
-    completes a non-canonical K_m.  A checkpoint written before either
-    orderly test existed may hold such a prefix, and its subtree holds
-    no class's least member.  Raises FormatError on a
-    prefix longer than the edge order or on colors that break the
-    canonical first-appearance rule — such a prefix cannot have come
-    from this search.
-    """
-    if len(prefix) > len(bits):
-        raise FormatError(
-            f"prefix of {len(prefix)} colors exceeds the {len(bits)} edges of K_{N}"
-        )
-    neigh = [[0] * N for _ in range(k)]
-    maxused = agree = 0
-    for i, color in enumerate(prefix):
-        if not 1 <= color <= min(k, maxused + 1):
-            raise FormatError(
-                f"prefix color {color} at edge {i} breaks canonical order"
-            )
-        u, v, bu, bv, m, start = bits[i]
-        if not u:
-            agree = start
-        if agree and color - 1 < _least_color(neigh, u, agree, maxused):
-            return "orderly"
-        masks = neigh[color - 1]
-        if _closes(masks, u, v, n - 1):
-            return "cycle"
-        masks[u] |= bv
-        masks[v] |= bu
-        agree &= masks[u]
-        maxused = max(maxused, color)
-        if m and not _canonical(neigh, m, prefix):
-            return "orderly"
-    return neigh, maxused, agree
-
-
-def _coloring_from_path(k: int, N: int, path: list[int]) -> EdgeColoring:
-    return make_coloring(complete_graph(N), k, dict(zip(edge_order(N), path)))
-
-
 def _aggregate(
     k: int, n: int, N: int, prefixes, budget: int | None
 ) -> SearchResult:
@@ -323,8 +274,14 @@ def _aggregate(
     to the open frontier unchanged, though the first one is always
     searched so that every leg of a chain makes progress.  A non-empty
     prefix's last color is a node its parent deferred (a cutoff reports
-    it uncounted), so it is counted here, with the prune that cuts it
-    when the replay hits one.
+    it uncounted), so it is counted here.  A prefix is rebuilt edge by
+    edge with `place`, the DFS's own step, prunes included: a checkpoint
+    written before the orderly tests existed, or written by hand, may
+    hold a prefix that one of them cuts, and its subtree holds no
+    class's least member, so it counts as one prune.  Raises
+    FormatError on a prefix longer than the edge order or on colors
+    that break the first-appearance rule: such a prefix cannot have
+    come from this search.
     """
     t0 = time.perf_counter()
     # per colex edge: its endpoints, their bits, the m whose K_m it
@@ -346,45 +303,56 @@ def _aggregate(
     path: list[int] = []
     nodes = prunes = sym = orderly = 0
 
-    def rec(i: int, maxused: int, agree: int) -> int:
-        nonlocal nodes, prunes, sym, orderly
-        if i == M:
-            return _FOUND
+    def place(i: int, c: int, maxused: int, agree: int) -> int:
+        """Color edge i with color index c and return the early cut's
+        mask of agreeing columns after it, or count the prune that cuts
+        it and return -1 with nothing colored."""
+        nonlocal prunes, orderly
         u, v, bu, bv, m, start = bits[i]
         if not u:
             agree = start
-        least = _least_color(neigh, u, agree, maxused) if agree else 0
+        if agree and c < _least_color(neigh, u, agree, maxused):
+            orderly += 1
+            return -1
+        masks = neigh[c]
+        if _closes(masks, u, v, n - 1):
+            prunes += 1
+            return -1
+        masks[u] |= bv
+        masks[v] |= bu
+        path.append(c + 1)
+        if m and not _canonical(neigh, m, path):
+            orderly += 1
+            unplace(i)
+            return -1
+        return agree & masks[u]
+
+    def unplace(i: int) -> None:
+        u, v, bu, bv, _, _ = bits[i]
+        masks = neigh[path.pop() - 1]
+        masks[u] ^= bv
+        masks[v] ^= bu
+
+    def rec(i: int, maxused: int, agree: int) -> int:
+        nonlocal nodes, sym
+        if i == M:
+            return _FOUND
         top = k if maxused >= k else maxused + 1
         sym += k - top
         for c in range(top):
             if nodes >= limit:
-                for cc in range(c, top):
-                    open_out.append(tuple(path) + (cc + 1,))
+                open_out.extend(tuple(path) + (cc + 1,) for cc in range(c, top))
                 return _CUTOFF
             nodes += 1
-            if c < least:
-                orderly += 1
+            below = place(i, c, maxused, agree)
+            if below < 0:
                 continue
-            masks = neigh[c]
-            if _closes(masks, u, v, n - 1):
-                prunes += 1
-                continue
-            masks[u] |= bv
-            masks[v] |= bu
-            path.append(c + 1)
-            if m and not _canonical(neigh, m, path):
-                orderly += 1
-                r = _DONE
-            else:
-                r = rec(i + 1, c + 1 if c == maxused else maxused, agree & masks[u])
-                if r == _FOUND:
-                    return _FOUND
-            path.pop()
-            masks[u] ^= bv
-            masks[v] ^= bu
+            r = rec(i + 1, c + 1 if c == maxused else maxused, below)
+            if r == _FOUND:
+                return _FOUND
+            unplace(i)
             if r == _CUTOFF:
-                for cc in range(c + 1, top):
-                    open_out.append(tuple(path) + (cc + 1,))
+                open_out.extend(tuple(path) + (cc + 1,) for cc in range(c + 1, top))
                 return _CUTOFF
         return _DONE
 
@@ -395,16 +363,25 @@ def _aggregate(
             open_out.append(prefix)
             cut = True
             continue
+        if len(prefix) > M:
+            raise FormatError(
+                f"prefix of {len(prefix)} colors exceeds the {M} edges of K_{N}"
+            )
         if prefix:
             nodes += 1
-        state = _replay_prefix(k, n, N, bits, prefix)
-        if state == "cycle":
-            prunes += 1
-        elif state == "orderly":
-            orderly += 1
+        neigh = [[0] * N for _ in range(k)]
+        path = []
+        maxused = agree = 0
+        for i, color in enumerate(prefix):
+            if not 1 <= color <= min(k, maxused + 1):
+                raise FormatError(
+                    f"prefix color {color} at edge {i} breaks canonical order"
+                )
+            agree = place(i, color - 1, maxused, agree)
+            if agree < 0:
+                break
+            maxused = max(maxused, color)
         else:
-            neigh, maxused, agree = state
-            path = list(prefix)
             r = rec(len(prefix), maxused, agree)
             if r == _FOUND:
                 break
@@ -413,7 +390,7 @@ def _aggregate(
 
     stats = SearchStats(nodes, prunes, sym, orderly, time.perf_counter() - t0)
     if r == _FOUND:
-        col = _coloring_from_path(k, N, path)
+        col = make_coloring(complete_graph(N), k, dict(zip(edge_order(N), path)))
         if verify_mono_cycle_free(col, n) is not True:
             raise CycleRamseyError(
                 "internal: counterexample failed independent re-verification"
@@ -501,6 +478,11 @@ def resume_search(
     return _aggregate(k, n, N, prefixes, budget)
 
 
+def _checkpoint_temp(path: str) -> str:
+    """The file beside `path` that `write_checkpoint` renames onto it."""
+    return f"{path}.{os.getpid()}.tmp"
+
+
 def write_checkpoint(path: str, result: SearchResult) -> None:
     """Persist the open subtrees of an INDETERMINATE result: a
     `checkpoint <k> <n> <N> colex` header line, one `prefix
@@ -508,16 +490,27 @@ def write_checkpoint(path: str, result: SearchResult) -> None:
 
     Only an interrupted run has a frontier to resume; a finished one
     would write an empty frontier, which would resume into a proof.
+    The file is written beside `path` under a temporary name and then
+    renamed onto it, so a write that fails or is interrupted leaves an
+    earlier checkpoint at `path` whole (a run may resume from the file
+    it then overwrites).
     """
     if result.verdict is not SearchVerdict.INDETERMINATE:
         raise ParamOutOfRange(
             f"only an INDETERMINATE result has a checkpoint, not {result.verdict.value}"
         )
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"checkpoint {result.k} {result.n} {result.N} {EDGE_ORDER}\n")
-        for p in result.open_prefixes:
-            fh.write(f"prefix {len(p)} {' '.join(str(c) for c in p)}\n")
-        fh.write(f"end {len(result.open_prefixes)}\n")
+    tmp = _checkpoint_temp(path)
+    try:
+        with open(tmp, "w", encoding="ascii") as fh:
+            fh.write(f"checkpoint {result.k} {result.n} {result.N} {EDGE_ORDER}\n")
+            for p in result.open_prefixes:
+                fh.write(f"prefix {len(p)} {' '.join(str(c) for c in p)}\n")
+            fh.write(f"end {len(result.open_prefixes)}\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def read_checkpoint(

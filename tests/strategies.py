@@ -34,9 +34,13 @@ def graphs(draw, min_vertices: int = 0, max_vertices: int = 10):
 @st.composite
 def sparse_graphs(draw, min_vertices: int = 2, max_vertices: int = 9):
     """A graph with up to 2v edges, so that sparse graphs (pendant paths,
-    vertices with one neighbour above them) come up as often as dense."""
+    vertices with one neighbour above them) come up as often as dense.
+    The edge count is drawn first, uniformly up to that cap: a list
+    drawn with only a maximum size would stay far below it."""
     v = draw(st.integers(min_value=min_vertices, max_value=max_vertices))
-    edges = draw(st.lists(st.sampled_from(all_pairs(v)), max_size=2 * v, unique=True))
+    pairs = all_pairs(v)
+    size = draw(st.integers(min_value=0, max_value=min(2 * v, len(pairs))))
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=size, max_size=size, unique=True))
     return build_graph(v, edges)
 
 

@@ -467,11 +467,17 @@ def test_resume_on_closed_frontier_confirms_all_contain():
 
 
 @pytest.mark.parametrize("budget", [0, 1, 7, 50, 1000])
-@pytest.mark.parametrize("k,n,N", [(2, 4, 6), (2, 5, 8), (3, 3, 5)])
+@pytest.mark.parametrize(
+    "k,n,N", [(2, 4, 6), (2, 5, 8), (3, 3, 5), (2, 5, 9), (3, 6, 10)]
+)
 def test_checkpoint_chain_counts_the_one_shot_search(k, n, N, budget):
     # Resuming each leg's open frontier until a verdict visits exactly the
     # one-shot tree: the same node, cycle-prune and symmetry-prune totals,
-    # verdict and counterexample.  A budget of 0 still makes progress.
+    # verdict and counterexample.  A budget of 0 still makes progress,
+    # one node a leg, so every node is then rebuilt from its prefix.
+    # Rebuilt prefixes are cut by every prune: (2,5,9) makes 83 early
+    # cuts and 43 failed canonicity tests, (3,6,10) 13 early cuts with
+    # three colors.
     one = ramsey_check(k, n, N)
     res = ramsey_check(k, n, N, budget=budget)
     legs = [res]
@@ -491,6 +497,52 @@ def test_spent_budget_passes_prefixes_through():
     rest = first.open_prefixes[1:]
     assert res.stats.nodes == 1 and rest
     assert res.open_prefixes[-len(rest):] == rest
+
+
+class FailingFile:
+    """A text file whose second `write` raises `exc`, as a full disk or
+    an interrupt would midway through a checkpoint."""
+
+    def __init__(self, fh, exc):
+        self.fh, self.exc, self.writes = fh, exc, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *info):
+        self.fh.close()
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes == 2:
+            raise self.exc
+        return self.fh.write(text)
+
+
+@pytest.mark.parametrize(
+    "exc", [OSError(28, "No space left on device"), KeyboardInterrupt()]
+)
+def test_a_failed_checkpoint_write_keeps_the_old_checkpoint(
+    tmp_path, monkeypatch, exc
+):
+    # Overwriting a checkpoint (resuming from the file the next leg
+    # writes) must not lose it if the write stops midway: the old file
+    # reads back unchanged and no temporary file is left beside it.
+    path = tmp_path / "ck.txt"
+    first = ramsey_check(2, 5, 9, budget=50)
+    write_checkpoint(str(path), first)
+    later = resume_search(2, 5, 9, first.open_prefixes, budget=50)
+    assert later.open_prefixes not in ((), first.open_prefixes)
+    with monkeypatch.context() as mp:
+        mp.setattr(search, "open", lambda *a, **kw: FailingFile(open(*a, **kw), exc),
+                   raising=False)
+        with pytest.raises(type(exc)):
+            write_checkpoint(str(path), later)
+    assert read_checkpoint(str(path), (2, 5, 9)) == first.open_prefixes
+    assert list(tmp_path.iterdir()) == [path]
+    write_checkpoint(str(path), later)
+    assert read_checkpoint(str(path), (2, 5, 9)) == later.open_prefixes
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_checkpoint_format_round_trip(tmp_path):
@@ -840,3 +892,21 @@ def test_lower_bound_script_climbs_to_twelve():
     assert proc.returncode == 0, proc.stderr
     assert "N=11: COUNTEREXAMPLE" in proc.stdout
     assert "R_3(C_6) >= 12" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--min-host", "0"),
+        ("--budget", "-1"),
+        ("--budget", "0"),
+        ("--max-host", "19"),
+        ("--min-host", "12", "--max-host", "11"),
+    ],
+)
+def test_lower_bound_script_refuses_bad_flags_before_searching(argv):
+    # a usage error exits 2 with a message, never 1 ("no witness") with
+    # a traceback from inside the first rung
+    proc = run_script("rediscover_even_lower_bound.py", *argv)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr
