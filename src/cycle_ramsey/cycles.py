@@ -6,8 +6,10 @@ BFS pass per component over the neighbour masks, once per graph; every
 later call shares the scan.  The odd-cycle test rides in the same pass:
 a neighbour of a dequeued vertex with its depth parity lies in its own
 layer, which is complete by then.  A component's maximum matching is
-computed on the first read of its `matching`, once per graph, so
-callers that need only the structure run no blossom.
+computed on the first read of its `matching`, once per graph, by the
+blossom run on the host's neighbour masks restricted to the component
+(no induced subgraph is built), so callers that need only the
+structure run no blossom.
 
 Everything here is exact, and all bitmask cycle code lives here, over
 per-vertex neighbour masks, for graphs of a few dozen vertices.  One
@@ -68,8 +70,8 @@ from dataclasses import dataclass, field
 
 from .certificates import CycleCertificate, MatchingCertificate
 from .errors import CycleTooShort, ParamOutOfRange, TargetTooLarge
-from .graphs import Edge, Graph, induced_subgraph
-from .matching import max_matching
+from .graphs import Edge, Graph
+from .matching import _mask_matching
 
 
 def eg_threshold(n: int, v: int) -> int:
@@ -112,10 +114,11 @@ class ComponentInfo:
         found = self.graph.__dict__.setdefault(_MATCHINGS, {})
         m = found.get(self.vertices[0])
         if m is None:
-            sub, kept = induced_subgraph(self.graph, self.vertices)
-            # kept is ascending, so lifted edges stay normalized (u < v)
-            m = found[self.vertices[0]] = MatchingCertificate(
-                frozenset((kept[a], kept[b]) for a, b in max_matching(sub).edges)
+            inside = 0
+            for v in self.vertices:
+                inside |= 1 << v
+            m = found[self.vertices[0]] = _mask_matching(
+                self.graph.neighbor_masks, self.vertices, inside
             )
         return m
 

@@ -86,14 +86,19 @@ class Graph:
         return normalize_edge(u, v) in self.edges
 
 
-def _sorted_graph(vertex_count: int, sorted_edges: list[Edge]) -> Graph:
+def _sorted_graph(
+    vertex_count: int, sorted_edges: list[Edge], neighbor_masks: list[int] | None = None
+) -> Graph:
     """A Graph from valid edges in ascending order, which seed its
-    `sorted_edges` cache; only the vertex count is checked."""
+    `sorted_edges` cache, and optionally their neighbour masks, which
+    seed `neighbor_masks`; only the vertex count is checked."""
     if vertex_count < 0:
         raise VertexOutOfRange("vertex_count must be non-negative")
     G = object.__new__(Graph)  # skips `__post_init__`'s per-edge checks
     G.__dict__.update(vertex_count=vertex_count, edges=frozenset(sorted_edges))
     G.__dict__["sorted_edges"] = tuple(sorted_edges)
+    if neighbor_masks is not None:
+        G.__dict__["neighbor_masks"] = tuple(neighbor_masks)
     return G
 
 
@@ -187,17 +192,23 @@ class EdgeColoring:
 
     @cached_property
     def _classes(self) -> dict[int, Graph]:
-        """The nonempty color classes by color, built in one pass over the
-        sorted edges, and under key 0 one edgeless graph that stands for
-        every empty class (so a huge unused palette costs nothing)."""
-        buckets: dict[int, list[Edge]] = {}
+        """The nonempty color classes by color, with their sorted edges
+        and neighbour masks built in one pass over the sorted edges, and
+        under key 0 one edgeless graph that stands for every empty class
+        (so a huge unused palette costs nothing)."""
+        v = self.base.vertex_count
+        bit = [1 << w for w in range(v)]
+        buckets: dict[int, tuple[list[Edge], list[int]]] = {}
         for e, c in zip(self.base.sorted_edges, self.colors):
             if c in buckets:
-                buckets[c].append(e)
+                edges, masks = buckets[c]
             else:
-                buckets[c] = [e]
-        v = self.base.vertex_count
-        classes = {c: _sorted_graph(v, edges) for c, edges in buckets.items()}
+                edges, masks = buckets[c] = ([], [0] * v)
+            edges.append(e)
+            a, b = e
+            masks[a] |= bit[b]
+            masks[b] |= bit[a]
+        classes = {c: _sorted_graph(v, *bucket) for c, bucket in buckets.items()}
         classes[0] = Graph(v, frozenset())
         return classes
 

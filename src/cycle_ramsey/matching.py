@@ -5,21 +5,33 @@ sizes this package works at (components of colored complete graphs on a
 few dozen vertices) this is far below any runtime budget, and keeping
 the implementation local means the certificate path has no external
 dependencies to trust.
+
+The blossom runs on a host graph's neighbour masks restricted to a
+vertex set, in the host's labels, so a component's matching needs no
+induced subgraph.  Every walk takes vertices ascending, which an
+ascending relabelling preserves: the matching is edge for edge the one
+the induced subgraph's blossom would return, lifted back.
+`max_matching(G)` is that blossom over all of G.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from .certificates import MatchingCertificate
-from .graphs import Graph, normalize_edge
+from .graphs import Graph
 
 
-def _find_augmenting_path(G: Graph, match: list[int], root: int) -> int:
-    """BFS for an augmenting path from an exposed root.
+def _find_augmenting_path(
+    masks: Sequence[int], verts: Sequence[int], inside: int, match: list[int], root: int
+) -> int:
+    """BFS for an augmenting path from an exposed root, in the graph that
+    `masks` induce on `verts` (ascending; `inside` is their mask).
 
     On success the path is flipped into `match` in place and the root is
     returned; on failure `match` is left unchanged and -1 is returned.
     """
-    n = G.vertex_count
+    n = len(masks)
     used = [False] * n
     parent = [-1] * n
     base = list(range(n))
@@ -48,9 +60,8 @@ def _find_augmenting_path(G: Graph, match: list[int], root: int) -> int:
             child = match[v]
             v = parent[match[v]]
 
-    masks = G.neighbor_masks
     for v in queue:  # FIFO: vertices join behind v
-        rest = masks[v]
+        rest = masks[v] & inside
         while rest:  # neighbours ascending
             low = rest & -rest
             rest ^= low
@@ -63,7 +74,7 @@ def _find_augmenting_path(G: Graph, match: list[int], root: int) -> int:
                 in_blossom = [False] * n
                 mark_path(v, cur, to, in_blossom)
                 mark_path(to, cur, v, in_blossom)
-                for i in range(n):
+                for i in verts:
                     if in_blossom[base[i]]:
                         base[i] = cur
                         if not used[i]:
@@ -86,26 +97,38 @@ def _find_augmenting_path(G: Graph, match: list[int], root: int) -> int:
     return -1
 
 
-def max_matching(G: Graph) -> MatchingCertificate:
-    """A maximum cardinality matching of G as a checkable certificate."""
-    n = G.vertex_count
-    match = [-1] * n
-    # Greedy seed: cuts the number of augmentation phases roughly in half.
-    for u, v in G.sorted_edges:
-        if match[u] == -1 and match[v] == -1:
+def _mask_matching(
+    masks: Sequence[int], verts: Sequence[int], inside: int
+) -> MatchingCertificate:
+    """A maximum matching of the graph that `masks` (symmetric, loop-free)
+    induce on `verts` (ascending; `inside` is their mask), in the masks'
+    labels."""
+    match = [-1] * len(masks)
+    # Greedy seed over the edges ascending, which is each free vertex
+    # taking its least free neighbour above it: cuts the number of
+    # augmentation phases roughly in half.
+    free = inside
+    for u in verts:
+        if match[u] == -1 and (up := (masks[u] & free) >> u):
+            v = u + (up & -up).bit_length() - 1
             match[u] = v
             match[v] = u
+            free ^= 1 << u | 1 << v
     # An augmenting path joins two live exposed vertices.  A root whose
     # search fails ends no augmenting path later either (Edmonds), so it
     # is counted out; once at most one live one is left, no root can
     # augment.
-    exposed = match.count(-1)
-    for v in range(n):
+    exposed = free.bit_count()
+    for v in verts:
         if exposed < 2:
             break
         if match[v] == -1:
-            exposed -= 1 if _find_augmenting_path(G, match, v) == -1 else 2
-    edges = frozenset(
-        normalize_edge(v, match[v]) for v in range(n) if match[v] > v
-    )
-    return MatchingCertificate(edges)
+            found = _find_augmenting_path(masks, verts, inside, match, v)
+            exposed -= 1 if found == -1 else 2
+    return MatchingCertificate(frozenset([(v, match[v]) for v in verts if match[v] > v]))
+
+
+def max_matching(G: Graph) -> MatchingCertificate:
+    """A maximum cardinality matching of G as a checkable certificate."""
+    n = G.vertex_count
+    return _mask_matching(G.neighbor_masks, range(n), (1 << n) - 1)

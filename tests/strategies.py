@@ -182,7 +182,11 @@ def plain_dfs_cycle(neigh: list[int], nverts: int, lo: int, hi: int) -> list[int
     ascending, every path grown until it closes or reaches length hi.
     This is the lexicographically least min-vertex-first qualifying
     cycle, the cycle kernel's contract, on graphs too large for
-    `brute_cycle_lengths`."""
+    `brute_cycle_lengths`.  The empty window hi < lo holds no cycle, so
+    it is None at once, as the kernel's contract has it, rather than
+    after walking every path that could never close."""
+    if hi < lo:
+        return None
     for s in range(nverts - lo + 1):
         start = 1 << s
         above = -start

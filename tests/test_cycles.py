@@ -43,7 +43,7 @@ from cycle_ramsey import (
     verify_mono_cycle_free,
     verify_witness,
 )
-from cycle_ramsey import cycles
+from cycle_ramsey import cycles, matching
 from cycle_ramsey.cycles import _closes, _reaches_ends
 
 from strategies import (
@@ -129,10 +129,11 @@ def test_component_scans_run_no_matching(monkeypatch):
     G = color_class(col, 1)
     dec = fl_decompose(G, 5)  # reads matchings, so it runs before the patch
 
-    def no_blossom(_):
+    def no_blossom(*_):
         raise AssertionError("blossom matching ran")
 
-    monkeypatch.setattr(cycles, "max_matching", no_blossom)
+    monkeypatch.setattr(cycles, "_mask_matching", no_blossom)
+    monkeypatch.setattr(matching, "_mask_matching", no_blossom)
     assert len(components(G).components) == 1
     assert not structural_certificate(col, 5).all_tagged
     odd = verify_mono_cycle_free(col, 5)

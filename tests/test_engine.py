@@ -39,13 +39,14 @@ from cycle_ramsey import (
     lemma4_execute,
     lemma4_inequality_check,
     make_coloring,
+    max_matching,
     min_degree_peel,
     pk_witness_search,
     structural_certificate,
     verify_mono_cycle_free,
     verify_witness,
 )
-from cycle_ramsey import cycles
+from cycle_ramsey import cycles, matching
 from cycle_ramsey.formats import (
     parse_coloring,
     serialize_coloring,
@@ -370,32 +371,32 @@ def test_verify_witness_checks_cycle_length():
     assert not verify_witness(col, 5, w)  # wrong length for the target
 
 
+def _count_blossoms(monkeypatch, blossoms):
+    """Record (host masks, first vertex) for each blossom run, whether by
+    `max_matching` or by a component's `matching`."""
+    real = matching._mask_matching
+
+    def blossom(masks, verts, inside):
+        blossoms.append((masks, verts[0] if verts else None))
+        return real(masks, verts, inside)
+
+    monkeypatch.setattr(matching, "_mask_matching", blossom)
+    monkeypatch.setattr(cycles, "_mask_matching", blossom)
+
+
 @pytest.mark.parametrize("k,n", [(3, 5), (2, 6)])
 def test_coloring_pipeline_scans_each_graph_once(monkeypatch, k, n):
     # every layer reads the same colour classes: each Graph is scanned
     # once, and each component's blossom runs at most once
-    scanned, lifted = [], []
-    real_scan, real_induced, real_matching = (
-        cycles._scan, cycles.induced_subgraph, cycles.max_matching
-    )
-    blossoms = 0
+    scanned, blossoms = [], []
+    real_scan = cycles._scan
 
     def scan(G):
         scanned.append(G)
         return real_scan(G)
 
-    def induced(G, W):  # in `cycles`, only a component's matching lifts
-        lifted.append((G, W))
-        return real_induced(G, W)
-
-    def matching(G):
-        nonlocal blossoms
-        blossoms += 1
-        return real_matching(G)
-
+    _count_blossoms(monkeypatch, blossoms)
     monkeypatch.setattr(cycles, "_scan", scan)
-    monkeypatch.setattr(cycles, "induced_subgraph", induced)
-    monkeypatch.setattr(cycles, "max_matching", matching)
     col = parse_coloring(serialize_coloring(bondy_erdos_coloring(k, n)))
     verify_mono_cycle_free(col, n)
     if n % 2:
@@ -415,8 +416,21 @@ def test_coloring_pipeline_scans_each_graph_once(monkeypatch, k, n):
 
     assert all(color_class(col, i) in scanned for i in range(1, k + 1))
     assert len({id(G) for G in scanned}) == len(scanned)
-    assert blossoms == len(lifted) > 0
-    assert len({(id(G), W[0]) for G, W in lifted}) == len(lifted)
+    # the hook holds each host's masks, so their ids stay distinct
+    assert len({(id(masks), first) for masks, first in blossoms}) == len(blossoms) > 0
+
+
+def test_spanning_component_matching_is_computed_apart_from_max_matching(monkeypatch):
+    # `comp.matching` and `max_matching(G)` agree but never share a
+    # result, so a caller that checks one against the other checks two
+    # blossom runs, even for a component that spans G
+    blossoms = []
+    _count_blossoms(monkeypatch, blossoms)
+    G = color_class(constant_coloring(complete_graph(7), 2), 1)
+    (comp,) = components(G).components
+    assert comp.matching is components(G).components[0].matching
+    assert max_matching(G) == comp.matching and comp.matching_size == 3
+    assert len(blossoms) == 2
 
 
 def test_coloring_pipeline_leaves_no_reference_cycles():
@@ -438,6 +452,7 @@ def test_coloring_pipeline_leaves_no_reference_cycles():
                 fl_decompose(G, n)
                 for comp in components(G).components:
                     comp.matching
+                max_matching(G)
                 min_degree_peel(G, G.vertex_count // 2)
             if n % 2:
                 lemma4_execute(col, n, PkParameters.for_lemma(col.color_count, n, 1))

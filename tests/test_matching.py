@@ -13,6 +13,7 @@ from cycle_ramsey import (
     build_graph,
     complete_graph,
     cycle_graph,
+    induced_subgraph,
     max_matching,
     normalize_edge,
     verify_matching,
@@ -111,7 +112,9 @@ def _matching_trying_every_root(G):
             match[v] = u
     for v in range(n):
         if match[v] == -1:
-            matching._find_augmenting_path(G, match, v)
+            matching._find_augmenting_path(
+                G.neighbor_masks, range(n), (1 << n) - 1, match, v
+            )
     return frozenset(normalize_edge(v, match[v]) for v in range(n) if match[v] > v)
 
 
@@ -139,12 +142,26 @@ def test_no_root_is_tried_once_one_vertex_is_exposed(monkeypatch, v, edges, call
     made = []
     real = matching._find_augmenting_path
 
-    def counted(G, match, root):
+    def counted(masks, verts, inside, match, root):
         made.append(root)
-        return real(G, match, root)
+        return real(masks, verts, inside, match, root)
 
     monkeypatch.setattr(matching, "_find_augmenting_path", counted)
     G = build_graph(v, edges)
     cert = max_matching(G)
     assert len(made) == calls
     assert cert.size == brute_matching_number(G)
+
+
+@given(st.one_of(graphs(max_vertices=10), graphs_of_density(min_vertices=2)), st.data())
+@settings(max_examples=200)
+def test_mask_matching_on_a_vertex_set_is_the_lifted_subgraph_matching(G, data):
+    # Every walk of the blossom takes vertices ascending, and relabelling
+    # in ascending order keeps that order, so running it on the host's
+    # masks restricted to W gives the induced subgraph's matching, lifted
+    # back through `kept`, edge for edge.
+    W = data.draw(st.sets(st.integers(0, G.vertex_count - 1))) if G.vertex_count else ()
+    sub, kept = induced_subgraph(G, W)
+    lifted = frozenset((kept[a], kept[b]) for a, b in max_matching(sub).edges)
+    inside = sum(1 << v for v in kept)
+    assert matching._mask_matching(G.neighbor_masks, kept, inside).edges == lifted
