@@ -27,30 +27,35 @@ has its second vertex below its last, so a path may close only at an
 end of s above its first step e1 (which needs lo >= 3); it cuts a path
 once every such end lies on it.  It takes e1 in a loop of its own, over
 the ends ascending and never at the last one, so a start with fewer
-than two neighbours above it is skipped.  For an exact window
-lo = hi >= 4 it walks below e1 only if a path of lo - 2 edges above s
-runs from e1 to an end above e1, which is whether a qualifying cycle
-starts s, e1 at all; the search's closure test asks this same question
-(see below).  It walks the last open vertex's children in a local loop,
-and at length hi - 1 it closes by one mask intersection.  The kernel
-assumes symmetric, loop-free masks, as every caller builds them: the
-ends are read from s's own mask.  The kernel's answer is also
+than two neighbours above it is skipped.  An exact window lo = hi >= 4
+is answered by one least-path walk per first step: a qualifying cycle
+starts s, e1 exactly when a path of lo - 2 edges above s runs from e1
+to an end above e1, and the least such path is the tail of the least
+such cycle, so the first e1 for which `_reaches_ends` returns a path
+gives the answer (the search's closure test asks the same question,
+see below).  The DFS serves range windows lo < hi (the sweep's [n, v],
+`longest_cycle`): it walks the last open vertex's children in a local
+loop, and at length hi - 1 it closes by one mask intersection.  The
+kernel assumes symmetric, loop-free masks, as every caller builds
+them: the ends are read from s's own mask.  The kernel's answer is also
 the monochromatic witness: `verify_mono_cycle_free` reports the least
 C_n of the first colour class that holds one, and the randomized hunt
 asks the kernel the same question on its incremental per-colour masks,
 so it recolours exactly the cycle the checker would report.  The
 checker first cuts each class down to the components that could host
 a C_n, which drops no C_n and so leaves the least one unchanged.  One
-narrower test stays separate from the kernel: the search's closure test
+narrower test shares the kernel's helper: the search's closure test
 `_closes(neigh, a, b, length)` asks whether a simple a..b path of
 exactly `length` edges exists, which is whether colouring the edge ab
 closes a C_(length+1).  One rule serves every length >= 3: its helper
-`_reaches_ends`, a DFS from a, places the first length - 3 interior
-vertices, and the last two, x and y, come from intersecting masks, with
-y one of the ends (here b's neighbours) and x a common neighbour of y
-and the DFS's last vertex, both unused.  The kernel's first-step
-pre-test calls the same helper.  Length 2 is the one intersection of
-a's and b's masks.  The test assumes symmetric, loop-free masks and
+`_reaches_ends`, a DFS from a over ascending neighbours, places the
+first length - 3 interior vertices, and the last two come from masks:
+x is the least unused neighbour of the DFS's last vertex next to an
+unused end (here b's neighbours), and y the least such end next to x.
+So the first path it finds is the least, and it returns that path's
+tail, or None: the kernel keeps the tail as its cycle, and the closure
+test asks only whether there is one.  Length 2 is the one intersection
+of a's and b's masks.  The test assumes symmetric, loop-free masks and
 a != b, which the search guarantees.
 
 The Erdős–Gallai sweep uses no theorem to skip a graph.  It accepts a
@@ -246,11 +251,13 @@ def _mask_cycle(neigh: list[int], nverts: int, lo: int, hi: int) -> list[int] | 
     over the ends ascending, which is the DFS's own order; it stops at
     the last end, which has no end above it (so a start with fewer than
     two ends is skipped), and at hi = 3 the least close is one
-    intersection.  For an exact window lo = hi >= 4 a first step is
-    taken only if `_reaches_ends` finds an e1..y path of lo - 2 edges
-    above s with y in `closing`: that is exactly a qualifying cycle
-    below e1, so a first step it rules out holds none, and the DFS below
-    one it admits finds the least as before.  The DFS stack holds the
+    intersection.  An exact window lo = hi >= 4 never enters the DFS:
+    `_reaches_ends` returns the least e1..y path of lo - 2 edges above s
+    with y in `closing`, or None.  Such a path is exactly a qualifying
+    cycle that starts s, e1, and the least path gives the least cycle,
+    so the first e1 with a path gives the answer [s, e1, *path].  The
+    DFS serves range windows lo < hi only, so a child of the inline
+    loop, at length hi - 1 >= lo, may always close; its stack holds the
     candidates from depth 3 on.  The last open vertex w is walked
     inline: its children x are taken in a local loop, in the order and
     with the two tests of a stack frame (x closes, else the lowest open
@@ -264,7 +271,7 @@ def _mask_cycle(neigh: list[int], nverts: int, lo: int, hi: int) -> list[int] | 
     if hi < lo:
         return None
     last = hi - 1
-    exact = lo == hi  # lo = hi = 3 is decided before the pre-test
+    exact = lo == hi  # lo = hi = 3 is decided before the least-path walk
     for s in range(nverts - lo + 1):
         start = 1 << s
         above = -start  # every vertex >= s
@@ -278,9 +285,12 @@ def _mask_cycle(neigh: list[int], nverts: int, lo: int, hi: int) -> list[int] | 
                 if close:
                     return [s, e1, (close & -close).bit_length() - 1]
                 continue
-            if exact and not _reaches_ends(
-                neigh, e1, above & ~(start | e1_bit), closing, lo - 4
-            ):
+            if exact:  # lo = hi >= 4: the least tail closes the least cycle
+                tail = _reaches_ends(
+                    neigh, e1, above & ~(start | e1_bit), closing, lo - 4
+                )
+                if tail is not None:
+                    return [s, e1, *tail]
                 continue
             path = [s, e1]
             visited = start | e1_bit
@@ -314,7 +324,7 @@ def _mask_cycle(neigh: list[int], nverts: int, lo: int, hi: int) -> list[int] | 
                         while xs:
                             xl = xs & -xs
                             xs ^= xl
-                            if last >= lo and xl & closing:
+                            if xl & closing:
                                 path += (w, xl.bit_length() - 1)
                                 return path
                             x = xl.bit_length() - 1
@@ -339,20 +349,32 @@ def _closes(neigh: list[int], a: int, b: int, length: int) -> bool:
         return False
     if length == 2:
         return neigh[a] & ends != 0
-    return _reaches_ends(neigh, a, ~(1 << a | 1 << b), ends, length - 3)
+    return _reaches_ends(neigh, a, ~(1 << a | 1 << b), ends, length - 3) is not None
 
 
-def _reaches_ends(neigh: list[int], cur: int, free: int, ends: int, depth: int) -> bool:
-    """Is there a path cur, v_1..v_depth, x, y with every v, x and y in
-    `free` and y in `ends`?  Loop-free masks keep x != y."""
+def _reaches_ends(
+    neigh: list[int], cur: int, free: int, ends: int, depth: int
+) -> list[int] | None:
+    """The least tail [v_1..v_depth, x, y] of a path cur, v_1..v_depth,
+    x, y with every v, x and y in `free` and y in `ends`, or None.
+    Loop-free masks keep x != y.
+
+    The v are walked ascending.  For x and y the unused ends are walked,
+    as an end set is small (b's edges so far in the search, the ends
+    above e1 in the kernel): `hits` collects each candidate x next to
+    one of them, and the least hit with the least end next to it is the
+    least x, y."""
     xs = neigh[cur] & free
     if depth > 1:
         while xs:
             low = xs & -xs
             xs ^= low
-            if _reaches_ends(neigh, low.bit_length() - 1, free ^ low, ends, depth - 1):
-                return True
-        return False
+            tail = _reaches_ends(
+                neigh, low.bit_length() - 1, free ^ low, ends, depth - 1
+            )
+            if tail is not None:
+                return [low.bit_length() - 1, *tail]
+        return None
     if depth:
         # the depth-0 case below, inline for each v_1: a call per v_1
         # cost the certify benchmark (C_5, C_6) 2-3% of its time
@@ -361,20 +383,28 @@ def _reaches_ends(neigh: list[int], cur: int, free: int, ends: int, depth: int) 
             xs ^= low
             rest = free ^ low
             ms = neigh[low.bit_length() - 1] & rest
-            ys = ends & rest
+            ys = ends & rest if ms else 0
+            hits = 0
             while ys:
                 yl = ys & -ys
                 ys ^= yl
-                if neigh[yl.bit_length() - 1] & ms:
-                    return True
-        return False
-    ys = ends & free
+                hits |= neigh[yl.bit_length() - 1] & ms
+            if hits:
+                x = (hits & -hits).bit_length() - 1
+                close = neigh[x] & ends & rest
+                return [low.bit_length() - 1, x, (close & -close).bit_length() - 1]
+        return None
+    ys = ends & free if xs else 0
+    hits = 0
     while ys:
         low = ys & -ys
         ys ^= low
-        if neigh[low.bit_length() - 1] & xs:
-            return True
-    return False
+        hits |= neigh[low.bit_length() - 1] & xs
+    if hits:
+        x = (hits & -hits).bit_length() - 1
+        close = neigh[x] & ends & free
+        return [x, (close & -close).bit_length() - 1]
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -356,8 +356,8 @@ def near_trees(draw):
 @settings(max_examples=60, deadline=None)
 def test_kernel_matches_plain_dfs_on_sparse_graphs_with_exact_windows(G):
     # Such graphs hold no C_n for most exact windows n = 4..9, so the
-    # first-step pre-test rules out most first steps: whatever it drops
-    # must hold no cycle of the window.
+    # least-path walk finds no path from most first steps: whatever it
+    # drops must hold no cycle of the window.
     v = G.vertex_count
     masks = list(G.neighbor_masks)
     for n in range(4, 10):
@@ -372,17 +372,22 @@ def test_kernel_pre_tests_each_first_step_against_the_ends_above_it(monkeypatch)
     G = petersen()
     masks = list(G.neighbor_masks)
     asked = []
+    answers = []
     nested = [0]
     real = cycles._reaches_ends
 
     def spy(neigh, cur, free, ends, depth):
-        if not nested[0]:
-            asked.append((cur, free & 1023, ends, depth))
+        top = not nested[0]
+        if top:
+            asked.append((cur, free & ((1 << len(neigh)) - 1), ends, depth))
         nested[0] += 1
         try:
-            return real(neigh, cur, free, ends, depth)
+            found = real(neigh, cur, free, ends, depth)
         finally:
             nested[0] -= 1
+        if top:
+            answers.append(found)
+        return found
 
     monkeypatch.setattr(cycles, "_reaches_ends", spy)
     assert cycles._mask_cycle(masks, 10, 7, 7) is None
@@ -393,6 +398,28 @@ def test_kernel_pre_tests_each_first_step_against_the_ends_above_it(monkeypatch)
             free = 1023 & -(1 << s) & ~(1 << s | 1 << e1)
             want.append((e1, free, sum(1 << e for e in ends[i + 1:]), 3))
     assert asked == want
+
+    # Beside it, the C_7 10-13-11-15-12-16-14 with the chord 10-11.  The
+    # helper is asked once per first step, the Petersen ones and then
+    # (10, 11), which reaches no end, and (10, 13), whose least tail is
+    # the cycle: the kernel returns it and walks no first step again.
+    ring = [10, 13, 11, 15, 12, 16, 14]
+    H = build_graph(17, [*G.sorted_edges, (10, 11),
+                         *zip(ring, ring[1:] + ring[:1])])
+    masks = list(H.neighbor_masks)
+    asked.clear()
+    answers.clear()
+    found = cycles._mask_cycle(masks, 17, 7, 7)
+    want = []
+    for s in range(11):  # s = 10 tries its first two ends, 11 and 13
+        ends = [e for e in range(s + 1, 17) if H.has_edge(s, e)]
+        for i, e1 in enumerate(ends[:-1]):
+            free = 0x1FFFF & -(1 << s) & ~(1 << s | 1 << e1)
+            want.append((e1, free, sum(1 << e for e in ends[i + 1:]), 3))
+    assert asked == want
+    assert answers[:-1] == [None] * (len(want) - 1)
+    assert found == [10, 13] + answers[-1] == ring
+    assert found == plain_dfs_cycle(masks, 17, 7, 7)
 
 
 @st.composite
@@ -471,24 +498,27 @@ def test_closure_test_matches_path_oracle(G, length):
         assert _closes(masks, a, b, length) == ((a, b) in ends), (a, b)
 
 
-def brute_reaches_ends(G, cur: int, free: set[int], ends: set[int], depth: int) -> bool:
-    """Some simple path cur, v_1..v_depth, x, y inside `free` with y in
-    `ends`, from the permutations of depth + 2 free vertices."""
+def brute_reaches_ends(G, cur: int, free: set[int], ends: set[int], depth: int):
+    """The least tail [v_1..v_depth, x, y] of a simple path cur, v_1..
+    v_depth, x, y inside `free` with y in `ends`, or None: the first hit
+    among the permutations of depth + 2 free vertices, which come in
+    lexicographic order."""
     for walk in itertools.permutations(sorted(free), depth + 2):
         if walk[-1] in ends and all(
             G.has_edge(p, q) for p, q in zip((cur,) + walk, walk)
         ):
-            return True
-    return False
+            return list(walk)
+    return None
 
 
 @given(st.one_of(sparse_graphs(2, 8), graphs(2, 8)), st.data())
 @settings(max_examples=150, deadline=None)
 def test_reaches_ends_matches_path_oracle(G, data):
-    # The closure test's helper, also the kernel's first-step pre-test,
-    # against brute force: cur outside `free`, several ends, depth 0..4,
-    # and `free` given as a finite mask or, as its callers build it, as
-    # one with every bit above the graph set.
+    # The closure test's helper, also the kernel's whole answer for an
+    # exact window, against brute force: the same least tail, or None,
+    # with cur outside `free`, several ends, depth 0..4, and `free` given
+    # as a finite mask or, as its callers build it, as one with every bit
+    # above the graph set.
     v = G.vertex_count
     masks = list(G.neighbor_masks)
     cur = data.draw(st.integers(0, v - 1))

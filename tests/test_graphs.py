@@ -109,11 +109,13 @@ def test_unchecked_constructors_build_what_graph_validates(col, data):
     # `build_graph`, `complete_graph` and the internal constructor behind
     # induced subgraphs, color classes and both parser paths skip the
     # per-edge checks of `Graph.__post_init__`: each graph they build
-    # must pass them and cache its edges in ascending order.
+    # must pass them, cache its edges in ascending order and hold the
+    # neighbour masks its edges give, seeded or not.
     def same(H, edges):
         checked = Graph(H.vertex_count, frozenset(edges))
         assert H == checked and hash(H) == hash(checked)
         assert H.sorted_edges == checked.sorted_edges
+        assert H.neighbor_masks == checked.neighbor_masks
 
     G = col.base
     n = G.vertex_count
