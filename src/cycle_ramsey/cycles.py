@@ -19,44 +19,35 @@ neighbours ascending.  That is the lexicographically least qualifying
 cycle listed from its minimum vertex, and it is the certificate
 contract: `contains_cycle_of_length`, `longest_cycle` and the sweep wrap
 the kernel, so every returned cycle (hence every witness and hunt
-trajectory) depends on the graph alone.  The kernel cuts only branches
-that hold no least listing of a qualifying cycle (see `_mask_cycle`),
-so the least cycle is still the first one found.  It lists each cycle
-in one direction only, since of a cycle's two listings from s the least
-has its second vertex below its last, so a path may close only at an
-end of s above its first step e1 (which needs lo >= 3); it cuts a path
-once every such end lies on it.  It takes e1 in a loop of its own, over
-the ends ascending and never at the last one, so a start with fewer
-than two neighbours above it is skipped.  An exact window lo = hi >= 4
-is answered by one least-path walk per first step: a qualifying cycle
-starts s, e1 exactly when a path of lo - 2 edges above s runs from e1
-to an end above e1, and the least such path is the tail of the least
-such cycle, so the first e1 for which `_reaches_ends` returns a path
-gives the answer (the search's closure test asks the same question,
-see below).  The DFS serves range windows lo < hi (the sweep's [n, v],
-`longest_cycle`): it walks the last open vertex's children in a local
-loop, and at length hi - 1 it closes by one mask intersection.  The
-kernel assumes symmetric, loop-free masks, as every caller builds
+trajectory) depends on the graph alone.  It lists each cycle in one
+direction only, since of a cycle's two listings from s the least has
+its second vertex below its last, so a path may close only at an end of
+s above its first step e1 (which needs lo >= 3).  It takes e1 over the
+ends ascending and never at the last one, so a start with fewer than
+two neighbours above it is skipped.  For each e1 one walk,
+`_least_tail`, returns the least tail of a path from e1 above s to an
+end above e1 with lo - 2 to hi - 2 vertices, or None: a tail sorts
+before every longer tail it is a prefix of, since the walk closes at a
+vertex before it walks through it, so the first e1 with a tail gives
+the least cycle.  The walk recurses one vertex per level, cuts a path
+that has passed its last free end, and is written out three levels
+before the end, where a call would cost more than the level's own
+work: the third-last vertex in a loop of its own, the last two by mask
+intersections (see `_least_tail`).  Its depth is the window's, up to the graph's order.
+The kernel assumes symmetric, loop-free masks, as every caller builds
 them: the ends are read from s's own mask.  The kernel's answer is also
 the monochromatic witness: `verify_mono_cycle_free` reports the least
 C_n of the first colour class that holds one, and the randomized hunt
 asks the kernel the same question on its incremental per-colour masks,
 so it recolours exactly the cycle the checker would report.  The
 checker first cuts each class down to the components that could host
-a C_n, which drops no C_n and so leaves the least one unchanged.  One
-narrower test shares the kernel's helper: the search's closure test
-`_closes(neigh, a, b, length)` asks whether a simple a..b path of
-exactly `length` edges exists, which is whether colouring the edge ab
-closes a C_(length+1).  One rule serves every length >= 3: its helper
-`_reaches_ends`, a DFS from a over ascending neighbours, places the
-first length - 3 interior vertices, and the last two come from masks:
-x is the least unused neighbour of the DFS's last vertex next to an
-unused end (here b's neighbours), and y the least such end next to x.
-So the first path it finds is the least, and it returns that path's
-tail, or None: the kernel keeps the tail as its cycle, and the closure
-test asks only whether there is one.  Length 2 is the one intersection
-of a's and b's masks.  The test assumes symmetric, loop-free masks and
-a != b, which the search guarantees.
+a C_n, which drops no C_n and so leaves the least one unchanged.  The
+search's closure test `_closes(neigh, a, b, length)` asks the same
+walk whether a simple a..b path of exactly `length` edges exists, that
+is, whether colouring the edge ab closes a C_(length+1): a tail of
+length - 1 vertices from a, avoiding b, to a neighbour of b.  It
+assumes symmetric, loop-free masks and a != b, which the search
+guarantees.
 
 The Erdős–Gallai sweep uses no theorem to skip a graph.  It accepts a
 checked graph only when a mask test shows that the graph holds every
@@ -236,42 +227,24 @@ def _mask_cycle(neigh: list[int], nverts: int, lo: int, hi: int) -> list[int] | 
     for the empty window hi = lo - 1.  Masks must be symmetric and
     loop-free.
 
-    DFS from each start vertex s ascending, over vertices >= s only,
-    neighbours ascending; paths stop growing at length hi.  The first
-    closing path in this order is the lexicographically least
-    min-vertex-first vertex sequence among all qualifying cycles.  The
-    cuts drop only subtrees that hold no such least sequence, so the
-    first one found is unchanged.  A cycle leaves s and returns to it
-    through two distinct members of `ends`, the neighbours of s above s.
-    Its reverse listing is the other candidate, so the least one has its
-    second vertex e1 below its last: a path may close only at `closing`,
-    the ends above e1, and is not extended once every one of them lies
-    on it.  At lo = 2 this would drop the 2-"cycle" [s, e1], so lo >= 3
-    is load-bearing.  The first step e1 is walked in a loop of its own,
-    over the ends ascending, which is the DFS's own order; it stops at
-    the last end, which has no end above it (so a start with fewer than
-    two ends is skipped), and at hi = 3 the least close is one
-    intersection.  An exact window lo = hi >= 4 never enters the DFS:
-    `_reaches_ends` returns the least e1..y path of lo - 2 edges above s
-    with y in `closing`, or None.  Such a path is exactly a qualifying
-    cycle that starts s, e1, and the least path gives the least cycle,
-    so the first e1 with a path gives the answer [s, e1, *path].  The
-    DFS serves range windows lo < hi only, so a child of the inline
-    loop, at length hi - 1 >= lo, may always close; its stack holds the
-    candidates from depth 3 on.  The last open vertex w is walked
-    inline: its children x are taken in a local loop, in the order and
-    with the two tests of a stack frame (x closes, else the lowest open
-    end next to x closes), so the least cycle comes first as before.
-    At length hi - 1 the children can only close the cycle, so the least
-    of them that does, the lowest bit of the open ends next to the
-    path's last vertex, is taken by one intersection: in the inline
-    loop, at the first frame when hi = 4, or at the first step when
-    hi = 3.
+    Start vertices s are taken ascending, over vertices >= s only,
+    neighbours ascending; the first cycle in this order is the
+    lexicographically least min-vertex-first vertex sequence among all
+    qualifying cycles.  A cycle leaves s and returns to it through two
+    distinct members of `ends`, the neighbours of s above s.  Its reverse
+    listing is the other candidate, so the least one has its second
+    vertex e1 below its last: a path may close only at `closing`, the
+    ends above e1.  At lo = 2 this would drop the 2-"cycle" [s, e1], so
+    lo >= 3 is load-bearing.  The first step e1 is taken over the ends
+    ascending and never at the last end, which has no end above it (so a
+    start with fewer than two ends is skipped).  A cycle of the window
+    starts s, e1 exactly when a path of lo - 2 to hi - 2 vertices above
+    s, past e1, runs from e1 to an end in `closing`, and the least such
+    tail is the tail of the least such cycle: `_least_tail` returns it,
+    so the first e1 with a tail gives the answer [s, e1, *tail].
     """
     if hi < lo:
         return None
-    last = hi - 1
-    exact = lo == hi  # lo = hi = 3 is decided before the least-path walk
     for s in range(nverts - lo + 1):
         start = 1 << s
         above = -start  # every vertex >= s
@@ -280,63 +253,11 @@ def _mask_cycle(neigh: list[int], nverts: int, lo: int, hi: int) -> list[int] | 
             e1_bit = closing & -closing
             closing ^= e1_bit
             e1 = e1_bit.bit_length() - 1
-            if last == 2:  # hi = 3: e1's next vertex closes the cycle
-                close = neigh[e1] & closing
-                if close:
-                    return [s, e1, (close & -close).bit_length() - 1]
-                continue
-            if exact:  # lo = hi >= 4: the least tail closes the least cycle
-                tail = _reaches_ends(
-                    neigh, e1, above & ~(start | e1_bit), closing, lo - 4
-                )
-                if tail is not None:
-                    return [s, e1, *tail]
-                continue
-            path = [s, e1]
-            visited = start | e1_bit
-            stack = [neigh[e1] & above & ~visited]
-            depth = 3  # the path's length once a candidate from stack[-1] joins
-            while True:
-                cand = stack[-1]
-                if not cand:
-                    stack.pop()
-                    if not stack:
-                        break
-                    visited ^= 1 << path.pop()
-                    depth -= 1
-                    continue
-                low = cand & -cand
-                stack[-1] = cand ^ low
-                if depth >= lo and low & closing:
-                    path.append(low.bit_length() - 1)
-                    return path
-                open_ends = closing & ~(visited | low)
-                if open_ends:
-                    w = low.bit_length() - 1
-                    if depth < last - 1:
-                        visited |= low
-                        path.append(w)
-                        stack.append(neigh[w] & above & ~visited)
-                        depth += 1
-                    elif depth < last:
-                        # w's children x, in the order a frame would take them
-                        xs = neigh[w] & above & ~(visited | low)
-                        while xs:
-                            xl = xs & -xs
-                            xs ^= xl
-                            if xl & closing:
-                                path += (w, xl.bit_length() - 1)
-                                return path
-                            x = xl.bit_length() - 1
-                            close = neigh[x] & open_ends & ~xl
-                            if close:
-                                path += (w, x, (close & -close).bit_length() - 1)
-                                return path
-                    else:  # depth == last, reached only when hi = 4
-                        close = neigh[w] & open_ends
-                        if close:
-                            path += (w, (close & -close).bit_length() - 1)
-                            return path
+            tail = _least_tail(
+                neigh, e1, above & ~(start | e1_bit), closing, lo - 2, hi - 2
+            )
+            if tail is not None:
+                return [s, e1, *tail]
     return None
 
 
@@ -347,61 +268,80 @@ def _closes(neigh: list[int], a: int, b: int, length: int) -> bool:
     ends = neigh[b] & ~(1 << a)
     if not ends:
         return False
-    if length == 2:
-        return neigh[a] & ends != 0
-    return _reaches_ends(neigh, a, ~(1 << a | 1 << b), ends, length - 3) is not None
+    return (
+        _least_tail(neigh, a, ~(1 << a | 1 << b), ends, length - 1, length - 1)
+        is not None
+    )
 
 
-def _reaches_ends(
-    neigh: list[int], cur: int, free: int, ends: int, depth: int
+def _least_tail(
+    neigh: list[int], cur: int, free: int, ends: int, short: int, long: int
 ) -> list[int] | None:
-    """The least tail [v_1..v_depth, x, y] of a path cur, v_1..v_depth,
-    x, y with every v, x and y in `free` and y in `ends`, or None.
-    Loop-free masks keep x != y.
+    """The least tail [w_1..w_t], short <= t <= long, of a path cur,
+    w_1..w_t with every w in `free` and w_t in `ends`, or None.  Needs
+    long >= 1.
 
-    The v are walked ascending.  For x and y the unused ends are walked,
-    as an end set is small (b's edges so far in the search, the ends
-    above e1 in the kernel): `hits` collects each candidate x next to
-    one of them, and the least hit with the least end next to it is the
-    least x, y."""
+    Tails are compared lexicographically, and one beats every longer
+    tail it is a prefix of: each candidate w, taken ascending, closes
+    the tail if it may (an end, with t >= short) before the walk goes
+    through it.  A walk that passes its last free end is cut.  From
+    three levels before the end the walk is written out: the w_1 loop
+    inline (a call per w_1 cost the certify benchmark, C_5 and C_6,
+    2-3% of its time), and the last two vertices from masks.  For those
+    the unused ends are walked, as an end set is small (b's edges so far
+    in the search, the ends above e1 in the kernel): `hits` collects
+    each candidate x next to one of them, or an end itself when the
+    tail may close there, and the least hit with the least end next to
+    it is the least x, y.  Loop-free masks keep x != y."""
     xs = neigh[cur] & free
-    if depth > 1:
+    if long > 3:
         while xs:
             low = xs & -xs
             xs ^= low
-            tail = _reaches_ends(
-                neigh, low.bit_length() - 1, free ^ low, ends, depth - 1
-            )
+            w = low.bit_length() - 1
+            if low & ends:
+                if short <= 1:
+                    return [w]
+                if not ends & (free ^ low):  # no free end is left to close at
+                    continue
+            tail = _least_tail(neigh, w, free ^ low, ends, short - 1, long - 1)
             if tail is not None:
-                return [low.bit_length() - 1, *tail]
+                return [w, *tail]
         return None
-    if depth:
-        # the depth-0 case below, inline for each v_1: a call per v_1
-        # cost the certify benchmark (C_5, C_6) 2-3% of its time
+    if long == 3:
         while xs:
             low = xs & -xs
             xs ^= low
+            w = low.bit_length() - 1
+            if short <= 1 and low & ends:
+                return [w]
             rest = free ^ low
-            ms = neigh[low.bit_length() - 1] & rest
+            ms = neigh[w] & rest
             ys = ends & rest if ms else 0
-            hits = 0
+            hits = ms & ends if short <= 2 else 0
             while ys:
                 yl = ys & -ys
                 ys ^= yl
                 hits |= neigh[yl.bit_length() - 1] & ms
             if hits:
-                x = (hits & -hits).bit_length() - 1
+                xl = hits & -hits
+                x = xl.bit_length() - 1
+                if short <= 2 and xl & ends:
+                    return [w, x]
                 close = neigh[x] & ends & rest
-                return [low.bit_length() - 1, x, (close & -close).bit_length() - 1]
+                return [w, x, (close & -close).bit_length() - 1]
         return None
-    ys = ends & free if xs else 0
-    hits = 0
+    ys = ends & free if xs and long == 2 else 0
+    hits = xs & ends if short <= 1 else 0
     while ys:
         low = ys & -ys
         ys ^= low
         hits |= neigh[low.bit_length() - 1] & xs
     if hits:
-        x = (hits & -hits).bit_length() - 1
+        xl = hits & -hits
+        x = xl.bit_length() - 1
+        if short <= 1 and xl & ends:
+            return [x]
         close = neigh[x] & ends & free
         return [x, (close & -close).bit_length() - 1]
     return None

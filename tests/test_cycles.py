@@ -44,7 +44,8 @@ from cycle_ramsey import (
     verify_witness,
 )
 from cycle_ramsey import cycles, matching
-from cycle_ramsey.cycles import _closes, _reaches_ends
+from cycle_ramsey.cycles import _closes, _least_tail
+from cycle_ramsey.graphs import _MAX_ORDER
 
 from strategies import (
     all_pairs,
@@ -364,40 +365,48 @@ def test_kernel_matches_plain_dfs_on_sparse_graphs_with_exact_windows(G):
         assert cycles._mask_cycle(masks, v, n, n) == plain_dfs_cycle(masks, v, n, n), n
 
 
+def first_step_asks(H, s_top: int, short: int, long: int):
+    """Each start s < s_top with the helper call the kernel makes for
+    each of its first steps e1, in order: a tail above s from e1,
+    avoiding s and e1, to an end of s above e1.  The last end has none
+    above it and is not tried."""
+    v = H.vertex_count
+    asks = []
+    for s in range(s_top):
+        ends = [e for e in range(s + 1, v) if H.has_edge(s, e)]
+        for i, e1 in enumerate(ends[:-1]):
+            free = ((1 << v) - 1) & -(1 << s) & ~(1 << s | 1 << e1)
+            asks.append((s, (e1, free, sum(1 << e for e in ends[i + 1:]), short, long)))
+    return asks
+
+
 def test_kernel_pre_tests_each_first_step_against_the_ends_above_it(monkeypatch):
     # The Petersen graph holds no C_7, so every first step e1 of the
-    # exact window [7, 7] is ruled out by one pre-test: a path of 5 edges
-    # from e1 above s, avoiding e1, to an end of s above e1.  The last end
-    # has none above it and is not tried.
+    # exact window [7, 7] is ruled out by one helper call: a tail of 5
+    # vertices from e1 to an end of s above e1.
     G = petersen()
     masks = list(G.neighbor_masks)
     asked = []
     answers = []
     nested = [0]
-    real = cycles._reaches_ends
+    real = cycles._least_tail
 
-    def spy(neigh, cur, free, ends, depth):
+    def spy(neigh, cur, free, ends, short, long):
         top = not nested[0]
         if top:
-            asked.append((cur, free & ((1 << len(neigh)) - 1), ends, depth))
+            asked.append((cur, free & ((1 << len(neigh)) - 1), ends, short, long))
         nested[0] += 1
         try:
-            found = real(neigh, cur, free, ends, depth)
+            found = real(neigh, cur, free, ends, short, long)
         finally:
             nested[0] -= 1
         if top:
             answers.append(found)
         return found
 
-    monkeypatch.setattr(cycles, "_reaches_ends", spy)
+    monkeypatch.setattr(cycles, "_least_tail", spy)
     assert cycles._mask_cycle(masks, 10, 7, 7) is None
-    want = []
-    for s in range(4):
-        ends = [e for e in range(s + 1, 10) if G.has_edge(s, e)]
-        for i, e1 in enumerate(ends[:-1]):
-            free = 1023 & -(1 << s) & ~(1 << s | 1 << e1)
-            want.append((e1, free, sum(1 << e for e in ends[i + 1:]), 3))
-    assert asked == want
+    assert asked == [ask for _, ask in first_step_asks(G, 4, 5, 5)]
 
     # Beside it, the C_7 10-13-11-15-12-16-14 with the chord 10-11.  The
     # helper is asked once per first step, the Petersen ones and then
@@ -406,20 +415,36 @@ def test_kernel_pre_tests_each_first_step_against_the_ends_above_it(monkeypatch)
     ring = [10, 13, 11, 15, 12, 16, 14]
     H = build_graph(17, [*G.sorted_edges, (10, 11),
                          *zip(ring, ring[1:] + ring[:1])])
-    masks = list(H.neighbor_masks)
+    hmasks = list(H.neighbor_masks)
     asked.clear()
     answers.clear()
-    found = cycles._mask_cycle(masks, 17, 7, 7)
-    want = []
-    for s in range(11):  # s = 10 tries its first two ends, 11 and 13
-        ends = [e for e in range(s + 1, 17) if H.has_edge(s, e)]
-        for i, e1 in enumerate(ends[:-1]):
-            free = 0x1FFFF & -(1 << s) & ~(1 << s | 1 << e1)
-            want.append((e1, free, sum(1 << e for e in ends[i + 1:]), 3))
-    assert asked == want
-    assert answers[:-1] == [None] * (len(want) - 1)
+    found = cycles._mask_cycle(hmasks, 17, 7, 7)
+    assert asked == [ask for _, ask in first_step_asks(H, 11, 5, 5)]  # s = 10: 11, 13
+    assert answers[:-1] == [None] * (len(asked) - 1)
     assert found == [10, 13] + answers[-1] == ring
-    assert found == plain_dfs_cycle(masks, 17, 7, 7)
+    assert found == plain_dfs_cycle(hmasks, 17, 7, 7)
+
+    # A range window asks the same one call per first step, with the
+    # window's tail lengths, until a tail is found.  The Petersen graph
+    # holds a C_9 but no C_10: [7, 10] is answered at the first step,
+    # and [10, 16] asks every first step of every start in vain.
+    for graph, gmasks in ((G, masks), (H, hmasks)):
+        v = graph.vertex_count
+        for lo, hi, size in ((7, 10, 9), (10, 16, None)):
+            asked.clear()
+            answers.clear()
+            found = cycles._mask_cycle(gmasks, v, lo, hi)
+            want = first_step_asks(graph, v - lo + 1, lo - 2, hi - 2)
+            if found is None:
+                assert size is None and answers == [None] * len(want)
+            else:
+                assert len(found) == size
+                want = want[: len(asked)]
+                s, (e1, *_) = want[-1]
+                assert found == [s, e1, *answers[-1]]
+            assert asked == [ask for _, ask in want]
+            assert answers[:-1] == [None] * (len(asked) - 1)
+            assert found == plain_dfs_cycle(gmasks, v, lo, hi)
 
 
 @st.composite
@@ -498,26 +523,31 @@ def test_closure_test_matches_path_oracle(G, length):
         assert _closes(masks, a, b, length) == ((a, b) in ends), (a, b)
 
 
-def brute_reaches_ends(G, cur: int, free: set[int], ends: set[int], depth: int):
-    """The least tail [v_1..v_depth, x, y] of a simple path cur, v_1..
-    v_depth, x, y inside `free` with y in `ends`, or None: the first hit
-    among the permutations of depth + 2 free vertices, which come in
+def brute_least_tails(G, cur: int, free: set[int], ends: set[int], longest: int):
+    """For each t = 1..longest, the least tail [w_1..w_t] of a simple
+    path cur, w_1..w_t inside `free` with w_t in `ends`, or None: the
+    first hit among the permutations of t free vertices, which come in
     lexicographic order."""
-    for walk in itertools.permutations(sorted(free), depth + 2):
-        if walk[-1] in ends and all(
-            G.has_edge(p, q) for p, q in zip((cur,) + walk, walk)
-        ):
-            return list(walk)
-    return None
+    least = dict.fromkeys(range(1, longest + 1))
+    for t in least:
+        for walk in itertools.permutations(sorted(free), t):
+            if walk[-1] in ends and all(
+                G.has_edge(p, q) for p, q in zip((cur,) + walk, walk)
+            ):
+                least[t] = list(walk)
+                break
+    return least
 
 
 @given(st.one_of(sparse_graphs(2, 8), graphs(2, 8)), st.data())
 @settings(max_examples=150, deadline=None)
-def test_reaches_ends_matches_path_oracle(G, data):
-    # The closure test's helper, also the kernel's whole answer for an
-    # exact window, against brute force: the same least tail, or None,
-    # with cur outside `free`, several ends, depth 0..4, and `free` given
-    # as a finite mask or, as its callers build it, as one with every bit
+def test_least_tail_matches_path_oracle(G, data):
+    # The one path helper of the kernel and the closure test, against
+    # brute force over every window 1 <= short <= long <= 5: the least
+    # tail of the window, where a list sorts before every longer list it
+    # is a prefix of, or None.  cur lies outside `free`, the ends may
+    # hold cur or vertices that are not free, and `free` is given as a
+    # finite mask or, as its callers build it, as one with every bit
     # above the graph set.
     v = G.vertex_count
     masks = list(G.neighbor_masks)
@@ -529,9 +559,24 @@ def test_reaches_ends_matches_path_oracle(G, data):
     if data.draw(st.booleans()):
         free_mask |= -1 << v
     ends_mask = sum(1 << w for w in ends)
-    for depth in range(5):
-        want = brute_reaches_ends(G, cur, free, ends, depth)
-        assert _reaches_ends(masks, cur, free_mask, ends_mask, depth) == want, depth
+    least = brute_least_tails(G, cur, free, ends, 5)
+    for long in range(1, 6):
+        for short in range(1, long + 1):
+            found = [least[t] for t in range(short, long + 1) if least[t]]
+            want = min(found) if found else None
+            got = _least_tail(masks, cur, free_mask, ends_mask, short, long)
+            assert got == want, (short, long)
+
+
+def test_cycles_at_the_vertex_cap():
+    # A window as long as the graph walks one vertex per helper level,
+    # about _MAX_ORDER frames deep, for the exact window and for the
+    # range windows of `longest_cycle` with and without `stop_at`.
+    ring = cycle_graph(_MAX_ORDER)
+    whole = tuple(range(_MAX_ORDER))
+    assert contains_cycle_of_length(ring, _MAX_ORDER).vertices == whole
+    assert longest_cycle(ring).vertices == whole
+    assert longest_cycle(ring, stop_at=_MAX_ORDER - 10).vertices == whole
 
 
 # --------------------------------------------------------------------------
