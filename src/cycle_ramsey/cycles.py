@@ -368,8 +368,8 @@ def longest_cycle(G: Graph, stop_at: int | None = None) -> CycleCertificate | No
 
     With `stop_at` set, returns the lexicographically least cycle of
     length at least `stop_at` (not necessarily a longest one), which is
-    the fast path the Erdős–Gallai checks use; without one, or when no
-    such cycle exists, the lexicographically least longest cycle.
+    all `even_engine` needs; without one, or when no such cycle exists,
+    the lexicographically least longest cycle.
     Exhaustive, intended for graphs up to ~20 vertices.
     """
     if stop_at is not None and stop_at < 3:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cycles import components
-from .errors import CycleRamseyError, CycleTooShort, ParamOutOfRange, TargetTooLarge
+from .errors import CycleTooShort, ParamOutOfRange, TargetTooLarge
 from .graphs import Graph, induced_subgraph
 
 
@@ -110,7 +110,7 @@ def fl_decompose(G: Graph, n: int) -> FLDecomposition:
     )
     check = check_decomposition(G, n, dec)
     if not check.all_ok:
-        raise CycleRamseyError(f"internal decomposition audit failed: {check}")
+        raise AssertionError(f"decomposition audit failed: {check}")
     return dec
 
 

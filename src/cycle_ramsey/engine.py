@@ -233,8 +233,11 @@ def lemma4_execute(
     cells, take a largest cell X (ties: lexicographically smallest
     signature), and evaluate the argument's inequalities on X in exact
     arithmetic.  Precondition violations never abort; they are recorded
-    and the engine continues diagnostically.
+    and the engine continues diagnostically.  A palette over
+    `_MAX_COLORS` is refused first: the cells number 2^k.
     """
+    if col.color_count > _MAX_COLORS:
+        raise TargetTooLarge(f"color count {col.color_count} > {_MAX_COLORS}")
     found = pk_witness_search(col, n, Parity.ODD)
     if found is not None:
         return found
@@ -477,7 +480,8 @@ def even_engine(
     threshold for a cycle of length n+1 — extracts such a cycle and
     returns a matching of exactly n/2 of its edges, all inside one
     monochromatic component.  Otherwise returns the measured report,
-    including any precondition violations.
+    including any precondition violations.  A met threshold without the
+    cycle contradicts Erdős–Gallai: a bug, raised as AssertionError.
     """
     if n < 3:
         raise CycleTooShort(f"cycle length {n} < 3")
@@ -535,9 +539,7 @@ def even_engine(
     Gm = color_class(col, majority)
     cycle = longest_cycle(Gm, stop_at=n + 1)
     if cycle is None or cycle.length <= n:
-        # Unreachable when the threshold is genuinely met — the edge
-        # count guarantees the cycle — but report rather than crash.
-        return report
+        raise AssertionError(f"color {majority} meets the threshold but has no C_>={n + 1}")
     pairs = frozenset(
         normalize_edge(cycle.vertices[2 * t], cycle.vertices[2 * t + 1])
         for t in range(n // 2)

@@ -6,7 +6,9 @@ from fractions import Fraction
 
 
 class CycleRamseyError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for the errors a caller's input can cause (CLI exit
+    3).  A broken invariant is a bug: it raises AssertionError with an
+    explicit `raise`, which `python -O` keeps (CLI exit 4)."""
 
 
 class LoopEdge(CycleRamseyError):
@@ -74,6 +76,14 @@ def ascii_int(token: str) -> int:
     ):
         return int(token)
     raise FormatError(f"bad integer {token!r}: expected ASCII digits")
+
+
+def _ints(tokens: list[str], lineno: int) -> list[int]:
+    """`ascii_int` of each token, a FormatError naming line `lineno`."""
+    try:
+        return [ascii_int(t) for t in tokens]
+    except FormatError as exc:
+        raise FormatError(f"line {lineno}: {exc}") from None
 
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")

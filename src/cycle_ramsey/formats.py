@@ -30,12 +30,7 @@ from .constructions import ComponentTag, StructuralCertificate
 from .cycles import SweepReport
 from .decompose import FLDecomposition, PeelResult
 from .engine import ChainReport, EvenCaseReport, Lemma4Trace
-from .errors import (
-    FormatError,
-    TargetTooLarge,
-    ascii_int,
-    parse_rational,
-)
+from .errors import FormatError, TargetTooLarge, _ints, parse_rational
 from .graphs import (
     _MAX_COLORS,
     _MAX_ORDER,
@@ -46,7 +41,7 @@ from .graphs import (
     build_graph,
     normalize_edge,
 )
-from .search import EDGE_ORDER, SearchResult, SearchVerdict
+from .search import EDGE_ORDER, SearchResult, SearchVerdict, _prefix_line
 
 # ---------------------------------------------------------------------------
 # Graph / coloring files
@@ -73,13 +68,6 @@ def serialize_coloring(col: EdgeColoring) -> str:
     for (u, v), c in zip(col.base.sorted_edges, col.colors):
         parts += heads[u], names[v], tails[c]
     return "".join(parts)
-
-
-def _ints(tokens: list[str], lineno: int) -> list[int]:
-    try:
-        return [ascii_int(t) for t in tokens]
-    except FormatError as exc:
-        raise FormatError(f"line {lineno}: {exc}") from None
 
 
 def _edge_file(text: str, colored: bool) -> tuple[Graph, list[int], list[list[int]]]:
@@ -381,10 +369,7 @@ def serialize_search_result(res: SearchResult) -> str:
         f"orderly-prunes {res.stats.orderly_prunes}",
     ]
     if res.verdict is SearchVerdict.INDETERMINATE:
-        for prefix in res.open_prefixes:
-            lines.append(
-                f"prefix {len(prefix)} {' '.join(str(c) for c in prefix)}"
-            )
+        lines += map(_prefix_line, res.open_prefixes)
     return "\n".join(lines) + "\n"
 
 

@@ -57,12 +57,11 @@ from dataclasses import dataclass
 from .constructions import verify_mono_cycle_free
 from .cycles import _closes, _mask_cycle
 from .errors import (
-    CycleRamseyError,
     CycleTooShort,
     FormatError,
     ParamOutOfRange,
     TargetTooLarge,
-    ascii_int,
+    _ints,
     ascii_text,
 )
 from .graphs import (
@@ -392,9 +391,7 @@ def _aggregate(
     if r == _FOUND:
         col = make_coloring(complete_graph(N), k, dict(zip(edge_order(N), path)))
         if verify_mono_cycle_free(col, n) is not True:
-            raise CycleRamseyError(
-                "internal: counterexample failed independent re-verification"
-            )
+            raise AssertionError("counterexample failed independent re-verification")
         return SearchResult(SearchVerdict.COUNTEREXAMPLE, k, n, N, col, stats)
     if cut:
         return SearchResult(
@@ -483,6 +480,12 @@ def _checkpoint_temp(path: str) -> str:
     return f"{path}.{os.getpid()}.tmp"
 
 
+def _prefix_line(prefix: tuple[int, ...]) -> str:
+    """The `prefix <edge-index> <color-list>` line of an open prefix, as
+    search reports and checkpoints write it."""
+    return f"prefix {len(prefix)} {' '.join(map(str, prefix))}"
+
+
 def write_checkpoint(path: str, result: SearchResult) -> None:
     """Persist the open subtrees of an INDETERMINATE result: a
     `checkpoint <k> <n> <N> colex` header line, one `prefix
@@ -504,7 +507,7 @@ def write_checkpoint(path: str, result: SearchResult) -> None:
         with open(tmp, "w", encoding="ascii") as fh:
             fh.write(f"checkpoint {result.k} {result.n} {result.N} {EDGE_ORDER}\n")
             for p in result.open_prefixes:
-                fh.write(f"prefix {len(p)} {' '.join(str(c) for c in p)}\n")
+                fh.write(f"{_prefix_line(p)}\n")
             fh.write(f"end {len(result.open_prefixes)}\n")
         os.replace(tmp, path)
     except BaseException:
@@ -525,17 +528,14 @@ def read_checkpoint(
     nothing about it.  The last non-empty line must be `end <count>`
     with the number of prefix lines, and that number must be positive: a
     frontier that lost lines, or an empty one, would resume into a false
-    proof.  Integers are plain ASCII digits, as in `formats`.
+    proof.  Integers are read by the file parsers' `_ints`.
     """
     with open(path, "rb") as fh:
         lines = ascii_text(fh.read()).splitlines()
     header = lines[0].split() if lines else []
     if len(header) != 5 or header[0] != "checkpoint":
         raise FormatError(f"line 1: expected 'checkpoint <k> <n> <N> {EDGE_ORDER}'")
-    try:
-        written = tuple(ascii_int(t) for t in header[1:4])
-    except FormatError as exc:
-        raise FormatError(f"line 1: {exc}") from None
+    written = tuple(_ints(header[1:4], 1))
     if header[4] != EDGE_ORDER:
         raise FormatError(
             f"line 1: edge order {header[4]!r}; this search resumes only "
@@ -565,18 +565,14 @@ def read_checkpoint(
             continue
         if parts[0] != "prefix" or len(parts) < 2:
             raise FormatError(f"line {lineno}: expected 'prefix <index> <colors>'")
-        try:
-            index = ascii_int(parts[1])
-            colors = tuple(ascii_int(t) for t in parts[2:])
-        except FormatError as exc:
-            raise FormatError(f"line {lineno}: {exc}") from None
+        index, *colors = _ints(parts[1:], lineno)
         if index != len(colors):
             raise FormatError(
                 f"line {lineno}: edge index {index} != {len(colors)} colors"
             )
         if any(c < 1 for c in colors):
             raise FormatError(f"line {lineno}: colors must be >= 1")
-        prefixes.append(colors)
+        prefixes.append(tuple(colors))
     if not ended:
         raise FormatError("no 'end <count>' line: the checkpoint is truncated")
     if not prefixes:
@@ -625,16 +621,15 @@ def lower_bound_witness_search(
     rng = random.Random(seed)
     steps_allowed = 5000 if budget is None else budget
     base = complete_graph(N)
-    colors = [rng.randint(1, k) for _ in range(base.edge_count)]
-    edge_index = {e: i for i, e in enumerate(base.sorted_edges)}
-    # Per-colour neighbour masks, updated in place on each recolouring,
-    # and each colour's cached least C_n from the kernel, the cycle
-    # `verify_mono_cycle_free` reports for that class; a recolouring
-    # drops the cache of its two colours only.
+    # Per-colour neighbour masks, the only copy of the colouring, updated
+    # in place on each recolouring, and each colour's cached least C_n
+    # from the kernel, the cycle `verify_mono_cycle_free` reports for
+    # that class; a recolouring drops the cache of its two colours only.
     neigh = [[0] * N for _ in range(k)]
-    for (u, v), c in zip(base.sorted_edges, colors):
-        neigh[c - 1][u] |= 1 << v
-        neigh[c - 1][v] |= 1 << u
+    for u, v in base.sorted_edges:
+        masks = neigh[rng.randint(1, k) - 1]
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
     found: dict[int, list[int] | None] = {}
     for step in range(steps_allowed):
         vs = None
@@ -645,23 +640,22 @@ def lower_bound_witness_search(
             if vs is not None:
                 break
         if vs is None:
-            col = EdgeColoring(base, k, tuple(colors))
+            col = EdgeColoring(base, k, tuple(
+                next(c for c in range(k) if neigh[c][u] >> v & 1) + 1
+                for u, v in base.sorted_edges
+            ))
             if verify_mono_cycle_free(col, n) is not True:
-                raise CycleRamseyError(
-                    "internal: hunt witness failed independent re-verification"
-                )
+                raise AssertionError("hunt witness failed independent re-verification")
             return LowerBoundResult(col, step)
         i = rng.randrange(len(vs))
         u, v = vs[i], vs[(i + 1) % len(vs)]
-        e = (u, v) if u < v else (v, u)
-        current = colors[edge_index[e]]
-        alternatives = [c for c in range(1, k + 1) if c != current]
+        # the edge lies on colour c's cycle, so its colour is c + 1
+        alternatives = [x for x in range(1, k + 1) if x != c + 1]
         if not alternatives:
             return LowerBoundResult(None, step)
         new = rng.choice(alternatives)
-        colors[edge_index[e]] = new
-        for c in (current - 1, new - 1):
-            neigh[c][u] ^= 1 << v
-            neigh[c][v] ^= 1 << u
-            found.pop(c, None)
+        for d in (c, new - 1):
+            neigh[d][u] ^= 1 << v
+            neigh[d][v] ^= 1 << u
+            found.pop(d, None)
     return LowerBoundResult(None, steps_allowed)

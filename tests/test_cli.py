@@ -8,10 +8,11 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from cycle_ramsey import bondy_erdos_coloring, cli, search
+from cycle_ramsey import bondy_erdos_coloring, cli, decompose, engine, search
 from cycle_ramsey.formats import parse_coloring, serialize_coloring
 
 
@@ -222,6 +223,43 @@ def test_internal_error_exits_four(capsys, monkeypatch):
     assert out == ""
     assert "Traceback" in err
     assert "internal error: IndexError('tuple index out of range')" in err
+
+
+# A self-check that fails is a bug, never a verdict or a usage error:
+# each raises AssertionError, which exits 4 with nothing on stdout.
+
+
+def assert_internal(code, out, err, message):
+    assert code == 4
+    assert out == ""
+    assert f"internal error: AssertionError('{message}" in err
+
+
+def test_failed_counterexample_reverification_exits_four(capsys, monkeypatch):
+    monkeypatch.setattr(search, "verify_mono_cycle_free", lambda col, n: False)
+    code, out, err = run(capsys, "search", "--k", "2", "--n", "3", "--N", "5")
+    assert_internal(code, out, err, "counterexample failed")
+
+
+def test_failed_decomposition_audit_exits_four(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(
+        decompose, "check_decomposition", lambda G, n, dec: SimpleNamespace(all_ok=False)
+    )
+    path = write_be25(tmp_path)
+    code, out, err = run(capsys, "decompose", "--n", "5", "--in", path)
+    assert_internal(code, out, err, "decomposition audit failed")
+
+
+def test_missing_erdos_gallai_cycle_exits_four(capsys, monkeypatch, tmp_path):
+    # K_13 in one color: its 78 edges meet the threshold for a C_7, so
+    # the engine may not fall back to a report when the cycle is missing
+    lines = ["coloring 13 1"]
+    lines += [f"e {u} {v} 1" for u in range(13) for v in range(u + 1, 13)]
+    path = tmp_path / "k13.txt"
+    path.write_text("\n".join(lines) + "\n")
+    monkeypatch.setattr(engine, "longest_cycle", lambda G, stop_at=None: None)
+    code, out, err = run(capsys, "engine", "--n", "6", "--eps", "1", "--in", str(path))
+    assert_internal(code, out, err, "color 1 meets the threshold but has no C_>=7")
 
 
 # --------------------------------------------------------------------------

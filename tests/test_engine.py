@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from cycle_ramsey import (
     ChainReport,
     CycleTooShort,
+    EdgeColoring,
     EvenCaseReport,
     EvenCycleLength,
     InvalidParams,
@@ -170,6 +171,14 @@ def test_executor_trace_golden_file():
     trace = lemma4_execute(col, 5, PkParameters.for_lemma(2, 5, 1))
     expected = (DATA / "lemma4_be25_trace.txt").read_text()
     assert serialize_lemma4_trace(trace) == expected
+
+
+def test_executor_refuses_a_palette_over_the_cap():
+    # 2^k cells: at k = 17 the executor would build 131,072 of them for
+    # a single edge, so the palette is capped before any is built
+    col = EdgeColoring(complete_graph(2), 17, (1,))
+    with pytest.raises(TargetTooLarge, match=r"^color count 17 > 16$"):
+        lemma4_execute(col, 5, PkParameters.for_lemma(1, 5, 1))
 
 
 @given(colorings(max_vertices=8), st.sampled_from([3, 5, 7]))

@@ -489,6 +489,24 @@ def test_checkpoint_chain_counts_the_one_shot_search(k, n, N, budget):
     assert (res.verdict, res.counterexample) == (one.verdict, one.counterexample)
 
 
+def test_checkpoint_chain_through_files_counts_the_one_shot_search(tmp_path):
+    # Every leg writes its frontier, reads it back and resumes from the
+    # file, as `search --resume` does: 12 legs of 50 nodes end in the
+    # one-shot verdict and counters of R_2(C_5) <= 9.
+    path = str(tmp_path / "chain.ckpt")
+    res = ramsey_check(2, 5, 9, budget=50)
+    legs = [res]
+    while res.verdict is SearchVerdict.INDETERMINATE:
+        write_checkpoint(path, res)
+        prefixes = read_checkpoint(path, (2, 5, 9))
+        assert prefixes == res.open_prefixes
+        res = resume_search(2, 5, 9, prefixes, budget=50)
+        legs.append(res)
+    assert len(legs) == 12
+    assert res.verdict is SearchVerdict.ALL_CONTAIN
+    assert tuple(map(sum, zip(*map(counters, legs)))) == (575, 162, 1, 126)
+
+
 def test_spent_budget_passes_prefixes_through():
     # Once the leg's budget is spent, later prefixes are neither replayed
     # nor expanded: the frontier stays as small as the input.
