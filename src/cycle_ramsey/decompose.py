@@ -190,17 +190,38 @@ def min_degree_peel(G: Graph, target_N: int) -> PeelResult:
         raise TargetTooLarge(
             f"target order {target_N} > v(G) = {G.vertex_count}"
         )
-    alive = set(range(G.vertex_count))
-    degree = {v: G.degree(v) for v in alive}
+    # Smallest-last order (Matula and Beck): bucket[d] is the mask of
+    # live vertices of live degree d, and the victim is the lowest bit of
+    # the lowest nonempty bucket, the smallest id on ties.  A removal
+    # moves each live neighbour down one bucket, all of a bucket's
+    # neighbours in one step: a neighbour's live degree after the removal
+    # is its mask's count among the survivors.  So the least live degree
+    # falls by at most one, and `low` steps back one.
+    masks = G.neighbor_masks
+    bucket = [0] * G.vertex_count
+    for v, m in enumerate(masks):
+        bucket[m.bit_count()] |= 1 << v
+    alive = (1 << G.vertex_count) - 1
     removals: list[tuple[int, int]] = []
-    while len(alive) > target_N:
-        victim = min(alive, key=lambda v: (degree[v], v))
-        removals.append((victim, degree[victim]))
-        alive.remove(victim)
-        rest = G.neighbor_masks[victim]
-        while rest:  # a removed vertex's count is never read again
-            low = rest & -rest
-            rest ^= low
-            degree[low.bit_length() - 1] -= 1
-    sub, kept = induced_subgraph(G, alive)
+    low = 0
+    for _ in range(G.vertex_count - target_N):
+        while not bucket[low]:
+            low += 1
+        bit = bucket[low] & -bucket[low]
+        victim = bit.bit_length() - 1
+        removals.append((victim, low))
+        bucket[low] ^= bit
+        alive ^= bit
+        rest = masks[victim] & alive
+        while rest:
+            d = (masks[(rest & -rest).bit_length() - 1] & alive).bit_count()
+            moved = bucket[d + 1] & rest
+            bucket[d + 1] ^= moved
+            bucket[d] |= moved
+            rest ^= moved
+        if low:
+            low -= 1
+    sub, kept = induced_subgraph(
+        G, [v for v in range(G.vertex_count) if alive >> v & 1]
+    )
     return PeelResult(sub, kept, tuple(removals))

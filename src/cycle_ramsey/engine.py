@@ -450,8 +450,11 @@ def lemma4_inequality_check(k: int, eps, n: int) -> ChainReport:
 
 @dataclass(frozen=True)
 class EvenCaseReport:
-    """Even-case engine outcome when no witness was extracted, or the
-    measured context when one was (see even_engine)."""
+    """Even-case engine outcome when the majority color misses the edge
+    threshold, so no witness is extracted (see even_engine): the measured
+    pigeonhole context and any precondition failures.  `threshold_met` is
+    therefore false in every report even_engine returns; the text and
+    JSON reports still print it."""
 
     n: int
     eps: Fraction

@@ -377,12 +377,33 @@ def serialize_search_result(res: SearchResult) -> str:
 # JSON
 
 
+# Types `to_jsonable` returns as they are, tested by exact type so that a
+# subclass (an IntEnum, say) still takes the isinstance chain below.
+_LEAVES = frozenset({int, str, bool, float, type(None)})
+# A dataclass type's field names, from `dataclasses.fields` (which skips
+# ClassVar and InitVar pseudo-fields), filled on its first conversion.
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+
+
 def to_jsonable(obj):
     """Recursively convert package objects to JSON-ready structures.
 
     Fractions become `p/q` strings (never floats); enums their values;
     graphs and colorings their canonical edge lists; dataclasses dicts.
+    Leaves, lists, tuples, Fractions and dataclasses already seen are
+    dispatched on their exact type; the isinstance chain after them
+    decides every other object, subclasses included.
     """
+    t = type(obj)
+    if t in _LEAVES:
+        return obj
+    if t is tuple or t is list:
+        return [x if type(x) in _LEAVES else to_jsonable(x) for x in obj]
+    if t is Fraction:
+        return str(obj)
+    names = _FIELD_NAMES.get(t)
+    if names is not None:
+        return {name: to_jsonable(getattr(obj, name)) for name in names}
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, enum.Enum):
@@ -401,10 +422,8 @@ def to_jsonable(obj):
             ],
         }
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {
-            f.name: to_jsonable(getattr(obj, f.name))
-            for f in dataclasses.fields(obj)
-        }
+        names = _FIELD_NAMES[t] = tuple(f.name for f in dataclasses.fields(obj))
+        return {name: to_jsonable(getattr(obj, name)) for name in names}
     if isinstance(obj, frozenset):
         return [to_jsonable(x) for x in sorted(obj)]
     if isinstance(obj, (list, tuple)):

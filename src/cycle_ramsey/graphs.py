@@ -8,7 +8,9 @@ hold a duplicate or a reversed copy of an edge.
 Derived views are built once and shared: a graph caches its sorted
 edges and its neighbour masks, the one adjacency view every walk reads,
 a coloring caches all of its color classes, and a slice that keeps
-every vertex is the object itself.
+every vertex is the object itself.  An induced subgraph and a color
+class are born with both views, filled in the pass that finds their
+edges, so no reader rebuilds the masks from the edge set.
 """
 
 from __future__ import annotations
@@ -153,15 +155,20 @@ def induced_subgraph(G: Graph, W) -> tuple[Graph, tuple[int, ...]]:
     for w in kept:
         inside |= 1 << w
     masks = G.neighbor_masks
+    bit = [1 << i for i in range(len(kept))]
     edges = []
+    sub_masks = [0] * len(kept)
     for i, w in enumerate(kept):
         # kept neighbours above w, ascending: new labels come out sorted
         rest = masks[w] & inside & -(2 << w)
         while rest:
             low = rest & -rest
-            edges.append((i, index[low.bit_length() - 1]))
+            j = index[low.bit_length() - 1]
+            edges.append((i, j))
+            sub_masks[i] |= bit[j]
+            sub_masks[j] |= bit[i]
             rest ^= low
-    return _sorted_graph(len(kept), edges), kept
+    return _sorted_graph(len(kept), edges, sub_masks), kept
 
 
 @dataclass(frozen=True)

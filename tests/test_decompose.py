@@ -24,7 +24,7 @@ from cycle_ramsey import (
     min_degree_peel,
 )
 
-from strategies import graphs
+from strategies import graphs, graphs_of_density
 
 
 def test_matching_threshold_is_ceiling_of_half():
@@ -204,19 +204,16 @@ def test_peel_edge_cases_and_errors():
         min_degree_peel(G, 5)
 
 
-@given(graphs(min_vertices=1, max_vertices=12), st.data())
-@settings(max_examples=150)
-def test_peel_random_invariants(G, data):
-    target = data.draw(st.integers(0, G.vertex_count))
-    res = min_degree_peel(G, target)
+def assert_peel_follows_reference(G, target, res):
+    """The peel's shape, and each removal checked against the rule itself:
+    a vertex of least live degree, smallest id on ties, recounted from
+    the edge set at every step."""
     assert res.graph.vertex_count == target
     assert len(res.kept) == target
     assert len(res.removals) == G.vertex_count - target
     removed = {v for v, _ in res.removals}
     assert removed.isdisjoint(res.kept)
     assert removed | set(res.kept) == set(range(G.vertex_count))
-    # each recorded degree is the live degree at removal time, and is
-    # minimal among live vertices (smallest id on ties)
     alive = set(range(G.vertex_count))
     for victim, deg in res.removals:
         live_deg = {
@@ -226,6 +223,34 @@ def test_peel_random_invariants(G, data):
         best = min(alive, key=lambda v: (live_deg[v], v))
         assert victim == best
         alive.remove(victim)
+    assert res.kept == tuple(sorted(alive))
+    assert (res.graph, res.kept) == induced_subgraph(G, alive)
+
+
+@given(
+    st.one_of(
+        graphs(min_vertices=1, max_vertices=12),
+        graphs_of_density(min_vertices=1, max_vertices=16),
+    ),
+    st.data(),
+)
+@settings(max_examples=150)
+def test_peel_random_invariants(G, data):
+    target = data.draw(st.integers(0, G.vertex_count))
+    assert_peel_follows_reference(G, target, min_degree_peel(G, target))
+
+
+@pytest.mark.parametrize("v", [1, 2, 3, 9, 24, 40])
+def test_peel_of_a_complete_graph_steps_the_least_degree_down(v):
+    # every removal lowers each live degree by one, so the least live
+    # degree falls at every step, down to 0
+    G = complete_graph(v)
+    res = min_degree_peel(G, 0)
+    assert res.removals == tuple((i, v - 1 - i) for i in range(v))
+    assert_peel_follows_reference(G, 0, res)
+    half = min_degree_peel(G, v // 2)
+    assert half.kept == tuple(range(v - v // 2, v))
+    assert_peel_follows_reference(G, v // 2, half)
 
 
 @given(graphs(min_vertices=2, max_vertices=12), st.data())

@@ -3,17 +3,23 @@ line-oriented reports, JSON conversion."""
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 import json
 import random
 from fractions import Fraction
+from typing import ClassVar
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cycle_ramsey import (
+    EdgeColoring,
     FormatError,
+    Graph,
     PkParameters,
+    SearchVerdict,
     TargetTooLarge,
     bondy_erdos_coloring,
     build_graph,
@@ -21,6 +27,7 @@ from cycle_ramsey import (
     constant_coloring,
     even_engine,
     fl_decompose,
+    lemma4_execute,
     lemma4_inequality_check,
     make_coloring,
     min_degree_peel,
@@ -699,3 +706,112 @@ def test_to_jsonable_witness_uses_enum_values():
     payload = to_jsonable(w)
     assert payload["kind"] == "nonbip_component_matching"
     assert isinstance(payload["matching"]["edges"], list)
+
+
+def reference_to_jsonable(obj):
+    """`to_jsonable` as a plain isinstance chain, each case in the order
+    it is decided; the exact-type dispatch must give the same output."""
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if isinstance(obj, enum.Enum):
+        return obj.value
+    if isinstance(obj, Graph):
+        return {
+            "vertex_count": obj.vertex_count,
+            "edges": [list(e) for e in obj.sorted_edges],
+        }
+    if isinstance(obj, EdgeColoring):
+        return {
+            "vertex_count": obj.base.vertex_count,
+            "color_count": obj.color_count,
+            "edges": [
+                [u, v, c] for (u, v), c in zip(obj.base.sorted_edges, obj.colors)
+            ],
+        }
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {
+            f.name: reference_to_jsonable(getattr(obj, f.name))
+            for f in dataclasses.fields(obj)
+        }
+    if isinstance(obj, frozenset):
+        return [reference_to_jsonable(x) for x in sorted(obj)]
+    if isinstance(obj, (list, tuple)):
+        return [reference_to_jsonable(x) for x in obj]
+    if isinstance(obj, dict):
+        return {str(k): reference_to_jsonable(v) for k, v in obj.items()}
+    return obj
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class _Name(str, enum.Enum):
+    A = "a"
+
+
+class _Count(int):
+    pass
+
+
+@dataclasses.dataclass(frozen=True)
+class _Pseudo:
+    """A dataclass whose ClassVar and InitVar are not fields."""
+
+    kind: ClassVar[str] = "pseudo"
+    value: Fraction
+    seed: dataclasses.InitVar[int] = 0
+    flags: tuple = ()
+
+
+def _jsonable_samples():
+    be = bondy_erdos_coloring(2, 5)
+    k8 = complete_graph(8)
+    balanced = make_coloring(
+        k8, 2, dict(zip(k8.sorted_edges, (1 if i < 14 else 2 for i in range(28))))
+    )
+    dense = build_graph(
+        10, [(u, v) for u in range(10) for v in range(u + 1, 10) if (u * v + u) % 3]
+    )
+    return [
+        be,
+        k8,
+        structural_certificate(be, 5),
+        pk_witness_search(constant_coloring(complete_graph(9)), 7),
+        even_engine(constant_coloring(complete_graph(13)), 6, Fraction(1, 12)),
+        fl_decompose(dense, 5),
+        min_degree_peel(dense, 4),
+        lemma4_inequality_check(5, Fraction(3, 4), 7),
+        lemma4_execute(be, 5, PkParameters.for_lemma(2, 5, 1)),
+        even_engine(balanced, 6, Fraction(1, 12)),
+        ramsey_check(2, 5, 9),
+        ramsey_check(2, 5, 8),
+        ramsey_check(2, 5, 9, budget=5),
+        erdos_gallai_sweep(4),
+        {
+            "sets": frozenset({(2, 1), (0, 5)}),
+            "nested": frozenset({frozenset({3, 1, 2})}),
+            7: [True, 1, False, 0, None, 1.5, "x", _Count(4)],
+            (1, 2): {"inner": (Fraction(-3, 4), Fraction(2))},
+        },
+        [SearchVerdict.INDETERMINATE, _Level.HIGH, _Name.A, (True, 1)],
+        _Pseudo(Fraction(1, 3), seed=5, flags=(_Level.LOW, False)),
+    ]
+
+
+def test_to_jsonable_matches_the_isinstance_chain_byte_for_byte():
+    samples = _jsonable_samples()
+    assert set(formats._TEXT) <= {type(x) for x in samples}
+    assert ramsey_check(2, 5, 9, budget=5).verdict is SearchVerdict.INDETERMINATE
+    for obj in samples:
+        want = json.dumps(reference_to_jsonable(obj), sort_keys=True)
+        # twice: a dataclass type's first conversion fills the field cache
+        assert json.dumps(to_jsonable(obj), sort_keys=True) == want
+        assert json.dumps(to_jsonable(obj), sort_keys=True) == want
+    # a subclass of a leaf type is converted as before: enums to their
+    # values, other int subclasses kept as they are
+    out = to_jsonable([True, 1, _Level.HIGH, _Name.A, _Count(4)])
+    assert [type(x) for x in out] == [bool, int, int, str, _Count]
+    assert out == [True, 1, 2, "a", 4]
+    assert to_jsonable(_Pseudo(Fraction(1, 3))) == {"value": "1/3", "flags": []}

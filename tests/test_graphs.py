@@ -212,6 +212,7 @@ def test_induced_subgraph_keeps_exactly_inner_edges(G, data):
     )
     assert sub == Graph(len(kept), scanned)
     assert sub.sorted_edges == tuple(sorted(scanned))
+    assert sub.neighbor_masks == Graph(sub.vertex_count, sub.edges).neighbor_masks
 
 
 @given(graphs(max_vertices=9))
