@@ -8,8 +8,10 @@ holds (single spaces, no comment or blank line, plain decimals, edges
 ascending, a final LF) is read in bulk by `_canonical_file`; every
 other file, in any edge order or orientation, with comments, CRLF, `01`
 or `+1`, and every faulty file, goes through the line parser
-`_edge_file`, which raises every parse error.  Either way the parsed
-graph's `Graph.sorted_edges` is seeded, so it is never sorted again.
+`_edge_file`, which raises every parse error.  A bulk-read file with
+one line per pair of its V vertices holds the shared `complete_graph(V)`
+itself.  Either way the parsed graph's `Graph.sorted_edges` is seeded,
+so it is never sorted again.
 Reports serialize to line-oriented text with no timings or other
 run-dependent noise, which makes them golden-file testable;
 `to_jsonable` provides the machine twin, and `render` picks which of
@@ -34,11 +36,11 @@ from .errors import FormatError, TargetTooLarge, _ints, parse_rational
 from .graphs import (
     _MAX_COLORS,
     _MAX_ORDER,
-    Edge,
     EdgeColoring,
     Graph,
     _sorted_graph,
     build_graph,
+    complete_graph,
     normalize_edge,
 )
 from .search import EDGE_ORDER, SearchResult, SearchVerdict, _prefix_line
@@ -128,11 +130,12 @@ _CANONICAL_INTS = {str(i): i for i in range(_MAX_ORDER + 1)}
 
 def _canonical_file(
     text: str, colored: bool
-) -> tuple[int, int, list[Edge], tuple[int, ...]] | None:
-    """(V, k, sorted edges, colors) of a coloring file, or of a graph file
-    when not `colored` (k and colors then 0 and ()), when `text` is
-    byte-identical to what the serializer writes for that object; else
-    None, and the text is left to `_edge_file`."""
+) -> tuple[Graph, int, tuple[int, ...]] | None:
+    """(graph, k, colors) of a coloring file, or of a graph file when not
+    `colored` (k and colors then 0 and ()), when `text` is byte-identical
+    to what the serializer writes for that object; else None, and the
+    text is left to `_edge_file`.  A file with one line per pair of its
+    V vertices is read against the shared `complete_graph(V)`."""
     width = 4 if colored else 3
     tokens = text.split()
     body = tokens[width - 1 :]
@@ -148,8 +151,6 @@ def _canonical_file(
     number = _CANONICAL_INTS.__getitem__
     try:
         v = number(tokens[1])
-        us = list(map(number, body[1::width]))
-        vs = list(map(number, body[2::width]))
         if colored:
             k = number(tokens[2])
             colors = tuple(map(number, body[3::width]))
@@ -161,6 +162,21 @@ def _canonical_file(
         1 <= k <= _MAX_COLORS and (not m or 1 <= min(colors) and max(colors) <= k)
     ):
         return None
+    if 2 * m == v * (v - 1):
+        # Strictly ascending pairs u < v < V, as many as there are pairs,
+        # are every pair in order: the file is K_V's or not canonical.
+        K = complete_graph(v)
+        names = list(map(str, range(v)))
+        firsts = [names[a] for a, _ in K.sorted_edges]
+        seconds = [names[b] for _, b in K.sorted_edges]
+        if body[1::width] != firsts or body[2::width] != seconds:
+            return None
+        return K, k, colors
+    try:
+        us = list(map(number, body[1::width]))
+        vs = list(map(number, body[2::width]))
+    except KeyError:
+        return None
     edges = list(zip(us, vs))
     # u < v < V on every line and strictly ascending lines: no loop, no
     # duplicate, nothing out of range or out of order
@@ -170,22 +186,20 @@ def _canonical_file(
         and all(map(tuple.__lt__, edges, edges[1:]))
     ):
         return None
-    return v, k, edges, colors
+    return _sorted_graph(v, edges), k, colors
 
 
 def parse_graph(text: str) -> Graph:
     canonical = _canonical_file(text, colored=False)
     if canonical is not None:
-        v, _, edges, _ = canonical
-        return _sorted_graph(v, edges)
+        return canonical[0]
     return _edge_file(text, colored=False)[0]
 
 
 def parse_coloring(text: str) -> EdgeColoring:
     canonical = _canonical_file(text, colored=True)
     if canonical is not None:
-        v, k, edges, colors = canonical
-        return EdgeColoring(_sorted_graph(v, edges), k, colors)
+        return EdgeColoring(*canonical)
     G, (_, k), rows = _edge_file(text, colored=True)
     color = {normalize_edge(u, v): c for u, v, c in rows}
     return EdgeColoring(G, k, tuple(map(color.__getitem__, G.sorted_edges)))

@@ -10,11 +10,18 @@ edges and its neighbour masks, the one adjacency view every walk reads,
 a coloring caches all of its color classes, and a slice that keeps
 every vertex is the object itself.  An induced subgraph and a color
 class are born with both views, filled in the pass that finds their
-edges, so no reader rebuilds the masks from the edge set.
+edges, so no reader rebuilds the masks from the edge set.  The complete
+graph K_n is one object per order, born with both views: every
+`complete_graph(n)` and every complete colouring file read in bulk gets
+the same live K_n.  It is held weakly, so it is shared while any
+colouring or caller holds it and freed with its last user; nothing pins
+a large K_n for good.
 """
 
 from __future__ import annotations
 
+import itertools
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -125,10 +132,23 @@ def build_graph(vertex_count: int, edge_list) -> Graph:
     return _sorted_graph(vertex_count, sorted(seen))
 
 
+# The live K_n by order; an entry goes when its last user drops it.
+_COMPLETE: weakref.WeakValueDictionary[int, Graph] = weakref.WeakValueDictionary()
+
+
 def complete_graph(n: int) -> Graph:
+    """K_n, the one shared object while anything holds it."""
     if n < 0:
         raise VertexOutOfRange("order must be non-negative")
-    return _sorted_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    K = _COMPLETE.get(n)
+    if K is None:
+        full = (1 << n) - 1
+        K = _COMPLETE[n] = _sorted_graph(
+            n,
+            list(itertools.combinations(range(n), 2)),
+            [full ^ 1 << u for u in range(n)],
+        )
+    return K
 
 
 def cycle_graph(n: int) -> Graph:

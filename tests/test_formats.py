@@ -525,27 +525,45 @@ def _one_edit_mutants(text, rnd: random.Random):
     return out
 
 
-@given(colorings(min_vertices=0, max_vertices=7), st.randoms(use_true_random=False))
-@example(constant_coloring(complete_graph(0)), random.Random(0))
-@example(constant_coloring(complete_graph(1), 2, 2), random.Random(0))
-@example(constant_coloring(build_graph(4, []), 3), random.Random(0))
+@given(
+    colorings(min_vertices=0, max_vertices=7),
+    colorings(complete=True, min_vertices=0, max_vertices=7),
+    st.randoms(use_true_random=False),
+)
+@example(
+    constant_coloring(complete_graph(0)),
+    constant_coloring(complete_graph(1), 2, 2),
+    random.Random(0),
+)
+@example(
+    constant_coloring(build_graph(4, []), 3),
+    constant_coloring(complete_graph(2), 3),
+    random.Random(0),
+)
 @settings(max_examples=120)
-def test_bulk_reader_matches_two_pass_reader(col, rnd: random.Random):
+def test_bulk_reader_matches_two_pass_reader(col, complete_col, rnd: random.Random):
     # every serialized file and every one-edit mutant of it parses to the
     # reference reader's object or raises its error, and the bulk path
-    # takes a text exactly when it is the serializer's output
-    for text, colored, parse, serialize in (
-        (serialize_coloring(col), True, parse_coloring, serialize_coloring),
-        (serialize_graph(col.base), False, parse_graph, serialize_graph),
-    ):
-        for mutant in _one_edit_mutants(text, rnd):
-            _agree(mutant)
-            _agree_graph(mutant)
-            status, parsed = _outcome(parse, mutant)
-            canonical = status == "ok" and serialize(parsed) == mutant
-            taken = formats._canonical_file(mutant, colored) is not None
-            assert taken == canonical, repr(mutant)
-            assert formats._canonical_file(mutant, not colored) is None
+    # takes a text exactly when it is the serializer's output, which on
+    # a complete host it reads as the shared K_V
+    for c in (col, complete_col):
+        for text, colored, parse, serialize in (
+            (serialize_coloring(c), True, parse_coloring, serialize_coloring),
+            (serialize_graph(c.base), False, parse_graph, serialize_graph),
+        ):
+            for mutant in _one_edit_mutants(text, rnd):
+                _agree(mutant)
+                _agree_graph(mutant)
+                status, parsed = _outcome(parse, mutant)
+                canonical = status == "ok" and serialize(parsed) == mutant
+                taken = formats._canonical_file(mutant, colored)
+                assert (taken is not None) == canonical, repr(mutant)
+                assert formats._canonical_file(mutant, not colored) is None
+                if taken is not None:
+                    G = taken[0]
+                    v = G.vertex_count
+                    if 2 * G.edge_count == v * (v - 1):
+                        assert G is complete_graph(v)
 
 
 def test_serialized_files_skip_the_line_parser(monkeypatch):
@@ -557,7 +575,8 @@ def test_serialized_files_skip_the_line_parser(monkeypatch):
 
     monkeypatch.setattr(formats, "_edge_file", no_line_parser)
     assert parse_coloring(text) == col
-    assert parse_graph(graph_text) == col.base
+    assert parse_coloring(text).base is col.base  # the shared K_128
+    assert parse_graph(graph_text) is col.base
     for parse, canonical in ((parse_coloring, text), (parse_graph, graph_text)):
         for variant in ("# a comment\n" + canonical, canonical.replace("\n", "\r\n")):
             with pytest.raises(AssertionError, match="line parser ran"):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from cycle_ramsey import (
     build_graph,
     color_class,
     complete_graph,
+    components,
     constant_coloring,
     cycle_graph,
     induced_coloring,
@@ -103,9 +106,7 @@ def test_graph_checks_match_one_test_per_fault(n, edges):
         assert Graph(n, edges).edges == edges
 
 
-@given(colorings(max_vertices=8), st.data())
-@settings(max_examples=150)
-def test_unchecked_constructors_build_what_graph_validates(col, data):
+def _unchecked_constructors_agree(col, data):
     # `build_graph`, `complete_graph` and the internal constructor behind
     # induced subgraphs, color classes and both parser paths skip the
     # per-edge checks of `Graph.__post_init__`: each graph they build
@@ -136,6 +137,20 @@ def test_unchecked_constructors_build_what_graph_validates(col, data):
         same(parse_coloring(text).base, G.edges)
 
 
+@given(colorings(max_vertices=8), st.data())
+@settings(max_examples=150)
+def test_unchecked_constructors_build_what_graph_validates(col, data):
+    _unchecked_constructors_agree(col, data)
+
+
+@given(colorings(max_vertices=8, complete=True), st.data())
+@settings(max_examples=40)
+def test_unchecked_constructors_on_a_complete_host(col, data):
+    # the host is `complete_graph(n)`, born with seeded masks, and its
+    # canonical files are read by the bulk reader's complete branch
+    _unchecked_constructors_agree(col, data)
+
+
 def test_build_graph_rejects_duplicates_in_either_orientation():
     with pytest.raises(DuplicateEdge):
         build_graph(3, [(0, 1), (1, 0)])
@@ -151,6 +166,23 @@ def test_complete_graph_counts():
     assert K5.edge_count == 10
     assert all(K5.degree(v) == 4 for v in range(5))
     assert complete_graph(0).edge_count == 0
+
+
+def test_complete_graph_is_shared_while_held_and_freed_after():
+    # an order no other test holds, so the last user here is the last one
+    K = complete_graph(23)
+    assert complete_graph(23) is K
+    col = constant_coloring(complete_graph(23), 2)
+    assert col.base is K
+    assert parse_coloring(serialize_coloring(col)).base is K
+    assert parse_graph(serialize_graph(K)) is K
+    # every per-graph slot filled: views, component scan, matching
+    assert components(K).components[0].matching.size == 11
+    gone = weakref.ref(K)
+    del K, col
+    gc.collect()
+    assert gone() is None  # no K_n outlives its users
+    assert complete_graph(23) == Graph(23, frozenset(itertools.combinations(range(23), 2)))
 
 
 def test_cycle_graph_structure():
