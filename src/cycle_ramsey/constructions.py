@@ -138,7 +138,7 @@ def verify_mono_cycle_free(col: EdgeColoring, n: int) -> bool | StructureWitness
         inside = 0
         for comp in rep.components:
             if len(comp.vertices) >= n and (n % 2 == 0 or not comp.is_bipartite):
-                inside |= sum(1 << v for v in comp.vertices)
+                inside |= comp.vertex_mask
         if not inside:
             continue
         found = _mask_cycle(

@@ -2,14 +2,14 @@
 Erdős–Gallai threshold.
 
 `components` finds each component's bipartition or odd cycle by one
-BFS pass per component over the neighbour masks, once per graph; every
-later call shares the scan.  The odd-cycle test rides in the same pass:
-a neighbour of a dequeued vertex with its depth parity lies in its own
-layer, which is complete by then.  A component's maximum matching is
-computed on the first read of its `matching`, once per graph, by the
-blossom run on the host's neighbour masks restricted to the component
-(no induced subgraph is built), so callers that need only the
-structure run no blossom.
+BFS pass per component over the neighbour masks, once per graph, and
+every later call returns the same report.  The odd-cycle test rides in
+the same pass: a neighbour of a dequeued vertex with its depth parity
+lies in its own layer, which is complete by then.  A component's
+maximum matching is computed on the first read of its `matching` and
+kept, by the blossom run on the host's neighbour masks restricted to
+the component's vertex mask (no induced subgraph is built), so callers
+that need only the structure run no blossom.
 
 Everything here is exact, and all bitmask cycle code lives here, over
 per-vertex neighbour masks, for graphs of a few dozen vertices.  One
@@ -63,6 +63,7 @@ Every violation is decided by the kernel on the current graph.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .certificates import CycleCertificate, MatchingCertificate
 from .errors import CycleTooShort, ParamOutOfRange, TargetTooLarge
@@ -93,30 +94,23 @@ class ComponentInfo:
 
     `parts` is a bipartition (A, B) with the component's smallest vertex
     in A, or None for non-bipartite components; `odd_cycle` certifies
-    non-bipartiteness when the flag is False.  `graph` is the graph the
-    component came from; `matching` is computed from it on the first
-    read through any report of that graph.
+    non-bipartiteness when the flag is False.  `host_masks` are the
+    neighbour masks of the graph the component came from and
+    `vertex_mask` has a bit per component vertex; `matching` is computed
+    from them on its first read and kept.
     """
 
     vertices: tuple[int, ...]
     is_bipartite: bool
     parts: tuple[tuple[int, ...], tuple[int, ...]] | None
     odd_cycle: CycleCertificate | None
-    graph: Graph = field(compare=False, repr=False)
+    host_masks: tuple[int, ...] = field(compare=False, repr=False)
+    vertex_mask: int = field(compare=False, repr=False)
 
-    @property
+    @cached_property
     def matching(self) -> MatchingCertificate:
         """A maximum matching of the component, in the host graph's labels."""
-        found = self.graph.__dict__.setdefault(_MATCHINGS, {})
-        m = found.get(self.vertices[0])
-        if m is None:
-            inside = 0
-            for v in self.vertices:
-                inside |= 1 << v
-            m = found[self.vertices[0]] = _mask_matching(
-                self.graph.neighbor_masks, self.vertices, inside
-            )
-        return m
+        return _mask_matching(self.host_masks, self.vertices, self.vertex_mask)
 
     @property
     def matching_size(self) -> int:
@@ -125,7 +119,7 @@ class ComponentInfo:
 
 @dataclass(frozen=True)
 class ComponentReport:
-    """Connectivity decomposition of a graph.
+    """Connectivity decomposition of a graph, built once per graph.
 
     `component_id[v]` indexes into `components`; ids follow discovery
     order from the smallest vertex, so component 0 contains vertex 0.
@@ -135,12 +129,10 @@ class ComponentReport:
     components: tuple[ComponentInfo, ...]
 
 
-# Per-graph slots in `Graph.__dict__`, beside its cached views: the scan
-# rows and the matchings by smallest vertex.  Neither refers back to the
-# graph, so they tie no reference cycle; only the `ComponentInfo`
-# wrappers, made per call, hold the graph.
-_SCAN = "_component_scan"
-_MATCHINGS = "_component_matchings"
+# The report's slot in `Graph.__dict__`, beside the graph's cached views.
+# The report holds the graph's masks, never the graph, so it ties no
+# reference cycle.
+_REPORT = "_component_report"
 
 
 def _odd_cycle_from_conflict(
@@ -165,9 +157,8 @@ def _odd_cycle_from_conflict(
     return CycleCertificate(tuple(up_u + up_v[-2::-1]))
 
 
-def _scan(G: Graph) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
-    """BFS every component of G: the component ids and, per component,
-    (vertices, is_bipartite, parts, odd_cycle).  A dequeued vertex takes
+def _scan(G: Graph) -> ComponentReport:
+    """BFS every component of G into its report.  A dequeued vertex takes
     its unseen neighbours ascending; the odd cycle closes the first edge
     xy, in BFS order of x and then ascending y > x, of one depth parity."""
     n = G.vertex_count
@@ -175,11 +166,11 @@ def _scan(G: Graph) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
     comp_id = [-1] * n
     parent = [-1] * n
     depth = [0] * n
-    rows: list[tuple] = []
+    infos: list[ComponentInfo] = []
     for root in range(n):
         if comp_id[root] != -1:
             continue
-        cid = len(rows)
+        cid = len(infos)
         comp_id[root] = cid
         side = [1 << root, 0]  # the even- and odd-depth vertices found
         odd_cycle = None
@@ -203,19 +194,20 @@ def _scan(G: Graph) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
         parts = None
         if odd_cycle is None:
             parts = tuple(tuple(v for v in verts if side[p] >> v & 1) for p in (0, 1))
-        rows.append((verts, odd_cycle is None, parts, odd_cycle))
-    return tuple(comp_id), tuple(rows)
+        infos.append(ComponentInfo(
+            verts, odd_cycle is None, parts, odd_cycle, masks, side[0] | side[1]
+        ))
+    return ComponentReport(tuple(comp_id), tuple(infos))
 
 
 def components(G: Graph) -> ComponentReport:
     """Connected components with bipartiteness and a bipartition or
-    odd-cycle witness, from one scan of G that every call shares; no
-    matching is computed until one is read."""
-    scan = G.__dict__.get(_SCAN)
-    if scan is None:
-        scan = G.__dict__[_SCAN] = _scan(G)
-    comp_id, rows = scan
-    return ComponentReport(comp_id, tuple(ComponentInfo(*row, G) for row in rows))
+    odd-cycle witness, from one scan of G: every call returns the same
+    report.  No matching is computed until one is read."""
+    rep = G.__dict__.get(_REPORT)
+    if rep is None:
+        rep = G.__dict__[_REPORT] = _scan(G)
+    return rep
 
 
 # ---------------------------------------------------------------------------

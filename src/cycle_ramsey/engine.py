@@ -43,8 +43,8 @@ from .errors import (
 from .graphs import (
     _MAX_COLORS,
     EdgeColoring,
+    _coloring_on_slice,
     color_class,
-    induced_coloring,
     normalize_edge,
 )
 
@@ -257,7 +257,7 @@ def lemma4_execute(
         )
 
     peel = min_degree_peel(col.base, min(params.N, v))
-    peeled_col, _ = induced_coloring(col, peel.kept)
+    peeled_col = _coloring_on_slice(col, peel.graph, peel.kept)
     host = peel.graph.vertex_count
 
     decs = tuple(
@@ -518,7 +518,8 @@ def even_engine(
 
     lhs = Fraction(1, k) * (1 - eps / 3) * Fraction(v * (v - 1), 2)
     rhs = Fraction(n * (v - 1), 2) + 1
-    threshold = eg_threshold(n + 1, v)
+    # K_0 takes K_1's threshold, 1, which its 0 edges miss
+    threshold = eg_threshold(n + 1, max(v, 1))
     majority_count = counts[majority - 1]
     report = EvenCaseReport(
         n=n,

@@ -285,9 +285,15 @@ def induced_coloring(col: EdgeColoring, W) -> tuple[EdgeColoring, tuple[int, ...
     """Restrict a coloring to the subgraph induced on W (relabeled); `col`
     itself when W covers every vertex."""
     sub, kept = induced_subgraph(col.base, W)
+    return _coloring_on_slice(col, sub, kept), kept
+
+
+def _coloring_on_slice(col: EdgeColoring, sub: Graph, kept) -> EdgeColoring:
+    """The colors of `col` lifted onto `sub, kept`, a slice of its base
+    that `induced_subgraph` built; `col` itself when the slice is the base."""
     if sub is col.base:
-        return col, kept
+        return col
     color = col.assignment
     # kept is ascending, so lifted edges stay normalized
     colors = tuple(color[kept[a], kept[b]] for a, b in sub.sorted_edges)
-    return EdgeColoring(sub, col.color_count, colors), kept
+    return EdgeColoring(sub, col.color_count, colors)

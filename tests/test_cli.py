@@ -374,6 +374,15 @@ def test_engine_even_report(capsys, tmp_path):
     assert "threshold 22 short" in out
 
 
+def test_engine_even_report_on_an_empty_host(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("coloring 0 1\n"))
+    code, out, err = run(capsys, "engine", "--n", "4", "--eps", "1")
+    assert code == 1 and err == ""
+    assert out.startswith("even-report\n")
+    assert "precondition-fail host order 0 <= (1+eps)*n*k = 8" in out
+    assert "threshold 1 short" in out
+
+
 def test_ineq_exit_codes(capsys):
     code, out, _ = run(capsys, "ineq", "--k", "4", "--eps", "1/2", "--n", "5")
     assert code == 0

@@ -196,12 +196,19 @@ def test_components_invariants(G):
             assert oc is not None and oc.length % 2 == 1
             assert verify_cycle(G, oc)
             assert set(oc.vertices) <= set(comp.vertices)
-    # a second call shares the first scan and its matchings
-    again = components(G)
+    # a second call returns the same report, whose matchings are kept
+    assert components(G) is rep
+
+    def no_blossom(*_):
+        raise AssertionError("a matching read twice ran blossom twice")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cycles, "_mask_matching", no_blossom)
+        again = [comp.matching for comp in rep.components]
     fresh = components(Graph(G.vertex_count, G.edges))
-    assert again == rep == fresh
-    for comp, twin, other in zip(rep.components, again.components, fresh.components):
-        assert twin.matching is comp.matching
+    assert fresh == rep
+    for comp, twin, other in zip(rep.components, again, fresh.components):
+        assert twin is comp.matching
         assert other.matching == comp.matching
 
 

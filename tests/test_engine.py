@@ -37,6 +37,7 @@ from cycle_ramsey import (
     constant_coloring,
     even_engine,
     fl_decompose,
+    induced_coloring,
     lemma4_execute,
     lemma4_inequality_check,
     make_coloring,
@@ -47,7 +48,7 @@ from cycle_ramsey import (
     verify_mono_cycle_free,
     verify_witness,
 )
-from cycle_ramsey import cycles, matching
+from cycle_ramsey import cycles, decompose, graphs, matching
 from cycle_ramsey.formats import (
     parse_coloring,
     serialize_coloring,
@@ -173,6 +174,32 @@ def test_executor_trace_golden_file():
     assert serialize_lemma4_trace(trace) == expected
 
 
+def test_executor_slices_the_peeled_host_once(monkeypatch):
+    # a real cut: K_8 peels to its last four vertices, and the peeled
+    # colouring is lifted onto the peel's own slice, not sliced again
+    col = bondy_erdos_coloring(2, 5)
+    params = PkParameters(2, 5, Fraction(1, 10), Fraction(1), Fraction(1, 64), 4)
+    slices = []
+    real = graphs.induced_subgraph
+
+    def spy(G, W):
+        sub, kept = real(G, W)
+        slices.append(kept)
+        return sub, kept
+
+    monkeypatch.setattr(graphs, "induced_subgraph", spy)
+    monkeypatch.setattr(decompose, "induced_subgraph", spy)
+    trace = lemma4_execute(col, 5, params)
+    assert trace.peel.kept == (4, 5, 6, 7)
+    assert slices.count((4, 5, 6, 7)) == 1
+    monkeypatch.setattr(
+        "cycle_ramsey.engine._coloring_on_slice",
+        lambda c, sub, kept: induced_coloring(c, kept)[0],
+    )
+    assert lemma4_execute(col, 5, params) == trace
+    assert slices.count((4, 5, 6, 7)) == 3
+
+
 def test_executor_refuses_a_palette_over_the_cap():
     # 2^k cells: at k = 17 the executor would build 131,072 of them for
     # a single edge, so the palette is capped before any is built
@@ -296,6 +323,18 @@ def test_even_engine_balanced_k8_report():
     assert not out.pigeonhole_ok
     assert out.threshold == 22 and not out.threshold_met
     assert any("host order 8" in f for f in out.precondition_failures)
+
+
+def test_even_engine_reports_on_an_empty_host():
+    # K_0 takes K_1's threshold, which its 0 edges miss, so the engine
+    # measures it like any other short host instead of refusing it
+    out = even_engine(constant_coloring(complete_graph(0)), 4, 1)
+    assert isinstance(out, EvenCaseReport)
+    assert out.host_order == out.edge_count == 0
+    assert out.precondition_failures == ("host order 0 <= (1+eps)*n*k = 8",)
+    assert out.color_edge_counts == (0,) and out.majority_count == 0
+    assert out.threshold == 1 and not out.threshold_met
+    assert even_engine(constant_coloring(complete_graph(1)), 4, 1).threshold == 1
 
 
 def test_even_engine_majority_tie_prefers_color_one():

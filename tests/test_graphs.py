@@ -176,12 +176,18 @@ def test_complete_graph_is_shared_while_held_and_freed_after():
     assert col.base is K
     assert parse_coloring(serialize_coloring(col)).base is K
     assert parse_graph(serialize_graph(K)) is K
-    # every per-graph slot filled: views, component scan, matching
+    # every per-graph slot filled: views, component report, matching
     assert components(K).components[0].matching.size == 11
     gone = weakref.ref(K)
-    del K, col
     gc.collect()
-    assert gone() is None  # no K_n outlives its users
+    gc.disable()
+    try:
+        del K, col
+        # freed by reference counting alone: no K_n outlives its users,
+        # and nothing it caches refers back to it
+        assert gone() is None
+    finally:
+        gc.enable()
     assert complete_graph(23) == Graph(23, frozenset(itertools.combinations(range(23), 2)))
 
 
