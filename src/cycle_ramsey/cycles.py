@@ -372,6 +372,10 @@ def longest_cycle(G: Graph, stop_at: int | None = None) -> CycleCertificate | No
     if found is None:
         lo = 3
         while (longer := _mask_cycle(masks, nv, lo, nv)) is not None:
+            if len(longer) < lo:  # else the window never narrows
+                raise AssertionError(
+                    f"kernel returned a {len(longer)}-cycle for lengths {lo}..{nv}"
+                )
             found, lo = longer, len(longer) + 1
     return None if found is None else CycleCertificate(tuple(found))
 
@@ -393,11 +397,16 @@ class SweepReport:
 
     vertex_count: int
     lengths: tuple[int, ...]
-    graphs_enumerated: int
     graphs_checked: int
     violation_count: int
     violations: tuple[tuple[int, tuple[Edge, ...]], ...]
     cycle_searches: int
+
+    @property
+    def graphs_enumerated(self) -> int:
+        """Every labeled graph on the vertex set: 2^binom(v, 2)."""
+        v = self.vertex_count
+        return 1 << (v * (v - 1) // 2)
 
     @property
     def ok(self) -> bool:
@@ -546,6 +555,4 @@ def erdos_gallai_sweep(vertex_count: int, lengths=None) -> SweepReport:
             size = len(found)
             pool[size] = [(w >> T, cover)] + pool[size][: _SWEEP_POOL_DEPTH - 1]
             todo &= ~(cover & reach[size])
-    return SweepReport(
-        v, lengths, 1 << ne, checked, violation_count, tuple(kept), searches
-    )
+    return SweepReport(v, lengths, checked, violation_count, tuple(kept), searches)

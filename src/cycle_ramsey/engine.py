@@ -174,12 +174,15 @@ class Lemma4Trace:
     `peel.kept` maps those labels back to the input coloring.  All
     bounds are exact rationals; `verdict` names the first failing step
     in proof order (pigeonhole, then the two edge bounds, then the
-    chain).
+    chain), and the four step flags it is built from are kept beside
+    it.  What follows from other fields is not stored: the colour count
+    is `len(decompositions)`, the cell's edge total is
+    `sum(color_edge_counts)`, and link b's cap holds iff
+    `params.N <= n_cap`.
     """
 
     params: PkParameters
     n: int
-    color_count: int
     precondition_failures: tuple[str, ...]
     peel: PeelResult
     decompositions: tuple[FLDecomposition, ...]
@@ -187,7 +190,6 @@ class Lemma4Trace:
     chosen: CellEntry
     pigeonhole_min: int
     color_edge_counts: tuple[int, ...]
-    cell_edge_count: int
     eq2_bound: Fraction
     eq2_ok: bool
     eq3_bound: Fraction
@@ -195,7 +197,6 @@ class Lemma4Trace:
     chain_a: Fraction | None
     chain_b: Fraction | None
     n_cap: int
-    n_cap_ok: bool
     chain_cap: Fraction
     eps_half_term: Fraction
     chain_ok: bool
@@ -286,7 +287,6 @@ def lemma4_execute(
     chain_a = delta * Fraction(N * (N - 1), x - 1) if x >= 2 else None
     chain_b = 2 * delta * Fraction(N * N, x) if x >= 1 else None
     n_cap, chain_cap, eps_half, lower, upper = _chain_terms(kp, n, eps, delta)
-    n_cap_ok = N <= n_cap
     chain_ok = (
         chain_a is not None
         and chain_b is not None
@@ -311,7 +311,6 @@ def lemma4_execute(
     return Lemma4Trace(
         params=params,
         n=n,
-        color_count=k,
         precondition_failures=tuple(failures),
         peel=peel,
         decompositions=decs,
@@ -319,7 +318,6 @@ def lemma4_execute(
         chosen=chosen,
         pigeonhole_min=pigeonhole_min,
         color_edge_counts=tuple(per_color),
-        cell_edge_count=cell_edges,
         eq2_bound=eq2_bound,
         eq2_ok=eq2_ok,
         eq3_bound=eq3_bound,
@@ -327,7 +325,6 @@ def lemma4_execute(
         chain_a=chain_a,
         chain_b=chain_b,
         n_cap=n_cap,
-        n_cap_ok=n_cap_ok,
         chain_cap=chain_cap,
         eps_half_term=eps_half,
         chain_ok=chain_ok,
@@ -347,15 +344,20 @@ class ChainReport:
       link a:  δN(N−1)/(|X|−1) ≤ 2δN²/|X|  ⟺  |X|(N+1) ≥ 2N,
                which holds for every |X| ≥ 2 (check the boundary |X|=2,
                then note the left side grows with |X| since N+1 > 0);
+               a theorem, so the report stores no flag for it;
       link b:  2δN²/|X| ≤ 2δ(k·2^(k+1)·n)²/(kn), whose supremum over
                |X| > kn is 2δN²/(kn), so it reduces to N ≤ n_cap =
-               k·2^(k+1)·n, which `n_cap_ok` records;
-      link c:  2δ(k·2^(k+1)·n)²/(kn) = εkn/2, an exact identity for
-               δ = ε/2^(2k+4).
+               k·2^(k+1)·n (`n_cap_ok`).  With the integer M = k·2^k·n,
+               N = ⌈(1+ε)M⌉ ≤ 2M = n_cap  ⟺  (1+ε)M ≤ 2M  ⟺  ε ≤ 1;
+      link c:  2δ(k·2^(k+1)·n)²/(kn) = εkn/2 (`link_c_exact`), an
+               exact identity for δ = ε/2^(2k+4).
 
     With the chain closed, |X| ≤ kn + εkn/2 < (1+ε)kn ≤ |X| — the
-    contradiction.  Spot values at the first integer |X| = kn+1 are
-    included for the record.
+    contradiction (`contradiction`): (1+ε)kn > kn + εkn/2  ⟺
+    εkn/2 > 0  ⟺  ε > 0.  So every valid input (0 < ε < 1) `holds`;
+    the three flags are still read off the exact terms kept here, not
+    assumed.  Spot values at the first integer |X| = kn+1 are included
+    for the record.
     """
 
     k: int
@@ -364,27 +366,30 @@ class ChainReport:
     delta: Fraction
     N: int
     x_boundary: int
-    link_a_ok: bool
     link_a_at_boundary: Fraction
     link_b_at_boundary: Fraction
     link_b_sup: Fraction
     n_cap: int
-    n_cap_ok: bool
     link_c_value: Fraction
     eps_half_term: Fraction
-    link_c_exact: bool
     lower_interval: Fraction
     upper_interval: Fraction
-    contradiction: bool
+
+    @property
+    def n_cap_ok(self) -> bool:
+        return self.N <= self.n_cap
+
+    @property
+    def link_c_exact(self) -> bool:
+        return self.link_c_value == self.eps_half_term
+
+    @property
+    def contradiction(self) -> bool:
+        return self.lower_interval > self.upper_interval
 
     @property
     def holds(self) -> bool:
-        return (
-            self.link_a_ok
-            and self.n_cap_ok
-            and self.link_c_exact
-            and self.contradiction
-        )
+        return self.n_cap_ok and self.link_c_exact and self.contradiction
 
 
 def lemma4_inequality_check(k: int, eps, n: int) -> ChainReport:
@@ -410,15 +415,11 @@ def lemma4_inequality_check(k: int, eps, n: int) -> ChainReport:
     kn = k * n
     x0 = kn + 1
 
-    # link a, uniformly in |X| >= 2: boundary value plus positive slope.
-    link_a_ok = 2 * (N + 1) >= 2 * N and N + 1 > 0
     link_a_at_boundary = delta * Fraction(N * (N - 1), x0 - 1)
     link_b_at_boundary = 2 * delta * Fraction(N * N, x0)
 
     n_cap, link_c_value, eps_half, lower, upper = _chain_terms(k, n, eps, delta)
-    n_cap_ok = N <= n_cap
     link_b_sup = 2 * delta * Fraction(N * N, kn)
-    link_c_exact = link_c_value == eps_half
     return ChainReport(
         k=k,
         n=n,
@@ -426,18 +427,14 @@ def lemma4_inequality_check(k: int, eps, n: int) -> ChainReport:
         delta=delta,
         N=N,
         x_boundary=x0,
-        link_a_ok=link_a_ok,
         link_a_at_boundary=link_a_at_boundary,
         link_b_at_boundary=link_b_at_boundary,
         link_b_sup=link_b_sup,
         n_cap=n_cap,
-        n_cap_ok=n_cap_ok,
         link_c_value=link_c_value,
         eps_half_term=eps_half,
-        link_c_exact=link_c_exact,
         lower_interval=lower,
         upper_interval=upper,
-        contradiction=lower > upper,
     )
 
 
@@ -445,21 +442,21 @@ def lemma4_inequality_check(k: int, eps, n: int) -> ChainReport:
 class EvenCaseReport:
     """Even-case engine outcome when the majority color misses the edge
     threshold, so no witness is extracted (see even_engine): the measured
-    pigeonhole context and any precondition failures.  `majority_count`
-    is below `threshold` in every report even_engine returns."""
+    pigeonhole context and any precondition failures.  The colour count
+    is `len(color_edge_counts)`, the majority's edges are
+    `color_edge_counts[majority_color - 1]`, below `threshold` in every
+    report even_engine returns, and the pigeonhole inequality holds iff
+    `pigeonhole_lhs > pigeonhole_rhs`."""
 
     n: int
     eps: Fraction
-    color_count: int
     host_order: int
     edge_count: int
     precondition_failures: tuple[str, ...]
     color_edge_counts: tuple[int, ...]
     majority_color: int
-    majority_count: int
     pigeonhole_lhs: Fraction
     pigeonhole_rhs: Fraction
-    pigeonhole_ok: bool
     threshold: int
 
 
@@ -511,16 +508,13 @@ def even_engine(
     report = EvenCaseReport(
         n=n,
         eps=eps,
-        color_count=k,
         host_order=v,
         edge_count=col.base.edge_count,
         precondition_failures=tuple(failures),
         color_edge_counts=tuple(counts),
         majority_color=majority,
-        majority_count=majority_count,
         pigeonhole_lhs=lhs,
         pigeonhole_rhs=rhs,
-        pigeonhole_ok=lhs > rhs,
         threshold=threshold,
     )
     if majority_count < threshold:

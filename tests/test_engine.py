@@ -54,6 +54,7 @@ from cycle_ramsey import cycles, decompose, engine, graphs, matching
 from cycle_ramsey.formats import (
     parse_coloring,
     serialize_coloring,
+    serialize_even_report,
     serialize_lemma4_trace,
     to_jsonable,
 )
@@ -170,6 +171,73 @@ def test_executor_diagnostic_on_extremal_two_five():
     assert trace.lower_interval == 20 and trace.upper_interval == 15
 
 
+def _trace_line(trace, head):
+    """The words after `head` on the trace text's only line that starts
+    with it."""
+    (line,) = [
+        l for l in serialize_lemma4_trace(trace).splitlines()
+        if l.startswith(head + " ")
+    ]
+    return line[len(head) + 1:].split()
+
+
+def _k66_trace(delta):
+    # one-colour K_{6,6}: bipartite, so no witness; the chosen cell is a
+    # side of 6 vertices with no edge inside, at least (1+eps)kn = 303/100
+    K66 = build_graph(12, [(a, 6 + b) for a in range(6) for b in range(6)])
+    params = PkParameters(1, 3, Fraction(1, 100), Fraction(1, 100), delta, 12)
+    return lemma4_execute(constant_coloring(K66), 3, params)
+
+
+def test_executor_eq3_fails_on_a_sparse_cell():
+    # with delta = 10^-6 the bound x(x-1)/2 - delta*N(N-1)/2 is near 15
+    trace = _k66_trace(Fraction(1, 10**6))
+    assert trace.chosen.size == 6 and trace.color_edge_counts == (0,)
+    assert trace.pigeonhole_ok and trace.eq2_ok and not trace.eq3_ok
+    assert trace.verdict is TraceVerdict.EQ3_FAILS
+    assert _trace_line(trace, "pigeonhole")[-1] == "ok"
+    assert _trace_line(trace, "eq2")[-1] == "ok"
+    assert _trace_line(trace, "eq3")[-1] == "fail"
+    assert _trace_line(trace, "chain") == ["ok"]
+    assert _trace_line(trace, "verdict") == ["eq3_fails"]
+
+
+def test_executor_chain_fails_past_the_cap():
+    # delta = 1 meets eq3 (bound 15 - 66) but puts chain-cap at 96,
+    # far above eps*kn/2 = 3/200
+    trace = _k66_trace(Fraction(1))
+    assert trace.precondition_failures == ()
+    assert trace.pigeonhole_ok and trace.eq2_ok and trace.eq3_ok
+    assert not trace.chain_ok and trace.chain_cap == 96
+    assert trace.verdict is TraceVerdict.CHAIN_FAILS
+    assert _trace_line(trace, "eq3")[-1] == "ok"
+    assert _trace_line(trace, "chain") == ["fail"]
+    assert _trace_line(trace, "verdict") == ["chain_fails"]
+
+
+def test_executor_eq2_fails_only_under_a_palette_above_params_k():
+    # With params.k at least the palette and x >= 1, no witness bounds
+    # each colour's cell edges by n(x-1)/2 (a V3 component has matching
+    # number below n/2), so eq2 cannot fail.  Here params.k = 1 on two
+    # colours: colour 1 is a K_5 on 0..4 and a triangle 5, 8, 9, colour 2
+    # a star from 5 to 0..4 and a triangle 5, 6, 7; both classes are
+    # non-bipartite with matching number 2, and the cell 0..5 holds
+    # 10 + 5 > 25/2 edges.
+    one = [(a, b) for a in range(5) for b in range(a + 1, 5)] + [(5, 8), (5, 9), (8, 9)]
+    two = [(u, 5) for u in range(5)] + [(5, 6), (5, 7), (6, 7)]
+    color = {**{e: 1 for e in one}, **{e: 2 for e in two}}
+    col = make_coloring(build_graph(10, one + two), 2, color)
+    params = PkParameters(1, 5, Fraction(1, 100), Fraction(1, 100), Fraction(1), 10)
+    trace = lemma4_execute(col, 5, params)
+    assert trace.precondition_failures == ("coloring has 2 colors but params.k = 1",)
+    assert trace.chosen.vertices == (0, 1, 2, 3, 4, 5)
+    assert trace.color_edge_counts == (10, 5) and trace.eq2_bound == Fraction(25, 2)
+    assert trace.pigeonhole_ok and not trace.eq2_ok
+    assert trace.verdict is TraceVerdict.EQ2_FAILS
+    assert _trace_line(trace, "eq2") == ["lhs", "15", "bound", "25/2", "fail"]
+    assert _trace_line(trace, "verdict") == ["eq2_fails"]
+
+
 def test_executor_trace_golden_file():
     col = bondy_erdos_coloring(2, 5)
     trace = lemma4_execute(col, 5, PkParameters.for_lemma(2, 5, 1))
@@ -212,6 +280,10 @@ def test_executor_records_a_cycle_length_that_params_do_not_share():
         "cycle length 7 but params.n = 5",
         "host order 8 < N = 80",
     )
+
+
+# copies of other fields, no longer stored in a trace
+_TRACE_REMOVED = {"color_count", "cell_edge_count", "n_cap_ok"}
 
 
 def _cells_by_frozensets(col, trace):
@@ -258,7 +330,11 @@ def test_executor_cells_match_the_set_algebra(k):
             assert [(c.signature, c.vertices) for c in trace.cells] == cells
             assert (trace.chosen.signature, trace.chosen.vertices) == chosen
             assert trace.color_edge_counts == per_color
-            assert trace.cell_edge_count == sum(per_color)
+            assert _trace_line(trace, "cell-edges total") == [str(sum(per_color))]
+            assert _trace_line(trace, "n-cap") == [
+                str(trace.n_cap), "ok" if params.N <= trace.n_cap else "fail"
+            ]
+            assert _TRACE_REMOVED.isdisjoint(to_jsonable(trace))
 
 
 def test_executor_refuses_a_palette_over_the_cap():
@@ -299,7 +375,9 @@ def test_chain_known_instance():
     assert rep.link_c_exact
     assert rep.lower_interval == 30 and rep.upper_interval == 25
     assert rep.contradiction and rep.holds
-    assert "link_b_ok" not in to_jsonable(rep)
+    assert {
+        "link_a_ok", "link_b_ok", "n_cap_ok", "link_c_exact", "contradiction"
+    }.isdisjoint(to_jsonable(rep))
 
 
 def test_chain_parameter_validation():
@@ -336,6 +414,23 @@ def test_chain_holds_for_all_valid_parameters(k, eps, n):
     assert rep.lower_interval - rep.upper_interval == rep.eps * k * n / 2
 
 
+def test_chain_links_are_theorems_on_the_whole_grid():
+    """n_cap_ok (eps <= 1), link_c_exact (delta = eps/2^(2k+4)) and
+    contradiction (eps > 0) hold on every valid input, as the ChainReport
+    docstring proves; each is still read off the report's exact terms."""
+    grid = [Fraction(p, q) for p, q in
+            [(1, 1000), (1, 64), (1, 3), (1, 2), (2, 3), (63, 64), (999, 1000)]]
+    calls = 0
+    for k in range(4, 17):
+        for eps in grid:
+            for n in range(3, 402, 2):
+                rep = lemma4_inequality_check(k, eps, n)
+                assert rep.n_cap_ok and rep.link_c_exact and rep.contradiction
+                assert rep.holds
+                calls += 1
+    assert calls == 18_200
+
+
 # --------------------------------------------------------------------------
 # even-case engine
 
@@ -368,6 +463,10 @@ def test_even_engine_extracts_cycle_matching():
     assert set(out.matching.edges) == expected
 
 
+# constant or copied facts, no longer stored in an even report
+_EVEN_REMOVED = {"threshold_met", "color_count", "majority_count", "pigeonhole_ok"}
+
+
 def test_even_engine_balanced_k8_report():
     """A 14/14 split of K_8 at n = 6: the majority color misses the
     edge threshold for a C_7, so the engine reports instead of extracting."""
@@ -382,10 +481,10 @@ def test_even_engine_balanced_k8_report():
     assert out.majority_color == 1  # tie breaks to the smallest id
     assert out.pigeonhole_lhs == Fraction(245, 18)
     assert out.pigeonhole_rhs == 22
-    assert not out.pigeonhole_ok
-    assert out.threshold == 22 and out.majority_count < out.threshold
+    assert not out.pigeonhole_lhs > out.pigeonhole_rhs
+    assert out.threshold == 22 and max(out.color_edge_counts) < out.threshold
     assert any("host order 8" in f for f in out.precondition_failures)
-    assert "threshold_met" not in to_jsonable(out)
+    assert _EVEN_REMOVED.isdisjoint(to_jsonable(out))
 
 
 def test_even_engine_reports_on_an_empty_host():
@@ -395,8 +494,9 @@ def test_even_engine_reports_on_an_empty_host():
     assert isinstance(out, EvenCaseReport)
     assert out.host_order == out.edge_count == 0
     assert out.precondition_failures == ("host order 0 <= (1+eps)*n*k = 8",)
-    assert out.color_edge_counts == (0,) and out.majority_count == 0
-    assert out.threshold == 1 and out.majority_count < out.threshold
+    assert out.color_edge_counts == (0,) and out.majority_color == 1
+    assert out.threshold == 1 and max(out.color_edge_counts) < out.threshold
+    assert _EVEN_REMOVED.isdisjoint(to_jsonable(out))
     assert even_engine(constant_coloring(complete_graph(1)), 4, 1).threshold == 1
 
 
@@ -420,8 +520,9 @@ def test_even_engine_majority_tie_across_a_huge_palette():
     counts = out.color_edge_counts
     assert len(counts) == 100_000 and sum(counts) == 28
     assert counts[2] == counts[99_998] == 14
-    assert out.majority_color == 3 and out.majority_count == 14
-    assert out.majority_count < out.threshold == 22
+    assert out.majority_color == 3 and counts[out.majority_color - 1] == 14
+    assert max(counts) < out.threshold == 22
+    assert _EVEN_REMOVED.isdisjoint(to_jsonable(out))
 
 
 @given(colorings(min_vertices=3, max_vertices=9, complete=True))
@@ -432,9 +533,42 @@ def test_even_engine_random_runs_are_coherent(col):
         assert out.matching.size == 2
         assert verify_witness(col, 4, out)
     else:
-        assert out.majority_count == max(out.color_edge_counts)
-        assert sum(out.color_edge_counts) == col.base.edge_count
-        assert out.majority_count < out.threshold
+        counts = out.color_edge_counts
+        assert counts.index(max(counts)) + 1 == out.majority_color
+        assert sum(counts) == col.base.edge_count
+        assert max(counts) < out.threshold
+        assert _EVEN_REMOVED.isdisjoint(to_jsonable(out))
+
+
+def test_even_report_text_lines_read_the_kept_fields():
+    # seeded hosts of every density: a complete host whose pigeonhole
+    # inequality holds has a majority over the threshold, so the "ok"
+    # reports come from sparse hosts
+    rng = random.Random(6)
+    words = set()
+    for _ in range(300):
+        v = rng.randint(0, 16)
+        k = rng.randint(1, 3)
+        pairs = [(a, b) for a in range(v) for b in range(a + 1, v)]
+        base = build_graph(v, [e for e in pairs if rng.random() < rng.random()])
+        col = EdgeColoring(
+            base, k, tuple(rng.randint(1, k) for _ in range(base.edge_count))
+        )
+        out = even_engine(col, rng.choice([4, 6]), Fraction(1, 100))
+        if isinstance(out, StructureWitness):
+            continue
+        lines = serialize_even_report(out).splitlines()
+        counts = out.color_edge_counts
+        assert f"colors {len(counts)}" in lines
+        assert (
+            f"majority {out.majority_color} "
+            f"count {counts[out.majority_color - 1]}"
+        ) in lines
+        (pigeon,) = [l for l in lines if l.startswith("pigeonhole ")]
+        word = "ok" if out.pigeonhole_lhs > out.pigeonhole_rhs else "fail"
+        assert pigeon.endswith(" " + word)
+        words.add(word)
+    assert words == {"ok", "fail"}
 
 
 # --------------------------------------------------------------------------

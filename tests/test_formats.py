@@ -696,7 +696,10 @@ def test_to_jsonable_is_json_safe_and_float_free():
     text = json.dumps(payload)
     decoded = json.loads(text)
     assert decoded["delta"] == str(rep.delta)
-    assert decoded["contradiction"] is True and decoded["link_c_exact"] is True
+    # the removed verdict flags are read back off the exact terms
+    assert decoded["link_c_value"] == decoded["eps_half_term"] == str(rep.eps_half_term)
+    assert Fraction(decoded["lower_interval"]) > Fraction(decoded["upper_interval"])
+    assert {"link_a_ok", "n_cap_ok", "link_c_exact", "contradiction"}.isdisjoint(decoded)
 
     def no_floats(x):
         if isinstance(x, float):
