@@ -18,13 +18,15 @@ length in [lo, hi] with start vertex s ascending, only vertices >= s,
 neighbours ascending.  That is the lexicographically least qualifying
 cycle listed from its minimum vertex, and it is the certificate
 contract: `contains_cycle_of_length`, `longest_cycle` and the sweep wrap
-the kernel, so every returned cycle (hence every witness and hunt
-trajectory) depends on the graph alone.  It lists each cycle in one
-direction only, since of a cycle's two listings from s the least has
-its second vertex below its last, so a path may close only at an end of
-s above its first step e1 (which needs lo >= 3).  It takes e1 over the
-ends ascending and never at the last one, so a start with fewer than
-two neighbours above it is skipped.  For each e1 one walk,
+the kernel, and `verify_mono_cycle_free`, the hunt and `even_engine`
+(for its least cycle longer than n) call it directly, so every
+returned cycle (hence every witness and hunt trajectory) depends on the
+graph alone.  It lists each cycle in one direction only, since of a
+cycle's two listings from s the least has its second vertex below its
+last, so a path may close only at an end of s above its first step e1
+(which needs lo >= 3).  It takes e1 over the ends ascending and never
+at the last one, so a start with fewer than two neighbours above it is
+skipped.  For each e1 one walk,
 `_least_tail`, returns the least tail of a path from e1 above s to an
 end above e1 with lo - 2 to hi - 2 vertices, or None: a tail sorts
 before every longer tail it is a prefix of, since the walk closes at a
@@ -355,28 +357,19 @@ def contains_cycle_of_length(G: Graph, n: int) -> CycleCertificate | None:
     return None if found is None else CycleCertificate(tuple(found))
 
 
-def longest_cycle(G: Graph, stop_at: int | None = None) -> CycleCertificate | None:
-    """A longest cycle of G, or None if G is a forest.
-
-    With `stop_at` set, returns the lexicographically least cycle of
-    length at least `stop_at` (not necessarily a longest one), which is
-    all `even_engine` needs; without one, or when no such cycle exists,
-    the lexicographically least longest cycle.
-    Exhaustive, intended for graphs up to ~20 vertices.
+def longest_cycle(G: Graph) -> CycleCertificate | None:
+    """The lexicographically least longest cycle of G, or None if G is a
+    forest.  Exhaustive, intended for graphs up to ~20 vertices.
     """
-    if stop_at is not None and stop_at < 3:
-        raise CycleTooShort(f"cycle length {stop_at} < 3")
     nv = G.vertex_count
     masks = G.neighbor_masks
-    found = None if stop_at is None else _mask_cycle(masks, nv, stop_at, nv)
-    if found is None:
-        lo = 3
-        while (longer := _mask_cycle(masks, nv, lo, nv)) is not None:
-            if len(longer) < lo:  # else the window never narrows
-                raise AssertionError(
-                    f"kernel returned a {len(longer)}-cycle for lengths {lo}..{nv}"
-                )
-            found, lo = longer, len(longer) + 1
+    found, lo = None, 3
+    while (longer := _mask_cycle(masks, nv, lo, nv)) is not None:
+        if len(longer) < lo:  # else the window never narrows
+            raise AssertionError(
+                f"kernel returned a {len(longer)}-cycle for lengths {lo}..{nv}"
+            )
+        found, lo = longer, len(longer) + 1
     return None if found is None else CycleCertificate(tuple(found))
 
 

@@ -18,13 +18,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .certificates import (
+    CycleCertificate,
     MatchingCertificate,
     StructureWitness,
     WitnessKind,
     verify_cycle,
     verify_matching,
 )
-from .cycles import components, eg_threshold, longest_cycle
+from .cycles import _mask_cycle, components, eg_threshold
 from .decompose import (
     FLDecomposition,
     PeelResult,
@@ -82,8 +83,11 @@ class PkParameters:
 
     def __post_init__(self) -> None:
         for name in ("c", "eps", "delta"):
-            if isinstance(getattr(self, name), float):
-                raise InvalidParams(f"{name} must be exact, not float")
+            value = getattr(self, name)
+            if not isinstance(value, (int, Fraction)):
+                raise InvalidParams(
+                    f"{name} must be an int or a Fraction, not {type(value).__name__}"
+                )
         if self.k < 1:
             raise ParamOutOfRange(f"color count {self.k} < 1")
         if self.n < 3:
@@ -148,7 +152,6 @@ class TraceVerdict(enum.Enum):
 
     CONTRADICTION_ESTABLISHED = "contradiction_established"
     PIGEONHOLE_FAILS = "pigeonhole_fails"
-    EQ2_FAILS = "eq2_fails"
     EQ3_FAILS = "eq3_fails"
     CHAIN_FAILS = "chain_fails"
 
@@ -173,11 +176,15 @@ class Lemma4Trace:
 
     `peel.kept` maps those labels back to the input coloring.  All
     bounds are exact rationals; `verdict` names the first failing step
-    in proof order (pigeonhole, then the two edge bounds, then the
-    chain), and the four step flags it is built from are kept beside
-    it.  What follows from other fields is not stored: the colour count
-    is `len(decompositions)`, the cell's edge total is
-    `sum(color_edge_counts)`, and link b's cap holds iff
+    in proof order (pigeonhole, then eq3's edge bound, then the chain),
+    and the three step flags it is built from are kept beside it.  Eq2,
+    cell edges <= `eq2_bound` = k·n(x−1)/2 over the colouring's own k
+    colours, is an invariant for x >= 1, not a step: with no witness a
+    colour's cell edges lie in V3, whose components have matching number
+    below n/2, so they number at most n(x−1)/2; `lemma4_execute` raises
+    AssertionError if eq2 fails.  What follows from other fields is not
+    stored: the colour count is `len(decompositions)`, the cell's edge
+    total is `sum(color_edge_counts)`, and link b's cap holds iff
     `params.N <= n_cap`.
     """
 
@@ -191,7 +198,6 @@ class Lemma4Trace:
     pigeonhole_min: int
     color_edge_counts: tuple[int, ...]
     eq2_bound: Fraction
-    eq2_ok: bool
     eq3_bound: Fraction
     eq3_ok: bool
     chain_a: Fraction | None
@@ -280,9 +286,12 @@ def lemma4_execute(
     cell_edges = sum(per_color)
 
     kp, N, eps, delta = params.k, params.N, params.eps, params.delta
-    eq2_bound = Fraction(kp * n * (x - 1), 2)
+    eq2_bound = Fraction(k * n * (x - 1), 2)
+    if x >= 1 and cell_edges > eq2_bound:
+        raise AssertionError(
+            f"{cell_edges} cell edges over eq2's bound {eq2_bound} with no witness"
+        )
     eq3_bound = Fraction(x * (x - 1), 2) - delta * Fraction(N * (N - 1), 2)
-    eq2_ok = cell_edges <= eq2_bound
     eq3_ok = cell_edges >= eq3_bound
     chain_a = delta * Fraction(N * (N - 1), x - 1) if x >= 2 else None
     chain_b = 2 * delta * Fraction(N * N, x) if x >= 1 else None
@@ -299,8 +308,6 @@ def lemma4_execute(
 
     if not pigeonhole_ok:
         verdict = TraceVerdict.PIGEONHOLE_FAILS
-    elif not eq2_ok:
-        verdict = TraceVerdict.EQ2_FAILS
     elif not eq3_ok:
         verdict = TraceVerdict.EQ3_FAILS
     elif not chain_ok:
@@ -319,7 +326,6 @@ def lemma4_execute(
         pigeonhole_min=pigeonhole_min,
         color_edge_counts=tuple(per_color),
         eq2_bound=eq2_bound,
-        eq2_ok=eq2_ok,
         eq3_bound=eq3_bound,
         eq3_ok=eq3_ok,
         chain_a=chain_a,
@@ -521,9 +527,10 @@ def even_engine(
         return report
 
     Gm = color_class(col, majority)
-    cycle = longest_cycle(Gm, stop_at=n + 1)
-    if cycle is None or cycle.length <= n:
+    found = _mask_cycle(Gm.neighbor_masks, v, n + 1, v)
+    if found is None or len(found) <= n:
         raise AssertionError(f"color {majority} meets the threshold but has no C_>={n + 1}")
+    cycle = CycleCertificate(tuple(found))
     pairs = frozenset(
         normalize_edge(cycle.vertices[2 * t], cycle.vertices[2 * t + 1])
         for t in range(n // 2)

@@ -2,16 +2,15 @@
 
 Graph and coloring files are canonical: header line, then one line per
 edge with u < v, sorted lexicographically, ASCII, LF line endings — so
-equal objects produce byte-identical files.  A file byte-identical to
-what `serialize_graph` or `serialize_coloring` writes for the object it
-holds (single spaces, no comment or blank line, plain decimals, edges
-ascending, a final LF) is read in bulk by `_canonical_file`; every
-other file, in any edge order or orientation, with comments, CRLF, `01`
-or `+1`, and every faulty file, goes through the line parser
-`_edge_file`, which raises every parse error.  A bulk-read file with
-one line per pair of its V vertices holds the shared `complete_graph(V)`
-itself.  Either way the parsed graph's `Graph.sorted_edges` is seeded,
-so it is never sorted again.
+equal objects produce byte-identical files.  A file whose host is
+complete and which is exactly what `serialize_graph` or
+`serialize_coloring` writes back for it is read by `_complete_file`
+against the shared `complete_graph(V)`, which the parsed graph then is.
+Every other file, in any edge order or orientation, with comments,
+CRLF, `01` or `+1`, and every faulty file, goes through the line parser
+`_edge_file`, which gives the same object or raises every parse error.
+Either way the parsed graph's `Graph.sorted_edges` is seeded, so it is
+never sorted again.
 Reports serialize to line-oriented text with no timings or other
 run-dependent noise, which makes them golden-file testable;
 `to_jsonable` provides the machine twin, and `render` picks which of
@@ -38,7 +37,6 @@ from .graphs import (
     _MAX_ORDER,
     EdgeColoring,
     Graph,
-    _sorted_graph,
     build_graph,
     complete_graph,
     normalize_edge,
@@ -50,18 +48,14 @@ from .search import EDGE_ORDER, SearchResult, SearchVerdict, _prefix_line
 
 
 def serialize_graph(G: Graph) -> str:
-    # Both edge-file writers join each line from strings made once per
-    # vertex or colour, a few times faster than formatting every line.
-    n = G.vertex_count
-    heads = [f"e {u} " for u in range(n)]
-    tails = [f"{v}\n" for v in range(n)]
-    parts = [f"graph {n}\n"]
-    for u, v in G.sorted_edges:
-        parts += heads[u], tails[v]
-    return "".join(parts)
+    return f"graph {G.vertex_count}\n" + "".join(
+        f"e {u} {v}\n" for u, v in G.sorted_edges
+    )
 
 
 def serialize_coloring(col: EdgeColoring) -> str:
+    # joins each line from strings made once per vertex or colour, a few
+    # times faster than formatting every line
     n, k = col.base.vertex_count, col.color_count
     heads = [f"e {u} " for u in range(n)]
     names = [f"{v}" for v in range(n)]
@@ -98,7 +92,7 @@ def _edge_file(text: str, colored: bool) -> tuple[Graph, list[int], list[list[in
     header = None
     rows: list[list[int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split("#", 1)[0].split() if "#" in raw else raw.split()
+        tokens = raw.split("#", 1)[0].split()
         if not tokens:
             continue
         if header is None:
@@ -128,78 +122,44 @@ def _edge_file(text: str, colored: bool) -> tuple[Graph, list[int], list[list[in
 _CANONICAL_INTS = {str(i): i for i in range(_MAX_ORDER + 1)}
 
 
-def _canonical_file(
-    text: str, colored: bool
-) -> tuple[Graph, int, tuple[int, ...]] | None:
-    """(graph, k, colors) of a coloring file, or of a graph file when not
-    `colored` (k and colors then 0 and ()), when `text` is byte-identical
-    to what the serializer writes for that object; else None, and the
-    text is left to `_edge_file`.  A file with one line per pair of its
-    V vertices is read against the shared `complete_graph(V)`."""
+def _complete_file(text: str, colored: bool) -> EdgeColoring | Graph | None:
+    """The colouring of a coloring file, or the graph of a graph file
+    when not `colored`, if its host is complete and `text` is exactly
+    what the serializer writes for it; else None, and the text is left
+    to `_edge_file`.  The host is the shared `complete_graph(V)`, built
+    only once the header, the token count and the colours have passed."""
     width = 4 if colored else 3
     tokens = text.split()
-    body = tokens[width - 1 :]
-    m = len(body) // width
+    number = _CANONICAL_INTS.get
+    v = number(tokens[1]) if len(tokens) >= width - 1 else None
     if (
-        len(tokens) < width - 1
+        v is None
         or tokens[0] != ("coloring" if colored else "graph")
-        or len(body) != m * width
-        or body[0::width].count("e") != m
-        or " ".join(tokens).replace(" e ", "\ne ") + "\n" != text
+        or len(tokens) != width - 1 + width * (v * (v - 1) // 2)
     ):
         return None
-    number = _CANONICAL_INTS.__getitem__
-    try:
-        v = number(tokens[1])
-        if colored:
-            k = number(tokens[2])
-            colors = tuple(map(number, body[3::width]))
-        else:
-            k, colors = 0, ()
-    except KeyError:
-        return None
-    if colored and not (
-        1 <= k <= _MAX_COLORS and (not m or 1 <= min(colors) and max(colors) <= k)
-    ):
-        return None
-    if 2 * m == v * (v - 1):
-        # Strictly ascending pairs u < v < V, as many as there are pairs,
-        # are every pair in order: the file is K_V's or not canonical.
+    if not colored:
         K = complete_graph(v)
-        names = list(map(str, range(v)))
-        firsts = [names[a] for a, _ in K.sorted_edges]
-        seconds = [names[b] for _, b in K.sorted_edges]
-        if body[1::width] != firsts or body[2::width] != seconds:
-            return None
-        return K, k, colors
-    try:
-        us = list(map(number, body[1::width]))
-        vs = list(map(number, body[2::width]))
-    except KeyError:
-        return None
-    edges = list(zip(us, vs))
-    # u < v < V on every line and strictly ascending lines: no loop, no
-    # duplicate, nothing out of range or out of order
-    if m and not (
-        max(vs) < v
-        and all(map(int.__lt__, us, vs))
-        and all(map(tuple.__lt__, edges, edges[1:]))
+        return K if serialize_graph(K) == text else None
+    k = number(tokens[2])
+    colors = tuple(map(number, tokens[6::4]))  # the c of each e u v c
+    if not (k and k <= _MAX_COLORS and None not in colors) or (
+        colors and not (1 <= min(colors) and max(colors) <= k)
     ):
         return None
-    return _sorted_graph(v, edges), k, colors
+    col = EdgeColoring(complete_graph(v), k, colors)
+    return col if serialize_coloring(col) == text else None
 
 
 def parse_graph(text: str) -> Graph:
-    canonical = _canonical_file(text, colored=False)
-    if canonical is not None:
-        return canonical[0]
-    return _edge_file(text, colored=False)[0]
+    K = _complete_file(text, colored=False)
+    return _edge_file(text, colored=False)[0] if K is None else K
 
 
 def parse_coloring(text: str) -> EdgeColoring:
-    canonical = _canonical_file(text, colored=True)
-    if canonical is not None:
-        return EdgeColoring(*canonical)
+    col = _complete_file(text, colored=True)
+    if col is not None:
+        return col
     G, (_, k), rows = _edge_file(text, colored=True)
     color = {normalize_edge(u, v): c for u, v, c in rows}
     return EdgeColoring(G, k, tuple(map(color.__getitem__, G.sorted_edges)))
@@ -326,7 +286,10 @@ def serialize_lemma4_trace(trace: Lemma4Trace) -> str:
         lines.append(f"cell-edges color {i} {cnt}")
     cell_edges = sum(trace.color_edge_counts)
     lines.append(f"cell-edges total {cell_edges}")
-    lines.append(f"eq2 lhs {cell_edges} bound {trace.eq2_bound} {_ok(trace.eq2_ok)}")
+    lines.append(
+        f"eq2 lhs {cell_edges} bound {trace.eq2_bound} "
+        f"{_ok(cell_edges <= trace.eq2_bound)}"
+    )
     lines.append(f"eq3 lhs {cell_edges} bound {trace.eq3_bound} {_ok(trace.eq3_ok)}")
     lines.append(f"chain-a {'-' if trace.chain_a is None else trace.chain_a}")
     lines.append(f"chain-b {'-' if trace.chain_b is None else trace.chain_b}")

@@ -44,7 +44,7 @@ from cycle_ramsey import (
     verify_witness,
 )
 from cycle_ramsey import cycles, matching
-from cycle_ramsey.cycles import _closes, _least_tail
+from cycle_ramsey.cycles import _closes, _least_tail, _mask_cycle
 from cycle_ramsey.formats import to_jsonable
 from cycle_ramsey.graphs import _MAX_ORDER
 
@@ -285,17 +285,17 @@ def test_longest_cycle_refuses_a_kernel_cycle_below_its_window(monkeypatch):
 
 @given(graphs(max_vertices=8), st.integers(3, 8))
 @settings(max_examples=100)
-def test_longest_cycle_stop_at_semantics(G, stop_at):
+def test_kernel_cycle_at_or_above_a_length(G, lo):
+    # the window even_engine asks for: a cycle of lo or more vertices,
+    # or None when nothing reaches lo
     truth = brute_cycle_lengths(G)
-    cert = longest_cycle(G, stop_at=stop_at)
-    if truth and max(truth) >= stop_at:
-        assert cert is not None and cert.length >= stop_at
-        assert verify_cycle(G, cert)
-    elif truth:
-        # nothing at or above the cutoff: falls back to a true longest cycle
-        assert cert is not None and cert.length == max(truth)
+    v = G.vertex_count
+    found = _mask_cycle(G.neighbor_masks, v, lo, v)
+    if truth and max(truth) >= lo:
+        assert found is not None and len(found) >= lo
+        assert verify_cycle(G, CycleCertificate(tuple(found)))
     else:
-        assert cert is None
+        assert found is None
 
 
 def brute_cycle_sequences(G):
@@ -322,8 +322,9 @@ def test_certificates_are_lexicographically_least(G, n):
     cert = contains_cycle_of_length(G, n)
     assert (cert and cert.vertices) == (min(exact) if exact else None)
     at_least = [c for c in cycles if len(c) >= n]
-    if at_least:
-        assert longest_cycle(G, stop_at=n).vertices == min(at_least)
+    v = G.vertex_count
+    found = _mask_cycle(G.neighbor_masks, v, n, v)
+    assert (found and tuple(found)) == (min(at_least) if at_least else None)
 
 
 @given(st.one_of(graphs(max_vertices=7), sparse_graphs(max_vertices=7)))
@@ -586,12 +587,13 @@ def test_least_tail_matches_path_oracle(G, data):
 def test_cycles_at_the_vertex_cap():
     # A window as long as the graph walks one vertex per helper level,
     # about _MAX_ORDER frames deep, for the exact window and for the
-    # range windows of `longest_cycle` with and without `stop_at`.
+    # range windows of `longest_cycle` and of even_engine's `lo..v`.
     ring = cycle_graph(_MAX_ORDER)
     whole = tuple(range(_MAX_ORDER))
     assert contains_cycle_of_length(ring, _MAX_ORDER).vertices == whole
     assert longest_cycle(ring).vertices == whole
-    assert longest_cycle(ring, stop_at=_MAX_ORDER - 10).vertices == whole
+    found = _mask_cycle(ring.neighbor_masks, _MAX_ORDER, _MAX_ORDER - 10, _MAX_ORDER)
+    assert tuple(found) == whole
 
 
 # --------------------------------------------------------------------------

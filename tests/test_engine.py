@@ -7,6 +7,7 @@ import dataclasses
 import gc
 import itertools
 import random
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -95,6 +96,19 @@ def test_parameters_validation():
         PkParameters(2, 5, Fraction(8), Fraction(1), Fraction(1, 256), 79)
 
 
+def test_parameters_refuse_values_that_are_not_int_or_fraction():
+    # a str, a Decimal or a float reached `__post_init__`'s comparisons
+    # and Fraction arithmetic, where the first two raised TypeError
+    for eps in ("1/2", Decimal("0.5"), 0.5):
+        with pytest.raises(InvalidParams, match="eps must be an int or a Fraction"):
+            PkParameters(2, 5, Fraction(8), eps, Fraction(1, 64), 100)
+    with pytest.raises(InvalidParams, match="c must be"):
+        PkParameters(2, 5, Decimal(8), Fraction(1, 2), Fraction(1, 64), 100)
+    with pytest.raises(InvalidParams, match="delta must be"):
+        PkParameters(2, 5, Fraction(8), Fraction(1, 2), "1/64", 100)
+    assert PkParameters(2, 5, 8, 1, Fraction(1, 64), 100).c == 8
+
+
 def test_parameters_accept_string_rationals():
     p = PkParameters.for_lemma(3, 7, "2/3")
     assert p.eps == Fraction(2, 3)
@@ -164,7 +178,7 @@ def test_executor_diagnostic_on_extremal_two_five():
     assert trace.chosen.signature == (2, 1)
     assert trace.chosen.vertices == (0, 1, 2, 3)
     assert trace.color_edge_counts == (6, 0)
-    assert trace.eq2_ok and trace.eq3_ok
+    assert _trace_line(trace, "eq2")[-1] == "ok" and trace.eq3_ok
     assert not trace.chain_ok  # N far above the cap for k = 2
     assert not trace.pigeonhole_ok
     assert trace.verdict is TraceVerdict.PIGEONHOLE_FAILS
@@ -193,7 +207,7 @@ def test_executor_eq3_fails_on_a_sparse_cell():
     # with delta = 10^-6 the bound x(x-1)/2 - delta*N(N-1)/2 is near 15
     trace = _k66_trace(Fraction(1, 10**6))
     assert trace.chosen.size == 6 and trace.color_edge_counts == (0,)
-    assert trace.pigeonhole_ok and trace.eq2_ok and not trace.eq3_ok
+    assert trace.pigeonhole_ok and not trace.eq3_ok
     assert trace.verdict is TraceVerdict.EQ3_FAILS
     assert _trace_line(trace, "pigeonhole")[-1] == "ok"
     assert _trace_line(trace, "eq2")[-1] == "ok"
@@ -207,7 +221,8 @@ def test_executor_chain_fails_past_the_cap():
     # far above eps*kn/2 = 3/200
     trace = _k66_trace(Fraction(1))
     assert trace.precondition_failures == ()
-    assert trace.pigeonhole_ok and trace.eq2_ok and trace.eq3_ok
+    assert trace.pigeonhole_ok and trace.eq3_ok
+    assert _trace_line(trace, "eq2")[-1] == "ok"
     assert not trace.chain_ok and trace.chain_cap == 96
     assert trace.verdict is TraceVerdict.CHAIN_FAILS
     assert _trace_line(trace, "eq3")[-1] == "ok"
@@ -215,14 +230,14 @@ def test_executor_chain_fails_past_the_cap():
     assert _trace_line(trace, "verdict") == ["chain_fails"]
 
 
-def test_executor_eq2_fails_only_under_a_palette_above_params_k():
-    # With params.k at least the palette and x >= 1, no witness bounds
-    # each colour's cell edges by n(x-1)/2 (a V3 component has matching
-    # number below n/2), so eq2 cannot fail.  Here params.k = 1 on two
+def test_executor_eq2_holds_under_a_palette_above_params_k():
+    # With x >= 1, no witness bounds each colour's cell edges by n(x-1)/2
+    # (a V3 component has matching number below n/2), so eq2, summed over
+    # the colouring's own colours, cannot fail.  Here params.k = 1 on two
     # colours: colour 1 is a K_5 on 0..4 and a triangle 5, 8, 9, colour 2
     # a star from 5 to 0..4 and a triangle 5, 6, 7; both classes are
     # non-bipartite with matching number 2, and the cell 0..5 holds
-    # 10 + 5 > 25/2 edges.
+    # 10 + 5 edges, above params.k's 25/2 but within 2·5·5/2 = 25.
     one = [(a, b) for a in range(5) for b in range(a + 1, 5)] + [(5, 8), (5, 9), (8, 9)]
     two = [(u, 5) for u in range(5)] + [(5, 6), (5, 7), (6, 7)]
     color = {**{e: 1 for e in one}, **{e: 2 for e in two}}
@@ -231,11 +246,20 @@ def test_executor_eq2_fails_only_under_a_palette_above_params_k():
     trace = lemma4_execute(col, 5, params)
     assert trace.precondition_failures == ("coloring has 2 colors but params.k = 1",)
     assert trace.chosen.vertices == (0, 1, 2, 3, 4, 5)
-    assert trace.color_edge_counts == (10, 5) and trace.eq2_bound == Fraction(25, 2)
-    assert trace.pigeonhole_ok and not trace.eq2_ok
-    assert trace.verdict is TraceVerdict.EQ2_FAILS
-    assert _trace_line(trace, "eq2") == ["lhs", "15", "bound", "25/2", "fail"]
-    assert _trace_line(trace, "verdict") == ["eq2_fails"]
+    assert trace.color_edge_counts == (10, 5) and trace.eq2_bound == 25
+    assert _trace_line(trace, "eq2") == ["lhs", "15", "bound", "25", "ok"]
+    assert "eq2_ok" not in to_jsonable(trace)
+    assert not hasattr(TraceVerdict, "EQ2_FAILS")
+
+
+def test_executor_eq2_over_its_bound_is_a_broken_invariant(monkeypatch):
+    # eq2 rests on there being no witness; with the witness search patched
+    # away, one-colour K_9 puts all 36 edges in a 9-vertex cell, over
+    # 7·8/2 = 28 for n = 7
+    monkeypatch.setattr(engine, "pk_witness_search", lambda *_: None)
+    params = PkParameters(1, 7, Fraction(1, 100), Fraction(1, 100), Fraction(1), 9)
+    with pytest.raises(AssertionError, match="36 cell edges over eq2's bound 28"):
+        lemma4_execute(mono(complete_graph(9)), 7, params)
 
 
 def test_executor_trace_golden_file():

@@ -25,6 +25,7 @@ from cycle_ramsey import (
     build_graph,
     complete_graph,
     constant_coloring,
+    cycle_graph,
     even_engine,
     fl_decompose,
     lemma4_execute,
@@ -544,8 +545,8 @@ def _one_edit_mutants(text, rnd: random.Random):
 def test_bulk_reader_matches_two_pass_reader(col, complete_col, rnd: random.Random):
     # every serialized file and every one-edit mutant of it parses to the
     # reference reader's object or raises its error, and the bulk path
-    # takes a text exactly when it is the serializer's output, which on
-    # a complete host it reads as the shared K_V
+    # takes a text exactly when it is the serializer's output and its
+    # host is complete, which it reads as the shared K_V
     for c in (col, complete_col):
         for text, colored, parse, serialize in (
             (serialize_coloring(c), True, parse_coloring, serialize_coloring),
@@ -556,14 +557,17 @@ def test_bulk_reader_matches_two_pass_reader(col, complete_col, rnd: random.Rand
                 _agree_graph(mutant)
                 status, parsed = _outcome(parse, mutant)
                 canonical = status == "ok" and serialize(parsed) == mutant
-                taken = formats._canonical_file(mutant, colored)
-                assert (taken is not None) == canonical, repr(mutant)
-                assert formats._canonical_file(mutant, not colored) is None
-                if taken is not None:
-                    G = taken[0]
+                if canonical:
+                    G = parsed.base if colored else parsed
                     v = G.vertex_count
-                    if 2 * G.edge_count == v * (v - 1):
-                        assert G is complete_graph(v)
+                    canonical = 2 * G.edge_count == v * (v - 1)
+                taken = formats._complete_file(mutant, colored)
+                assert (taken is not None) == canonical, repr(mutant)
+                assert formats._complete_file(mutant, not colored) is None
+                if taken is not None:
+                    assert taken == parsed
+                    base = taken.base if colored else taken
+                    assert base is complete_graph(v)
 
 
 def test_serialized_files_skip_the_line_parser(monkeypatch):
@@ -581,6 +585,34 @@ def test_serialized_files_skip_the_line_parser(monkeypatch):
         for variant in ("# a comment\n" + canonical, canonical.replace("\n", "\r\n")):
             with pytest.raises(AssertionError, match="line parser ran"):
                 parse(variant)
+    monkeypatch.undo()
+
+    # a canonical file of a host that is not complete runs the line parser
+    # and gives the same object
+    ran = []
+    line_parser = formats._edge_file
+
+    def counted(text, colored):
+        ran.append(colored)
+        return line_parser(text, colored)
+
+    monkeypatch.setattr(formats, "_edge_file", counted)
+    C5 = cycle_graph(5)
+    col5 = make_coloring(C5, 2, {e: 1 + e[0] % 2 for e in C5.edges})
+    assert parse_coloring(serialize_coloring(col5)) == col5
+    assert parse_graph(serialize_graph(C5)) == C5
+    assert ran == [True, False]
+
+    # a file of K_128's length with one junk colour token is refused
+    # before K_V is built, and the line parser names the token
+    def no_complete_graph(v):
+        raise AssertionError("K_V built")
+
+    monkeypatch.setattr(formats, "complete_graph", no_complete_graph)
+    junk = text[: text.rindex(" ")] + " x\n"
+    assert len(junk.split()) == len(text.split())
+    with pytest.raises(FormatError, match="bad integer 'x'"):
+        parse_coloring(junk)
 
 
 # --------------------------------------------------------------------------
