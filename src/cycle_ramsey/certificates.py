@@ -12,7 +12,7 @@ import enum
 from dataclasses import dataclass
 
 from .errors import CycleTooShort, InvalidParams
-from .graphs import Edge, Graph, normalize_edge
+from .graphs import Edge, Graph
 
 
 @dataclass(frozen=True)
@@ -26,11 +26,18 @@ class MatchingCertificate:
         return len(self.edges)
 
 
+def _adjacent(G: Graph, u: int, v: int) -> bool:
+    """True iff u and v are vertices of G and (u, v) is an edge: one bit
+    test on u's neighbour mask, which never holds u itself."""
+    n = G.vertex_count
+    return 0 <= u < n and 0 <= v < n and G.neighbor_masks[u] >> v & 1 == 1
+
+
 def verify_matching(G: Graph, cert: MatchingCertificate) -> bool:
     """True iff every certificate edge is in G and no vertex repeats."""
     seen: set[int] = set()
     for u, v in cert.edges:
-        if normalize_edge(u, v) not in G.edges:
+        if not _adjacent(G, u, v):
             return False
         if u in seen or v in seen:
             return False
@@ -60,13 +67,7 @@ def verify_cycle(G: Graph, cert: CycleCertificate) -> bool:
     vs = cert.vertices
     if len(set(vs)) != len(vs):
         return False
-    for v in vs:
-        if v < 0 or v >= G.vertex_count:
-            return False
-    for i, u in enumerate(vs):
-        if normalize_edge(u, vs[(i + 1) % len(vs)]) not in G.edges:
-            return False
-    return True
+    return all(_adjacent(G, u, vs[i - 1]) for i, u in enumerate(vs))
 
 
 class WitnessKind(enum.Enum):

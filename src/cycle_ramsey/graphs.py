@@ -1,21 +1,23 @@
 """Immutable graph and edge-coloring primitives.
 
-Vertices are dense 0-indexed integers.  Equality is by (vertex count,
-edge set); isomorphism never enters the core semantics.  Edges are
-stored as normalized pairs (u, v) with u < v, so the edge set can never
-hold a duplicate or a reversed copy of an edge.
+Vertices are dense 0-indexed integers.  A graph is its vertex count and
+its neighbour masks, the one view every walk reads; equality and hashing
+compare those two, which is equality of edge sets, and isomorphism never
+enters the core semantics.  The edge views are built from the masks the
+first time one is read: `sorted_edges` holds normalized pairs (u, v)
+with u < v in ascending order, and `edges` is their frozenset, so
+neither can hold a duplicate or a reversed copy of an edge.
 
-Derived views are built once and shared: a graph caches its sorted
-edges and its neighbour masks, the one adjacency view every walk reads,
+Derived views are built once and shared: a graph caches its edge views,
 a coloring caches all of its color classes, and a slice that keeps
 every vertex is the object itself.  An induced subgraph and a color
-class are born with both views, filled in the pass that finds their
-edges, so no reader rebuilds the masks from the edge set.  The complete
-graph K_n is one object per order, born with both views: every
-`complete_graph(n)` and every complete colouring file read in bulk gets
-the same live K_n.  It is held weakly, so it is shared while any
-colouring or caller holds it and freed with its last user; nothing pins
-a large K_n for good.
+class are born with their masks alone, so no walk pays for an edge set
+it never reads.  The complete graph K_n is one object per order, born
+with its masks and its sorted edges, which every colouring of it zips
+over: every `complete_graph(n)` and every complete colouring file read
+in bulk gets the same live K_n.  It is held weakly, so it is shared
+while any colouring or caller holds it and freed with its last user;
+nothing pins a large K_n for good.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .errors import (
 Edge = tuple[int, int]
 
 # Largest vertex count a construction or an input file may ask for;
-# K_512 builds in well under a second and ~36 MiB.
+# K_512 builds in about 20 ms and holds 8 MiB (tracemalloc).
 _MAX_ORDER = 512
 # Largest colour count an input file or the odd-case lemma may ask for.
 # Callers loop over colour classes, and `lemma4_execute` over 2^k cells,
@@ -49,42 +51,56 @@ def normalize_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Graph:
-    """A simple undirected graph on vertices 0..vertex_count-1."""
+    """A simple undirected graph on vertices 0..vertex_count-1, held as
+    its neighbour masks (bit w of `neighbor_masks[v]` is set iff (v, w)
+    is an edge); `Graph(vertex_count, edges)` checks and freezes its
+    normalized edges."""
 
     vertex_count: int
-    edges: frozenset[Edge]
+    neighbor_masks: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        n = self.vertex_count
+    def __init__(self, vertex_count: int, edges) -> None:
+        n = vertex_count
         if n < 0:
             raise VertexOutOfRange("vertex_count must be non-negative")
-        for u, v in self.edges:
-            if 0 <= u < v < n:
-                continue
-            if u == v:
-                raise LoopEdge(f"self-loop at vertex {u}")
-            if u > v:
-                raise VertexOutOfRange(f"edge ({u},{v}) is not normalized (u < v)")
-            raise VertexOutOfRange(f"edge ({u},{v}) outside vertex range 0..{n - 1}")
+        edges = frozenset(edges)
+        masks = [0] * n
+        for u, v in edges:
+            if not 0 <= u < v < n:
+                if u == v:
+                    raise LoopEdge(f"self-loop at vertex {u}")
+                if u > v:
+                    raise VertexOutOfRange(f"edge ({u},{v}) is not normalized (u < v)")
+                raise VertexOutOfRange(f"edge ({u},{v}) outside vertex range 0..{n - 1}")
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        self.__dict__.update(vertex_count=n, neighbor_masks=tuple(masks), edges=edges)
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        view = self.__dict__.get("sorted_edges", self.__dict__.get("edges"))
+        if view is None:
+            return sum(map(int.bit_count, self.neighbor_masks)) >> 1
+        return len(view)
 
     @cached_property
     def sorted_edges(self) -> tuple[Edge, ...]:
-        return tuple(sorted(self.edges))
+        """The edges in ascending order: rows ascending, and in each row
+        the neighbours above it ascending."""
+        edges = []
+        for u, mask in enumerate(self.neighbor_masks):
+            rest = mask & -(2 << u)
+            while rest:
+                low = rest & -rest
+                edges.append((u, low.bit_length() - 1))
+                rest ^= low
+        return tuple(edges)
 
     @cached_property
-    def neighbor_masks(self) -> tuple[int, ...]:
-        """Per-vertex adjacency as bitmasks (bit w set iff (v, w) is an edge)."""
-        masks = [0] * self.vertex_count
-        for u, v in self.edges:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        return tuple(masks)
+    def edges(self) -> frozenset[Edge]:
+        return frozenset(self.sorted_edges)
 
     def degree(self, v: int) -> int:
         if not 0 <= v < self.vertex_count:
@@ -95,19 +111,16 @@ class Graph:
         return normalize_edge(u, v) in self.edges
 
 
-def _sorted_graph(
-    vertex_count: int, sorted_edges: list[Edge], neighbor_masks: list[int] | None = None
+def _masked_graph(
+    vertex_count: int, neighbor_masks, sorted_edges: tuple[Edge, ...] | None = None
 ) -> Graph:
-    """A Graph from valid edges in ascending order, which seed its
-    `sorted_edges` cache, and optionally their neighbour masks, which
-    seed `neighbor_masks`; only the vertex count is checked."""
-    if vertex_count < 0:
-        raise VertexOutOfRange("vertex_count must be non-negative")
-    G = object.__new__(Graph)  # skips `__post_init__`'s per-edge checks
-    G.__dict__.update(vertex_count=vertex_count, edges=frozenset(sorted_edges))
-    G.__dict__["sorted_edges"] = tuple(sorted_edges)
-    if neighbor_masks is not None:
-        G.__dict__["neighbor_masks"] = tuple(neighbor_masks)
+    """A Graph from valid neighbour masks (symmetric, no vertex its own
+    neighbour) and optionally its edges in ascending order, which seed
+    `sorted_edges`; nothing is checked."""
+    G = object.__new__(Graph)  # skips `__init__`'s per-edge checks
+    G.__dict__.update(vertex_count=vertex_count, neighbor_masks=tuple(neighbor_masks))
+    if sorted_edges is not None:
+        G.__dict__["sorted_edges"] = sorted_edges
     return G
 
 
@@ -118,6 +131,7 @@ def build_graph(vertex_count: int, edge_list) -> Graph:
     (v, u) are the same edge, and repeating either is a duplicate.
     """
     seen: set[Edge] = set()
+    masks = [0] * vertex_count
     for u, v in edge_list:
         if u == v:
             raise LoopEdge(f"self-loop at vertex {u}")
@@ -129,7 +143,11 @@ def build_graph(vertex_count: int, edge_list) -> Graph:
         if e in seen:
             raise DuplicateEdge(f"edge {e} listed twice")
         seen.add(e)
-    return _sorted_graph(vertex_count, sorted(seen))
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    if vertex_count < 0:
+        raise VertexOutOfRange("vertex_count must be non-negative")
+    return _masked_graph(vertex_count, masks, tuple(sorted(seen)))
 
 
 # The live K_n by order; an entry goes when its last user drops it.
@@ -143,10 +161,12 @@ def complete_graph(n: int) -> Graph:
     K = _COMPLETE.get(n)
     if K is None:
         full = (1 << n) - 1
-        K = _COMPLETE[n] = _sorted_graph(
+        K = _COMPLETE[n] = _masked_graph(
             n,
-            list(itertools.combinations(range(n), 2)),
             [full ^ 1 << u for u in range(n)],
+            # through a list: `tuple` of an unsized iterator grows in
+            # small steps, about 1.5x slower for K_128 and 2x for K_512
+            tuple(list(itertools.combinations(range(n), 2))),
         )
     return K
 
@@ -176,19 +196,16 @@ def induced_subgraph(G: Graph, W) -> tuple[Graph, tuple[int, ...]]:
         inside |= 1 << w
     masks = G.neighbor_masks
     bit = [1 << i for i in range(len(kept))]
-    edges = []
     sub_masks = [0] * len(kept)
     for i, w in enumerate(kept):
-        # kept neighbours above w, ascending: new labels come out sorted
-        rest = masks[w] & inside & -(2 << w)
+        rest = masks[w] & inside & -(2 << w)  # kept neighbours above w
         while rest:
             low = rest & -rest
             j = index[low.bit_length() - 1]
-            edges.append((i, j))
             sub_masks[i] |= bit[j]
             sub_masks[j] |= bit[i]
             rest ^= low
-    return _sorted_graph(len(kept), edges, sub_masks), kept
+    return _masked_graph(len(kept), sub_masks), kept
 
 
 @dataclass(frozen=True)
@@ -219,24 +236,21 @@ class EdgeColoring:
 
     @cached_property
     def _classes(self) -> dict[int, Graph]:
-        """The nonempty color classes by color, with their sorted edges
-        and neighbour masks built in one pass over the sorted edges, and
-        under key 0 one edgeless graph that stands for every empty class
-        (so a huge unused palette costs nothing)."""
+        """The nonempty color classes by color, their neighbour masks
+        built in one pass over the sorted edges, and under key 0 one
+        edgeless graph that stands for every empty class (so a huge
+        unused palette costs nothing)."""
         v = self.base.vertex_count
         bit = [1 << w for w in range(v)]
-        buckets: dict[int, tuple[list[Edge], list[int]]] = {}
-        for e, c in zip(self.base.sorted_edges, self.colors):
-            if c in buckets:
-                edges, masks = buckets[c]
-            else:
-                edges, masks = buckets[c] = ([], [0] * v)
-            edges.append(e)
-            a, b = e
+        by_color: dict[int, list[int]] = {}
+        for (a, b), c in zip(self.base.sorted_edges, self.colors):
+            masks = by_color.get(c)
+            if masks is None:
+                masks = by_color[c] = [0] * v
             masks[a] |= bit[b]
             masks[b] |= bit[a]
-        classes = {c: _sorted_graph(v, *bucket) for c, bucket in buckets.items()}
-        classes[0] = Graph(v, frozenset())
+        classes = {c: _masked_graph(v, masks) for c, masks in by_color.items()}
+        classes[0] = _masked_graph(v, [0] * v)
         return classes
 
     @cached_property

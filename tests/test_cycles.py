@@ -99,11 +99,23 @@ def test_cycle_certificate_minimum_length():
 
 
 def test_verify_cycle_rejections():
+    # C_5 as a colour class, born from its masks, and as `Graph(v, edges)`;
+    # adjacency is a bit test on the masks, where vertex -1 would index
+    # vertex 4, a neighbour of 0, and vertex 5 would be past the end
     C5 = cycle_graph(5)
-    assert verify_cycle(C5, CycleCertificate((0, 1, 2, 3, 4)))
-    assert not verify_cycle(C5, CycleCertificate((0, 1, 3)))  # chord missing
-    assert not verify_cycle(C5, CycleCertificate((0, 1, 2, 1)))  # repeat
-    assert not verify_cycle(C5, CycleCertificate((0, 1, 5)))  # out of range
+    K5 = complete_graph(5)
+    col = EdgeColoring(K5, 2, tuple(1 if C5.has_edge(*e) else 2 for e in K5.sorted_edges))
+    for G in (color_class(col, 1), C5):
+        assert G == C5
+        assert verify_cycle(G, CycleCertificate((0, 1, 2, 3, 4)))
+        assert not verify_cycle(G, CycleCertificate((0, 1, 3)))  # chord missing
+        assert not verify_cycle(G, CycleCertificate((0, 1, 2, 1)))  # repeat
+        assert not verify_cycle(G, CycleCertificate((0, 0, 1)))  # a pair (u, u)
+        assert not verify_cycle(G, CycleCertificate((0, 1, 5)))  # out of range
+        assert not verify_cycle(G, CycleCertificate((0, 1, 2, 3, 4, 5)))
+        assert not verify_cycle(G, CycleCertificate((4, 0, 9)))
+        assert not verify_cycle(G, CycleCertificate((0, 1, 2, 3, -1)))
+    assert "edges" not in color_class(col, 1).__dict__
 
 
 # --------------------------------------------------------------------------

@@ -29,6 +29,8 @@ from cycle_ramsey import (
     induced_subgraph,
     make_coloring,
     normalize_edge,
+    verify_cycle,
+    verify_matching,
 )
 from cycle_ramsey.formats import (
     parse_coloring,
@@ -81,6 +83,22 @@ def test_graph_rejects_out_of_range_and_unnormalized():
     )
 
 
+def test_graph_freezes_its_edges():
+    # a repeated edge is one edge, as it is in the masks
+    G = Graph(3, [(0, 1), (0, 1)])
+    assert G.edge_count == 1
+    assert G.edges == frozenset({(0, 1)})
+
+
+def test_graph_from_an_edge_list_is_hashable():
+    assert hash(Graph(3, [(0, 1)])) == hash(Graph(3, frozenset({(0, 1)})))
+
+
+def test_graph_from_an_edge_list_equals_graph_from_its_set():
+    assert Graph(3, [(0, 1)]) == Graph(3, frozenset({(0, 1)}))
+    assert Graph(3, iter([(1, 2)])) == build_graph(3, [(2, 1)])
+
+
 def _checked_edges(n, edges):
     """The edge checks of `Graph` as one test per fault, in set order."""
     for u, v in edges:
@@ -109,14 +127,24 @@ def test_graph_checks_match_one_test_per_fault(n, edges):
 def _unchecked_constructors_agree(col, data):
     # `build_graph`, `complete_graph` and the internal constructor behind
     # induced subgraphs, color classes and both parser paths skip the
-    # per-edge checks of `Graph.__post_init__`: each graph they build
-    # must pass them, cache its edges in ascending order and hold the
-    # neighbour masks its edges give, seeded or not.
+    # per-edge checks of `Graph(v, edges)`: each graph they build must
+    # pass them, hold the neighbour masks its edges give, count, compare,
+    # hash and answer `has_edge` as the checked graph does, either way
+    # round, and give its edges in ascending order, seeded or not.
     def same(H, edges):
-        checked = Graph(H.vertex_count, frozenset(edges))
-        assert H == checked and hash(H) == hash(checked)
+        n = H.vertex_count
+        checked = Graph(n, frozenset(edges))
+        # counted from the masks, or from the view the graph was born with
+        assert H.edge_count == checked.edge_count
+        assert H == checked and checked == H and hash(H) == hash(checked)
+        if n >= 2:
+            other = Graph(n, checked.edges ^ {(0, 1)})
+            assert H != other and other != H
+        for u, v in itertools.product(range(n), repeat=2):
+            assert H.has_edge(u, v) == checked.has_edge(u, v)
         assert H.sorted_edges == checked.sorted_edges
         assert H.neighbor_masks == checked.neighbor_masks
+        assert H.edge_count == len(H.edges) == len(H.sorted_edges)
 
     G = col.base
     n = G.vertex_count
@@ -189,6 +217,35 @@ def test_complete_graph_is_shared_while_held_and_freed_after():
     finally:
         gc.enable()
     assert complete_graph(23) == Graph(23, frozenset(itertools.combinations(range(23), 2)))
+
+
+def test_mask_born_graphs_build_no_edge_view_until_one_is_read():
+    # an order no other test holds, so K_V is born in this parse
+    v = 31
+    text = f"coloring {v} 3\n" + "".join(
+        f"e {a} {b} {1 + (a * b + a) % 3}\n" for a, b in itertools.combinations(range(v), 2)
+    )
+    col = parse_coloring(text)
+    K = col.base
+    assert K is complete_graph(v)
+    classes = [color_class(col, i) for i in (1, 2, 3)]
+    sub, _ = induced_subgraph(classes[0], range(0, v, 2))
+    born = [*classes, sub]
+    # counting and walking read the masks alone
+    for H in (K, *born):
+        assert H.degree(0) <= H.edge_count
+    for H in born:
+        for comp in components(H).components:
+            assert verify_matching(H, comp.matching)
+            assert comp.odd_cycle is None or verify_cycle(H, comp.odd_cycle)
+    assert "edges" not in K.__dict__
+    for H in born:
+        assert "edges" not in H.__dict__ and "sorted_edges" not in H.__dict__
+    # the first read builds the view, and the graph keeps it
+    for H in (K, *born):
+        assert H.edges == frozenset(H.sorted_edges) == H.__dict__["edges"]
+        assert H.edge_count == len(H.edges)
+    assert sum(H.edge_count for H in classes) == K.edge_count
 
 
 def test_cycle_graph_structure():

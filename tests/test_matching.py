@@ -90,15 +90,30 @@ def test_matching_edges_are_disjoint_and_present(G):
 
 
 def test_verify_matching_rejects_bad_certificates():
-    G = build_graph(4, [(0, 1), (1, 2), (2, 3)])
-    good = max_matching(G)
     from cycle_ramsey import MatchingCertificate
 
-    assert not verify_matching(G, MatchingCertificate(frozenset({(0, 3)})))
-    assert not verify_matching(
-        G, MatchingCertificate(frozenset({(0, 1), (1, 2)}))
-    )
-    assert verify_matching(G, good)
+    # the path 0-1-2-3 as `Graph(v, edges)`, and born from masks as a
+    # slice of C_5; adjacency is a bit test on the masks, where vertex -1
+    # would index vertex 3, a neighbour of 2, and vertex 4 would be past
+    # the end
+    P = Graph(4, {(0, 1), (1, 2), (2, 3)})
+    sliced, _ = induced_subgraph(cycle_graph(5), range(4))
+    for G in (P, sliced):
+        assert G == P
+        assert verify_matching(G, max_matching(G))
+        refused = [
+            {(0, 3)},  # a non-edge
+            {(0, 1), (1, 2)},  # a repeated vertex
+            {(1, 1)},  # a pair (u, u)
+            {(-1, 2)},  # a vertex below 0
+            {(2, -1)},
+            {(4, 3)},  # a vertex at n
+            {(3, 4)},
+            {(2, 7)},  # and above
+        ]
+        for edges in refused:
+            assert not verify_matching(G, MatchingCertificate(frozenset(edges))), edges
+    assert "edges" not in sliced.__dict__
 
 
 def _matching_trying_every_root(G):
