@@ -137,7 +137,7 @@ def verify_mono_cycle_free(col: EdgeColoring, n: int) -> bool | StructureWitness
         rep = components(Gi)
         inside = 0
         for comp in rep.components:
-            if len(comp.vertices) >= n and (n % 2 == 0 or not comp.is_bipartite):
+            if comp.vertex_mask.bit_count() >= n and (n % 2 == 0 or not comp.is_bipartite):
                 inside |= comp.vertex_mask
         if not inside:
             continue

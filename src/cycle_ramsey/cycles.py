@@ -1,15 +1,18 @@
 """Structural oracles: components, bipartiteness, cycles, and the
 Erdős–Gallai threshold.
 
-`components` finds each component's bipartition or odd cycle by one
-BFS pass per component over the neighbour masks, once per graph, and
-every later call returns the same report.  The odd-cycle test rides in
-the same pass: a neighbour of a dequeued vertex with its depth parity
-lies in its own layer, which is complete by then.  A component's
-maximum matching is computed on the first read of its `matching` and
-kept, by the blossom run on the host's neighbour masks restricted to
-the component's vertex mask (no induced subgraph is built), so callers
-that need only the structure run no blossom.
+`components` scans a graph once, and every later call returns the same
+report.  The scan is a BFS per component over the neighbour masks that
+moves one whole level at a time: a level's next level is the OR of its
+vertices' masks minus the component found so far, and the component is
+bipartite iff no level holds an edge.  It keeps each component's
+vertices, flag and vertex mask, and the mask of its even-depth
+vertices.  The certificates are built on their first read and kept:
+the bipartition from the even-depth mask, the odd cycle by a BFS of
+that one component in queue order, and the maximum matching by the
+blossom run on the host's neighbour masks restricted to the component's
+vertex mask (no induced subgraph is built).  So callers that need only
+the structure build no cycle and run no blossom.
 
 Everything here is exact, and all bitmask cycle code lives here, over
 per-vertex neighbour masks, for graphs of a few dozen vertices.  One
@@ -90,24 +93,81 @@ def eg_threshold(n: int, v: int) -> int:
 # Components and bipartiteness
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComponentInfo:
     """One connected component, with its bipartite structure if any.
 
-    `parts` is a bipartition (A, B) with the component's smallest vertex
-    in A, or None for non-bipartite components; `odd_cycle` certifies
-    non-bipartiteness when the flag is False.  `host_masks` are the
-    neighbour masks of the graph the component came from and
-    `vertex_mask` has a bit per component vertex; `matching` is computed
-    from them on its first read and kept.
+    The scan stores the component's vertices, its flag, `host_masks`
+    (the neighbour masks of the graph it came from), `vertex_mask` (a
+    bit per component vertex) and `even_mask` (a bit per vertex at even
+    BFS depth from the smallest one).  The certificates are built from
+    them on their first read and kept: `parts` is a bipartition (A, B)
+    with the smallest vertex in A, or None for non-bipartite components;
+    `odd_cycle` certifies non-bipartiteness when the flag is False, else
+    None; `matching` is a maximum matching.  Two components are equal
+    when their vertices, flags, bipartitions and odd cycles agree.
     """
 
     vertices: tuple[int, ...]
     is_bipartite: bool
-    parts: tuple[tuple[int, ...], tuple[int, ...]] | None
-    odd_cycle: CycleCertificate | None
-    host_masks: tuple[int, ...] = field(compare=False, repr=False)
-    vertex_mask: int = field(compare=False, repr=False)
+    host_masks: tuple[int, ...] = field(repr=False)
+    vertex_mask: int = field(repr=False)
+    even_mask: int = field(repr=False)
+
+    def __eq__(self, other):
+        if type(other) is not ComponentInfo:
+            return NotImplemented
+        return (
+            self.vertices == other.vertices
+            and self.is_bipartite == other.is_bipartite
+            and self.parts == other.parts
+            and self.odd_cycle == other.odd_cycle
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.vertices, self.is_bipartite))
+
+    @cached_property
+    def parts(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+        """The even- and odd-depth vertices, ascending, if bipartite."""
+        if not self.is_bipartite:
+            return None
+        even = self.even_mask
+        return (
+            tuple(v for v in self.vertices if even >> v & 1),
+            tuple(v for v in self.vertices if not even >> v & 1),
+        )
+
+    @cached_property
+    def odd_cycle(self) -> CycleCertificate | None:
+        """The scan's odd cycle, if not bipartite: a BFS from the smallest
+        vertex, taking unseen neighbours ascending, closes the first edge
+        xy, in BFS order of x and then ascending y > x, of one depth
+        parity.  A neighbour of a dequeued vertex with its parity lies in
+        its own level, which is complete by then."""
+        if self.is_bipartite:
+            return None
+        masks = self.host_masks
+        parent = [-1] * len(masks)
+        depth = [0] * len(masks)
+        root = self.vertices[0]
+        side = [1 << root, 0]  # the even- and odd-depth vertices found
+        order = [root]
+        for x in order:  # the BFS queue: children join behind x
+            d = depth[x]
+            if clash := masks[x] & side[d & 1] & -(2 << x):
+                y = (clash & -clash).bit_length() - 1
+                return _odd_cycle_from_conflict(parent, depth, x, y)
+            new = masks[x] & ~(side[0] | side[1])
+            side[~d & 1] |= new
+            while new:
+                low = new & -new
+                new ^= low
+                y = low.bit_length() - 1
+                depth[y] = d + 1
+                parent[y] = x
+                order.append(y)
+        raise AssertionError(f"component {self.vertices} has no odd cycle")
 
     @cached_property
     def matching(self) -> MatchingCertificate:
@@ -125,6 +185,7 @@ class ComponentReport:
 
     `component_id[v]` indexes into `components`; ids follow discovery
     order from the smallest vertex, so component 0 contains vertex 0.
+    Each component's certificates are built on their first read.
     """
 
     component_id: tuple[int, ...]
@@ -160,45 +221,44 @@ def _odd_cycle_from_conflict(
 
 
 def _scan(G: Graph) -> ComponentReport:
-    """BFS every component of G into its report.  A dequeued vertex takes
-    its unseen neighbours ascending; the odd cycle closes the first edge
-    xy, in BFS order of x and then ascending y > x, of one depth parity."""
-    n = G.vertex_count
+    """BFS every component of G, from its smallest vertex, one whole level
+    at a time: the next level is the OR of the level's masks minus the
+    component found so far.  BFS edges join one level or two adjacent
+    ones, so the component is bipartite iff no level holds an edge, that
+    is, iff no level meets the OR of its own masks."""
     masks = G.neighbor_masks
-    comp_id = [-1] * n
-    parent = [-1] * n
-    depth = [0] * n
+    comp_id = [0] * G.vertex_count
     infos: list[ComponentInfo] = []
-    for root in range(n):
-        if comp_id[root] != -1:
-            continue
+    left = (1 << G.vertex_count) - 1  # the vertices no component holds yet
+    while left:
         cid = len(infos)
-        comp_id[root] = cid
-        side = [1 << root, 0]  # the even- and odd-depth vertices found
-        odd_cycle = None
-        order = [root]
-        for x in order:  # the BFS queue: children join behind x
-            d = depth[x]
-            if odd_cycle is None and (clash := masks[x] & side[d & 1] & -(2 << x)):
-                y = (clash & -clash).bit_length() - 1
-                odd_cycle = _odd_cycle_from_conflict(parent, depth, x, y)
-            new = masks[x] & ~(side[0] | side[1])
-            side[~d & 1] |= new
-            while new:
-                low = new & -new
-                new ^= low
-                y = low.bit_length() - 1
-                depth[y] = d + 1
-                parent[y] = x
-                comp_id[y] = cid
-                order.append(y)
-        verts = tuple(sorted(order))
-        parts = None
-        if odd_cycle is None:
-            parts = tuple(tuple(v for v in verts if side[p] >> v & 1) for p in (0, 1))
-        infos.append(ComponentInfo(
-            verts, odd_cycle is None, parts, odd_cycle, masks, side[0] | side[1]
-        ))
+        level = comp = even = left & -left
+        bipartite = True
+        odd_depth = True  # whether the next level's depth is odd
+        while level:
+            reach = 0
+            rest = level
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                reach |= masks[low.bit_length() - 1]
+            if reach & level:
+                bipartite = False
+            level = reach & ~comp
+            comp |= level
+            if not odd_depth:
+                even |= level
+            odd_depth = not odd_depth
+        left ^= comp
+        verts = []
+        rest = comp
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            verts.append(v)
+            comp_id[v] = cid
+        infos.append(ComponentInfo(tuple(verts), bipartite, masks, comp, even))
     return ComponentReport(tuple(comp_id), tuple(infos))
 
 

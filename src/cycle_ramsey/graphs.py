@@ -130,6 +130,8 @@ def build_graph(vertex_count: int, edge_list) -> Graph:
     Edge order and orientation in `edge_list` are irrelevant: (u, v) and
     (v, u) are the same edge, and repeating either is a duplicate.
     """
+    if vertex_count < 0:
+        raise VertexOutOfRange("vertex_count must be non-negative")
     seen: set[Edge] = set()
     masks = [0] * vertex_count
     for u, v in edge_list:
@@ -145,8 +147,6 @@ def build_graph(vertex_count: int, edge_list) -> Graph:
         seen.add(e)
         masks[u] |= 1 << v
         masks[v] |= 1 << u
-    if vertex_count < 0:
-        raise VertexOutOfRange("vertex_count must be non-negative")
     return _masked_graph(vertex_count, masks, tuple(sorted(seen)))
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib.util
 import itertools
 import math
+import random
 import re
 import sys
 import tracemalloc
@@ -37,6 +38,7 @@ from cycle_ramsey import (
     fl_decompose,
     induced_subgraph,
     longest_cycle,
+    max_matching,
     structural_certificate,
     verify_cycle,
     verify_matching,
@@ -158,6 +160,65 @@ def test_component_scans_run_no_matching(monkeypatch):
     assert verify_witness(col, 5, odd)
 
 
+def test_component_scans_build_no_odd_cycle(monkeypatch):
+    # Only a read of `odd_cycle` may build one; the checker, the
+    # decomposition and its audit, and the probes' matchings never do.
+    col = EdgeColoring(complete_graph(10), 3, tuple(
+        random.Random(5).choices((1, 2, 3), k=45)
+    ))
+    odd_classes = [
+        G for G in (color_class(col, i) for i in (1, 2, 3))
+        if not all(c.is_bipartite for c in cycles._scan(G).components)
+    ]
+    assert odd_classes
+
+    def no_odd_cycle(*_):
+        raise AssertionError("an odd cycle was built")
+
+    monkeypatch.setattr(cycles, "_odd_cycle_from_conflict", no_odd_cycle)
+    K8 = constant_coloring(complete_graph(8), 2)
+    for c in (col, K8):
+        for n in (5, 6):
+            verify_mono_cycle_free(c, n)
+    for G in [*odd_classes, color_class(K8, 1)]:
+        assert check_decomposition(G, 5, fl_decompose(G, 5)).all_ok
+        for comp in components(G).components:
+            sub, _ = induced_subgraph(G, comp.vertices)
+            assert max_matching(sub).size == comp.matching_size
+            assert "odd_cycle" not in comp.__dict__
+
+
+def test_component_certificates_are_built_once_when_first_read():
+    # a triangle with a pendant vertex, and a path
+    rep = components(build_graph(7, [(0, 1), (1, 2), (0, 2), (2, 3), (4, 5), (5, 6)]))
+    odd, path = rep.components
+    assert "odd_cycle" not in odd.__dict__ and "parts" not in path.__dict__
+    cycle = odd.odd_cycle
+    assert cycle.vertices == (1, 0, 2) and odd.odd_cycle is cycle
+    parts = path.parts
+    assert parts == ((4, 6), (5,)) and path.parts is parts
+    assert odd.parts is None and path.odd_cycle is None
+
+
+def test_components_differ_when_their_certificates_differ():
+    # each pair shares its vertex set and flag but not its certificate:
+    # K_4 against a triangle on 0, 2, 3 with 1 pendant at 0, and the
+    # path 0-1-2 against the path 0-2-1
+    pairs = [
+        ([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
+         [(0, 1), (0, 2), (0, 3), (2, 3)]),
+        ([(0, 1), (1, 2)], [(0, 2), (1, 2)]),
+    ]
+    for one, other in pairs:
+        a = components(build_graph(4, one)).components[0]
+        b = components(build_graph(4, other)).components[0]
+        assert (a.vertices, a.is_bipartite) == (b.vertices, b.is_bipartite)
+        assert (a.parts, a.odd_cycle) != (b.parts, b.odd_cycle)
+        assert a != b
+        twin = components(Graph(4, one)).components[0]
+        assert a == twin and hash(a) == hash(twin)
+
+
 @given(st.one_of(graphs(), sparse_graphs(max_vertices=12)))
 @settings(max_examples=300)
 @example(Graph(0, frozenset()))
@@ -166,7 +227,12 @@ def test_component_scans_run_no_matching(monkeypatch):
 @example(build_graph(8, [(0, 5), (5, 2), (2, 7), (7, 0), (3, 6)]))  # 4-cycle, 2 isolated
 def test_component_scan_matches_the_reference_scan(G):
     # the BFS tie-breaking (neighbours ascending, first clash in BFS
-    # order) fixes every row, so the one-pass scan must reproduce it
+    # order) fixes every row, so the level scan and the odd-cycle replay
+    # must reproduce it
+    _assert_scan_matches_reference(G)
+
+
+def _assert_scan_matches_reference(G):
     comp_id, rows = reference_scan(G)
     rep = components(G)
     assert rep.component_id == comp_id
@@ -176,6 +242,47 @@ def test_component_scan_matches_the_reference_scan(G):
         assert comp.is_bipartite == bipartite
         assert comp.parts == parts
         assert (comp.odd_cycle.vertices if comp.odd_cycle else None) == odd
+    return rows
+
+
+def _analyze_shaped_colorings(rng):
+    """Random colourings of K_40..K_128 whose last colour is drawn rarely
+    (in the last one so rarely that its class is a sparse random graph
+    with long odd cycles), and shuffled block colourings (colour 1
+    inside 2^(k-1) blocks, a bipartite colour across) with a sparse
+    extra colour on v/2 cross edges."""
+    for v, k, rare in ((40, 2, 0.25), (64, 3, 0.25), (96, 4, 0.25), (128, 3, 0.25),
+                       (128, 2, 0.015)):
+        weights = [1.0] * (k - 1) + [rare]
+        colors = rng.choices(range(1, k + 1), weights, k=v * (v - 1) // 2)
+        yield EdgeColoring(complete_graph(v), k, tuple(colors))
+    for k, n in ((3, 5), (4, 7), (5, 9), (3, 11)):
+        block = [b for b in range(1 << (k - 1)) for _ in range(2 + b % (n - 2))]
+        rng.shuffle(block)
+        v = len(block)
+        colors = [
+            (block[a] ^ block[b]).bit_length() + 1 if block[a] != block[b] else 1
+            for a in range(v)
+            for b in range(a + 1, v)
+        ]
+        cross = [i for i, c in enumerate(colors) if c > 1]
+        for i in rng.sample(cross, v // 2):
+            colors[i] = k + 1
+        yield EdgeColoring(complete_graph(v), k + 1, tuple(colors))
+
+
+def test_component_scan_matches_the_reference_scan_on_large_hosts():
+    # hosts of up to 128 vertices: masks of several machine words, many
+    # isolated vertices in the sparse classes, and BFS levels deep
+    # enough that an odd cycle closes far from its root
+    isolated = longest_odd = largest = 0
+    for col in _analyze_shaped_colorings(random.Random(39)):
+        for i in range(1, col.color_count + 1):
+            for verts, _, _, odd in _assert_scan_matches_reference(color_class(col, i)):
+                isolated += len(verts) == 1
+                longest_odd = max(longest_odd, len(odd or ()))
+                largest = max(largest, len(verts))
+    assert isolated >= 50 and longest_odd >= 9 and largest == 128
 
 
 @given(graphs(max_vertices=9))

@@ -75,12 +75,15 @@ def test_graph_rejects_out_of_range_and_unnormalized():
     )
     with pytest.raises(VertexOutOfRange):
         build_graph(2, [(-1, 0)])
-    assert _fault(lambda: build_graph(-1, [])) == (
-        VertexOutOfRange, "vertex_count must be non-negative"
-    )
-    assert _fault(lambda: build_graph(-1, [(0, 1)])) == (
-        VertexOutOfRange, "edge (0,1) outside vertex range 0..-2"
-    )
+
+
+def test_constructors_refuse_a_negative_count_before_any_edge():
+    # the count is checked first, so an edge cannot name a range 0..-2
+    for edges in ([], [(0, 1)], [(1, 1)], [(0, 1), (0, 1)]):
+        for make in (Graph, build_graph):
+            assert _fault(lambda: make(-1, edges)) == (
+                VertexOutOfRange, "vertex_count must be non-negative"
+            )
 
 
 def test_graph_freezes_its_edges():

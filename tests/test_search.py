@@ -912,6 +912,39 @@ def test_lower_bound_script_climbs_to_twelve():
     assert "R_3(C_6) >= 12" in proc.stdout
 
 
+@pytest.mark.parametrize("leg", ["certify", "probes"])
+def test_depth_sweep_runs_each_leg(leg):
+    proc = run_script(
+        "depth_sweep.py", "--leg", leg, "--period", "2", "--step", "1", "--repeat", "1"
+    )
+    assert proc.returncode == 0, proc.stderr
+    *rows, summary = proc.stdout.splitlines()
+    assert [row.split()[:3] for row in rows] == [["depth", "0", "ms"], ["depth", "1", "ms"]]
+    times = [float(row.split()[3]) for row in rows]
+    words = summary.split()
+    assert words[::2] == ["min", "median", "max", "ratio"]
+    low, median, high, ratio = map(float, words[1::2])
+    assert (low, high) == (min(times), max(times))
+    assert low <= median <= high and ratio >= 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--period", "0"),
+        ("--period", "601"),
+        ("--step", "0"),
+        ("--repeat", "0"),
+        ("--leg", "hunt"),
+        ("--period", "x"),
+    ],
+)
+def test_depth_sweep_refuses_bad_flags(argv):
+    proc = run_script("depth_sweep.py", *argv)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize(
     "argv",
     [
