@@ -20,13 +20,16 @@ max over the depths, and the max/min ratio.
     probes   `components`, each component's own matching and
              `max_matching` of its induced subgraph, for every colour
              class of 1,000 seeded random 3-colourings of K_10 and K_11
+    sweep    `erdos_gallai_sweep(v)` for v = 1..7, each report clean and
+             2,014,992 graphs checked at v = 7
 
     python scripts/depth_sweep.py --leg probes --period 150 --step 5 --repeat 3
 
-At step 1 a probes sweep takes about a minute and a certify sweep about
-10 s (Python 3.11, one core of a 2-core VM).  Both show slow bands:
-probes up to 3.7x its minimum at depths 102-108, certify up to 2.4x at
-about 40-85.
+At step 1 a probes sweep takes about a minute, a certify sweep about
+10 s and a sweep sweep about 13 s (Python 3.11, one core of a 2-core
+VM).  All three show slow bands: probes up to 3.7x its minimum at
+depths 102-108, certify up to 2.4x at about 40-85, sweep up to 2.9x at
+about 98-104.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from cycle_ramsey import (
     color_class,
     complete_graph,
     components,
+    erdos_gallai_sweep,
     induced_subgraph,
     max_matching,
     ramsey_check,
@@ -53,6 +57,8 @@ PROBE_ORDERS = (10, 11)
 PROBES_PER_ORDER = 500
 PROBE_COLORS = 3
 PROBE_SEED = 1
+SWEEP_MAX_ORDER = 7
+SWEEP_CHECKED = 2_014_992  # graphs on 7 vertices that meet a threshold
 # Leaves room below the default recursion limit of 1000 for the leg's
 # own frames.
 MAX_PERIOD = 600
@@ -90,7 +96,20 @@ def probes(colorings) -> None:
                     raise AssertionError(f"matchings disagree on {comp.vertices}")
 
 
-LEGS = {"certify": (certify, lambda: None), "probes": (probes, probe_colorings)}
+def sweep(_) -> None:
+    for v in range(1, SWEEP_MAX_ORDER + 1):
+        rep = erdos_gallai_sweep(v)
+        if not rep.ok:
+            raise AssertionError(f"sweep on {v} vertices: {rep.violation_count} violations")
+    if rep.graphs_checked != SWEEP_CHECKED:
+        raise AssertionError(f"sweep on {v} vertices checked {rep.graphs_checked} graphs")
+
+
+LEGS = {
+    "certify": (certify, lambda: None),
+    "probes": (probes, probe_colorings),
+    "sweep": (sweep, lambda: None),
+}
 
 
 def _at_depth(depth: int, leg, arg) -> float:

@@ -5,19 +5,19 @@ For every labeled graph on v vertices and every target length n: meeting
 the edge threshold (n-1)(v-1)/2 + 1 must force a cycle of length at
 least n.  The sweep walks the edge subsets in Gray-code order, 2^11
 graphs at a time: the graphs that share their high edge bits are the
-bits of one int, and each cycle found so far (the last 32 of each
-length are kept) accepts, in a few big-int ANDs, every one of them that
-holds it and needs no longer cycle.  Only the graphs left get a cycle
-search, on neighbour masks built for them alone.  v = 7 means 2^21
-graphs, 2,014,992 of them checked with 4,285 cycle searches, in
-0.04-0.07 s on one core (3 runs).  v = 8 means 2^28 graphs: one run
-(Python 3.11, one core of a 2-core VM) printed
+bits of one int, and the cycles found so far (kept by their high edges,
+the last 32 high-edge sets of each length) accept, in a few big-int
+ANDs, every one of them that holds one and needs no longer cycle.  Only
+the graphs left get a cycle search, on neighbour masks built for them
+alone.  v = 7 means 2^21 graphs, 2,014,992 of them checked with 2,375
+cycle searches, in 0.021-0.036 s on one core (5 runs).  v = 8 means
+2^28 graphs: one run (Python 3.11, one core of a 2-core VM) printed
 
     graphs 268435456 checked 266752238
     violations 0
-    elapsed 4.548s cycle-searches 114459 checked/s 58,655,671
+    elapsed 1.917s cycle-searches 85553 checked/s 139,182,449
 
-and ten runs there took 3.0-4.9 s.
+and three runs there took 1.9-2.4 s.
 
 Each order's `elapsed` line gives its time, kernel calls and checked
 graphs per second.  --max-vertices is 1..8, and --lengths takes at

@@ -57,11 +57,12 @@ guarantees.
 The Erdős–Gallai sweep uses no theorem to skip a graph.  It accepts a
 checked graph only when a mask test shows that the graph holds every
 edge of a cycle of length >= n that the kernel found on an earlier
-graph; it keeps the last few such cycles of each length, and builds
-neighbour masks only for the graphs it hands to the kernel.  It decides
-the graphs that share their high edge bits together: a block's graphs
-are the bits of one int, and a kept cycle accepts, in a few big-int
-ANDs, all of them that hold its low edges and need no longer cycle.
+graph; it keeps such cycles for the last few high-edge sets of each
+length, and builds neighbour masks only for the graphs it hands to the
+kernel.  It decides the graphs that share their high edge bits
+together: a block's graphs are the bits of one int, and a kept cycle
+accepts, in a few big-int ANDs, all of them that hold its low edges and
+need no longer cycle.
 Every violation is decided by the kernel on the current graph.
 """
 
@@ -71,7 +72,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .certificates import CycleCertificate, MatchingCertificate
-from .errors import CycleTooShort, ParamOutOfRange, TargetTooLarge
+from .errors import CycleTooShort, InvalidParams, ParamOutOfRange, TargetTooLarge
 from .graphs import Edge, Graph
 from .matching import _mask_matching
 
@@ -469,7 +470,13 @@ class SweepReport:
 _SWEEP_MAX_VERTICES = 8
 _SWEEP_KEEP_VIOLATIONS = 20
 _SWEEP_LANE = 11  # low edge bits the sweep decides at once, as 2^T-bit sets
-_SWEEP_POOL_DEPTH = 32  # kernel-found cycles the sweep keeps per length
+_SWEEP_POOL_DEPTH = 32  # high-edge sets the sweep keeps cycles of, per length
+
+
+def _require_int(name: str, value) -> None:
+    """Refuse anything but a plain int; a bool is not a count."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidParams(f"{name} must be an int, not {type(value).__name__}")
 
 
 def erdos_gallai_sweep(vertex_count: int, lengths=None) -> SweepReport:
@@ -480,7 +487,9 @@ def erdos_gallai_sweep(vertex_count: int, lengths=None) -> SweepReport:
     e(G) >= eg_threshold(n, v) must imply a cycle of length >= n.  Only
     the largest applicable n is searched per graph — a cycle that long
     witnesses every smaller target too.  An explicit empty `lengths` is
-    refused: it would check no graph and read as clean.
+    refused: it would check no graph and read as clean.  The vertex
+    count and each length must be an int and not a bool, or the sweep
+    raises InvalidParams before it builds anything.
 
     The walk goes over the edge subsets a block at a time.  The low
     T = min(_SWEEP_LANE, ne) edge bits form the lane: block j holds the
@@ -492,19 +501,32 @@ def erdos_gallai_sweep(vertex_count: int, lengths=None) -> SweepReport:
     even blocks up and odd ones down keeps Gray order, and `violations`
     keeps it too.  The slots that meet a threshold, and per length L
     those that bind at most L, are table lookups by the block's high
-    edge count.  A pool holds the last `_SWEEP_POOL_DEPTH` cycles the
-    kernel found of each length; one of length L whose high edges lie in
-    the block accepts each slot that holds its low edges (an AND of
-    per-bit slot sets) and binds at most L.  Each slot left goes, in
-    that order, to the kernel on neighbour masks brought up to its
-    graph, one XOR pair per edge that differs from the graph they last
-    held: no cycle is a violation, and a cycle found joins the pool and
-    accepts the slots it covers.  At v = 7 the kernel runs 4,285 times
-    for 2,014,992 checked graphs.  The masks store vertex x as v-1-x, so
-    the kernel's least cycle runs through the high-index edges a block
-    holds fixed; natural labels need 5,933 calls.
+    edge count.
+
+    The pool of length L maps a high-edge set (a found cycle's edge bits
+    >> T) to its cover: the OR, over every cycle of length L the kernel
+    found with exactly those high edges, of the slots that hold that
+    cycle's low edges (an AND of per-bit slot sets, computed once per
+    low-edge set).  It keeps the `_SWEEP_POOL_DEPTH` keys found or found
+    again most recently; a key found again ORs in its cover and becomes
+    the newest, and a new key past the depth evicts the oldest.  A key
+    whose high edges lie in the block accepts each slot of its cover
+    that binds at most L, and skips a length no open slot can use.  That
+    is sound: such a slot holds the low edges of one of the key's
+    cycles, and the block holds that cycle's high edges, so the slot's
+    graph holds the whole cycle.  Each slot left goes, in that order, to
+    the kernel on neighbour masks brought up to its graph, one XOR pair
+    per edge that differs from the graph they last held: no cycle is a
+    violation, and a cycle found (its edge bits read from a flat table
+    at p * v + q) joins the pool and accepts the slots it covers.  At
+    v = 7 the kernel runs 2,375 times for 2,014,992 checked graphs, and
+    4,285 times with a pool of the last 32 cycles of each length.  The
+    masks store vertex x as v-1-x, so the kernel's least cycle runs
+    through the high-index edges a block holds fixed; natural labels
+    need 2,632 calls.
     """
     v = vertex_count
+    _require_int("vertex count", v)
     if v < 1:
         raise ParamOutOfRange(f"vertex count {v} < 1")
     if v > _SWEEP_MAX_VERTICES:
@@ -516,6 +538,8 @@ def erdos_gallai_sweep(vertex_count: int, lengths=None) -> SweepReport:
         lengths = range(3, v + 1)
     elif not (lengths := tuple(lengths)):
         raise ParamOutOfRange("empty list of target lengths")
+    for n in lengths:
+        _require_int("cycle length", n)
     lengths = tuple(sorted(set(lengths)))
     for n in lengths:
         if n < 3:
@@ -550,19 +574,21 @@ def erdos_gallai_sweep(vertex_count: int, lengths=None) -> SweepReport:
     ]
 
     flips = []  # per edge bit: its reversed labels p, q and their masks
-    edge_bit = {}
+    bit_at = [0] * (v * v)  # bit_at[p * v + q]: the bit of edge pq
     for j, (a, b) in enumerate(edges):
         p, q = v - 1 - a, v - 1 - b
         flips.append((p, q, 1 << p, 1 << q))
-        edge_bit[p, q] = edge_bit[q, p] = 1 << j
+        bit_at[p * v + q] = bit_at[q * v + p] = 1 << j
+    lane = (1 << T) - 1
+    covers = {}  # low edge bits -> the slots that hold them all
     neigh = [0] * v
     held = 0  # the graph whose edges `neigh` holds
     checked = searches = violation_count = 0
     kept: list[tuple[int, tuple[Edge, ...]]] = []
-    # pool[L]: the last cycles of length L the kernel found, newest
-    # first, each as its high edge bits >> T and the slots that hold its
-    # low edges.
-    pool = [[] for _ in range(v + 1)]
+    # pool[L]: high edge bits >> T -> the slots that hold the low edges
+    # of some cycle of length L found with those high edges; oldest key
+    # first.
+    pool = [{} for _ in range(v + 1)]
     for j in range(1 << (ne - T)):
         high = j ^ (j >> 1)
         reach = reach_by[high.bit_count()]
@@ -570,11 +596,14 @@ def erdos_gallai_sweep(vertex_count: int, lengths=None) -> SweepReport:
         checked += todo.bit_count()
         missing = ~high
         for size in range(3, v + 1):
+            can = todo & reach[size]  # the open slots length `size` may accept
+            if not can:
+                continue
             hit = 0
-            for wh, cover in pool[size]:
+            for wh, cover in pool[size].items():
                 if not wh & missing:
                     hit |= cover
-            todo &= ~(hit & reach[size])
+            todo ^= hit & can
         high <<= T
         while todo:  # lowest slot first in even blocks, highest in odd ones
             s = (todo.bit_length() if j & 1 else (todo & -todo).bit_length()) - 1
@@ -597,15 +626,26 @@ def erdos_gallai_sweep(vertex_count: int, lengths=None) -> SweepReport:
                     )
                     kept.append((n, edge_list))
                 continue
-            w = edge_bit[found[-1], found[0]]
-            for x, y in zip(found, found[1:]):
-                w |= edge_bit[x, y]
-            cover = full
-            low_edges = w & ~(-1 << T)
-            while low_edges:
-                cover &= has[(low_edges & -low_edges).bit_length() - 1]
-                low_edges &= low_edges - 1
+            x = found[-1]
+            w = 0
+            for y in found:
+                w |= bit_at[x * v + y]
+                x = y
+            low = w & lane
+            cover = covers.get(low)
+            if cover is None:
+                cover, rest = full, low
+                while rest:
+                    cover &= has[(rest & -rest).bit_length() - 1]
+                    rest &= rest - 1
+                covers[low] = cover
             size = len(found)
-            pool[size] = [(w >> T, cover)] + pool[size][: _SWEEP_POOL_DEPTH - 1]
+            keyed = pool[size]
+            wh = w >> T
+            if wh in keyed:
+                cover |= keyed.pop(wh)
+            elif len(keyed) == _SWEEP_POOL_DEPTH:
+                del keyed[next(iter(keyed))]
+            keyed[wh] = cover
             todo &= ~(cover & reach[size])
     return SweepReport(v, lengths, checked, violation_count, tuple(kept), searches)

@@ -21,6 +21,7 @@ from cycle_ramsey import (
     CycleTooShort,
     EdgeColoring,
     Graph,
+    InvalidParams,
     ParamOutOfRange,
     StructureWitness,
     TargetTooLarge,
@@ -732,8 +733,8 @@ def test_sweep_small_orders_clean():
 @pytest.mark.parametrize(
     "v,checked,searches",
     [
-        (1, 0, 0), (2, 0, 0), (3, 1, 1), (4, 22, 7), (5, 638, 37), (6, 27824, 246),
-        pytest.param(7, 2014992, 4285, marks=pytest.mark.slow),
+        (1, 0, 0), (2, 0, 0), (3, 1, 1), (4, 22, 7), (5, 638, 37), (6, 27824, 197),
+        pytest.param(7, 2014992, 2375, marks=pytest.mark.slow),
     ],
 )
 def test_sweep_checked_count(v, checked, searches):
@@ -774,14 +775,18 @@ def _sweep_by_fresh_search(v, lengths):
     return cycles.SweepReport(v, lengths, checked, count, tuple(kept), checked)
 
 
+def _lower_thresholds(monkeypatch):
+    real = cycles.eg_threshold
+    monkeypatch.setattr(cycles, "eg_threshold", lambda n, v: max(1, real(n, v) - 1))
+
+
 @pytest.mark.parametrize("lengths", [None, (4,), (3, 6)], ids=["all", "4", "3-6"])
 @pytest.mark.parametrize("v", [3, 4, 5, 6])
 def test_sweep_matches_fresh_search_below_threshold(monkeypatch, v, lengths):
     # One below the real thresholds, graphs without a long enough cycle
     # get checked, so a kept cycle that outlived one of its edges would
     # hide a violation; the real thresholds never show one.
-    real = cycles.eg_threshold
-    monkeypatch.setattr(cycles, "eg_threshold", lambda n, v: max(1, real(n, v) - 1))
+    _lower_thresholds(monkeypatch)
     want = _sweep_by_fresh_search(v, lengths)
     rep = erdos_gallai_sweep(v, lengths)
     assert replace(rep, cycle_searches=want.cycle_searches) == want
@@ -795,14 +800,55 @@ def test_sweep_matches_fresh_search_at_every_lane_width(monkeypatch, v, lowered)
     # Lane widths 0..ne: one graph per block, partial lanes with many odd
     # blocks (walked from their highest slot down), and one block for all.
     if lowered:
-        real = cycles.eg_threshold
-        monkeypatch.setattr(cycles, "eg_threshold", lambda n, v: max(1, real(n, v) - 1))
+        _lower_thresholds(monkeypatch)
     for lengths in (None, (4,), (3, 6)):
         want = _sweep_by_fresh_search(v, lengths)
         for lane in range(v * (v - 1) // 2 + 1):
             monkeypatch.setattr(cycles, "_SWEEP_LANE", lane)
             rep = erdos_gallai_sweep(v, lengths)
             assert replace(rep, cycle_searches=want.cycle_searches) == want, (lengths, lane)
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("lowered", [False, True], ids=["real", "lowered"])
+@pytest.mark.parametrize("v", [3, 4, 5, 6])
+def test_sweep_matches_fresh_search_with_a_shallow_pool(monkeypatch, v, lowered, depth):
+    # With one or two high-edge sets kept per length, a key is evicted or
+    # found again in almost every block: an eviction that dropped the
+    # wrong key, or a refreshed cover that kept a slot of no cycle, would
+    # show as a violation lost or a graph accepted without its cycle.
+    monkeypatch.setattr(cycles, "_SWEEP_POOL_DEPTH", depth)
+    if lowered:
+        _lower_thresholds(monkeypatch)
+    for lengths in (None, (4,), (3, 6)):
+        want = _sweep_by_fresh_search(v, lengths)
+        for lane in range(v * (v - 1) // 2 + 1):
+            monkeypatch.setattr(cycles, "_SWEEP_LANE", lane)
+            rep = erdos_gallai_sweep(v, lengths)
+            assert replace(rep, cycle_searches=want.cycle_searches) == want, (lengths, lane)
+            assert rep.cycle_searches <= want.cycle_searches
+
+
+def test_a_shallow_pool_drops_cycles_the_default_keeps(monkeypatch):
+    # The shallow-pool oracle evicts only if the sweep reads the depth
+    # when it runs: one key per length must make the kernel run more.
+    deep = erdos_gallai_sweep(6).cycle_searches
+    monkeypatch.setattr(cycles, "_SWEEP_POOL_DEPTH", 1)
+    assert erdos_gallai_sweep(6).cycle_searches > deep
+
+
+@pytest.mark.slow
+def test_sweep_matches_fresh_search_on_seven_vertices(monkeypatch):
+    # The default lane's 1,024 blocks of 2^11 graphs, every odd one
+    # walked from its highest slot down, against a kernel call on each
+    # of the 695,860 checked graphs; the kept violations are the first
+    # 20 in Gray order.
+    _lower_thresholds(monkeypatch)
+    want = _sweep_by_fresh_search(7, (5,))
+    assert (want.graphs_checked, want.violation_count) == (695860, 70)
+    rep = erdos_gallai_sweep(7, (5,))
+    assert replace(rep, cycle_searches=want.cycle_searches) == want
+    assert rep.cycle_searches <= want.cycle_searches
 
 
 @pytest.mark.parametrize(
@@ -831,8 +877,7 @@ def test_sweep_kernel_sees_the_current_graph(monkeypatch, v, lengths, lowered):
     # masks of the graph the walk is on, in the sweep's reversed labels
     # (vertex x stored as v-1-x).
     if lowered:
-        real = cycles.eg_threshold
-        monkeypatch.setattr(cycles, "eg_threshold", lambda n, v: max(1, real(n, v) - 1))
+        _lower_thresholds(monkeypatch)
     edges = list(itertools.combinations(range(v), 2))
     kernel = cycles._mask_cycle
     seen = []
@@ -878,6 +923,21 @@ def test_sweep_rejects_bad_params():
         erdos_gallai_sweep(0)
     with pytest.raises(CycleTooShort):
         erdos_gallai_sweep(5, lengths=[2])
+
+
+@pytest.mark.parametrize(
+    "v,lengths",
+    [(5, [3.5]), (5.0, None), (5, ["4"]), (True, None), (5, [4, True])],
+    ids=["float-length", "float-order", "str-length", "bool-order", "bool-length"],
+)
+def test_sweep_refuses_a_non_integer_order_or_length(monkeypatch, v, lengths):
+    # refused before any table is built: no threshold is asked for
+    def no_threshold(n, v):
+        raise AssertionError("a threshold was computed")
+
+    monkeypatch.setattr(cycles, "eg_threshold", no_threshold)
+    with pytest.raises(InvalidParams):
+        erdos_gallai_sweep(v, lengths)
 
 
 def test_sweep_rejects_an_empty_length_list():

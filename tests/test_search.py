@@ -912,7 +912,7 @@ def test_lower_bound_script_climbs_to_twelve():
     assert "R_3(C_6) >= 12" in proc.stdout
 
 
-@pytest.mark.parametrize("leg", ["certify", "probes"])
+@pytest.mark.parametrize("leg", ["certify", "probes", "sweep"])
 def test_depth_sweep_runs_each_leg(leg):
     proc = run_script(
         "depth_sweep.py", "--leg", leg, "--period", "2", "--step", "1", "--repeat", "1"
