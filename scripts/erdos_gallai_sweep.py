@@ -3,25 +3,30 @@
 
 For every labeled graph on v vertices and every target length n: meeting
 the edge threshold (n-1)(v-1)/2 + 1 must force a cycle of length at
-least n.  The sweep walks the edge subsets in Gray-code order, 2^11
-graphs at a time: the graphs that share their high edge bits are the
-bits of one int, and the cycles found so far (kept by their high edges,
-the last 32 high-edge sets of each length) accept, in a few big-int
-ANDs, every one of them that holds one and needs no longer cycle.  Only
-the graphs left get a cycle search, on neighbour masks built for them
-alone.  v = 7 means 2^21 graphs, 2,014,992 of them checked with 2,375
-cycle searches, in 0.021-0.036 s on one core (5 runs).  v = 8 means
-2^28 graphs: one run (Python 3.11, one core of a 2-core VM) printed
+least n.  The sweep walks the edge subsets in Gray-code order, 2^T
+graphs at a time, the lane width T growing with the edge count: 2^11
+graphs at v = 6, 2^14 at v = 7, 2^15 at v = 8 and 2^16 at v = 9.  The
+graphs that share their high edge bits are the bits of one int, and the
+cycles found so far (kept by their high edges, the last 32 high-edge
+sets of each length) accept, in a few big-int ANDs, every one of them
+that holds one and needs no longer cycle.  Only the graphs left get a
+cycle search, on neighbour masks built for them alone.  v = 7 means
+2^21 graphs, 2,014,992 of them checked with 1,388 cycle searches, in
+0.017-0.026 s on one core (5 runs).  v = 8 means 2^28 graphs,
+266,752,238 checked with 38,055 cycle searches, in 0.77-1.31 s (5 runs).
+v = 9 means 2^36 graphs: one run (Python 3.11, one core of a 2-core VM,
+peak RSS 26 MiB) printed
 
-    graphs 268435456 checked 266752238
+    graphs 68719476736 checked 68678477220
     violations 0
-    elapsed 1.917s cycle-searches 85553 checked/s 139,182,449
+    elapsed 120.431s cycle-searches 1208062 checked/s 570,270,304
 
-and three runs there took 1.9-2.4 s.
+and two more runs took 104 s and 113 s.  Only this script runs v = 9;
+the tests and CI stop at v = 8.
 
 Each order's `elapsed` line gives its time, kernel calls and checked
-graphs per second.  --max-vertices is 1..8, and --lengths takes at
-least one value, each at least 3.
+graphs per second.  --max-vertices is 1..9 (default 7), and --lengths
+takes at least one value, each at least 3.
 """
 
 from __future__ import annotations

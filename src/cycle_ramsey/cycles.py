@@ -68,6 +68,7 @@ Every violation is decided by the kernel on the current graph.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -467,9 +468,8 @@ class SweepReport:
         return self.violation_count == 0
 
 
-_SWEEP_MAX_VERTICES = 8
+_SWEEP_MAX_VERTICES = 9
 _SWEEP_KEEP_VIOLATIONS = 20
-_SWEEP_LANE = 11  # low edge bits the sweep decides at once, as 2^T-bit sets
 _SWEEP_POOL_DEPTH = 32  # high-edge sets the sweep keeps cycles of, per length
 
 
@@ -477,6 +477,13 @@ def _require_int(name: str, value) -> None:
     """Refuse anything but a plain int; a bool is not a count."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise InvalidParams(f"{name} must be an int, not {type(value).__name__}")
+
+
+def _sweep_lane(ne: int) -> int:
+    """The low edge bits T the sweep decides at once, as 2^T-bit sets, on
+    ne edges: one more per 7 edges, leaving at least 16 blocks (see
+    `erdos_gallai_sweep`)."""
+    return max(0, min(ne - 4, 11 + ne // 7))
 
 
 def erdos_gallai_sweep(vertex_count: int, lengths=None) -> SweepReport:
@@ -488,11 +495,12 @@ def erdos_gallai_sweep(vertex_count: int, lengths=None) -> SweepReport:
     the largest applicable n is searched per graph — a cycle that long
     witnesses every smaller target too.  An explicit empty `lengths` is
     refused: it would check no graph and read as clean.  The vertex
-    count and each length must be an int and not a bool, or the sweep
-    raises InvalidParams before it builds anything.
+    count and each length must be an int and not a bool, and `lengths`
+    an iterable, or the sweep raises InvalidParams before it builds
+    anything.
 
     The walk goes over the edge subsets a block at a time.  The low
-    T = min(_SWEEP_LANE, ne) edge bits form the lane: block j holds the
+    T = _sweep_lane(ne) edge bits form the lane: block j holds the
     high edge bits j ^ (j >> 1), and a set of its graphs is a 2^T-bit
     int whose slot s stands for the low edge bits s ^ (s >> 1).  Graph
     j << T | r of the Gray code is slot r of block j if j is even and
@@ -518,12 +526,25 @@ def erdos_gallai_sweep(vertex_count: int, lengths=None) -> SweepReport:
     the kernel on neighbour masks brought up to its graph, one XOR pair
     per edge that differs from the graph they last held: no cycle is a
     violation, and a cycle found (its edge bits read from a flat table
-    at p * v + q) joins the pool and accepts the slots it covers.  At
-    v = 7 the kernel runs 2,375 times for 2,014,992 checked graphs, and
-    4,285 times with a pool of the last 32 cycles of each length.  The
+    at p * v + q) joins the pool and accepts the slots it covers.  The
     masks store vertex x as v-1-x, so the kernel's least cycle runs
     through the high-index edges a block holds fixed; natural labels
-    need 2,632 calls.
+    need 1,396 calls at v = 7 and 85,644 at v = 8.
+
+    A wider lane lets each found cycle accept more graphs, so the kernel
+    runs less, but every cover and slot set is a 2^T-bit int.  T is
+    11 + ne // 7, and at most ne - 4 so that there are at least 16
+    blocks: the fastest width measured at each of v = 6..9 (one core of
+    a 2-core VM, Python 3.11).  v = 6 has 16 blocks of 2^11 graphs
+    (1.9 ms; 3.0 ms at T = 13), v = 7 128 blocks of 2^14 with 1,388
+    kernel calls for 2,014,992 checked graphs (23 ms; 25 ms at T = 13,
+    27 ms at T = 15, 2,375 calls at T = 11), v = 8 2^13 blocks of 2^15
+    with 38,055 calls (0.98 s; 1.15 s and 46,107 calls at T = 14, 2.7 s
+    and 85,553 at T = 11), and v = 9 2^20 blocks of 2^16 with 1,208,062
+    calls (88-124 s over 4 runs; 104-162 s at T = 15, 125 and 191 s at
+    T = 14, 111 and 154 s at T = 17).  At v = 8, T = 16
+    reads the same as T = 15 with almost three times the traced memory
+    (11 MiB against 4).
     """
     v = vertex_count
     _require_int("vertex count", v)
@@ -536,6 +557,10 @@ def erdos_gallai_sweep(vertex_count: int, lengths=None) -> SweepReport:
         )
     if lengths is None:
         lengths = range(3, v + 1)
+    elif not isinstance(lengths, Iterable):
+        raise InvalidParams(
+            f"lengths must be an iterable of ints, not {type(lengths).__name__}"
+        )
     elif not (lengths := tuple(lengths)):
         raise ParamOutOfRange("empty list of target lengths")
     for n in lengths:
@@ -554,7 +579,7 @@ def erdos_gallai_sweep(vertex_count: int, lengths=None) -> SweepReport:
         for n in lengths:
             if e >= eg_threshold(n, v):
                 binding[e] = max(binding[e], n)
-    T = min(_SWEEP_LANE, ne)
+    T = _sweep_lane(ne)
     full = (1 << (1 << T)) - 1
     ones = [  # ones[b]: the slots s with bit b set; none for b = T
         full // ((1 << (2 << b)) - 1) * (((1 << (1 << b)) - 1) << (1 << b))

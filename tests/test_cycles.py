@@ -734,7 +734,8 @@ def test_sweep_small_orders_clean():
     "v,checked,searches",
     [
         (1, 0, 0), (2, 0, 0), (3, 1, 1), (4, 22, 7), (5, 638, 37), (6, 27824, 197),
-        pytest.param(7, 2014992, 2375, marks=pytest.mark.slow),
+        pytest.param(7, 2014992, 1388, marks=pytest.mark.slow),
+        pytest.param(8, 266752238, 38055, marks=pytest.mark.slow),
     ],
 )
 def test_sweep_checked_count(v, checked, searches):
@@ -744,6 +745,7 @@ def test_sweep_checked_count(v, checked, searches):
     # runs far less often than once per checked graph.
     rep = erdos_gallai_sweep(v)
     assert (rep.graphs_checked, rep.cycle_searches) == (checked, searches)
+    assert rep.ok
 
 
 def _sweep_by_fresh_search(v, lengths):
@@ -804,7 +806,7 @@ def test_sweep_matches_fresh_search_at_every_lane_width(monkeypatch, v, lowered)
     for lengths in (None, (4,), (3, 6)):
         want = _sweep_by_fresh_search(v, lengths)
         for lane in range(v * (v - 1) // 2 + 1):
-            monkeypatch.setattr(cycles, "_SWEEP_LANE", lane)
+            monkeypatch.setattr(cycles, "_sweep_lane", lambda ne, lane=lane: lane)
             rep = erdos_gallai_sweep(v, lengths)
             assert replace(rep, cycle_searches=want.cycle_searches) == want, (lengths, lane)
 
@@ -823,10 +825,25 @@ def test_sweep_matches_fresh_search_with_a_shallow_pool(monkeypatch, v, lowered,
     for lengths in (None, (4,), (3, 6)):
         want = _sweep_by_fresh_search(v, lengths)
         for lane in range(v * (v - 1) // 2 + 1):
-            monkeypatch.setattr(cycles, "_SWEEP_LANE", lane)
+            monkeypatch.setattr(cycles, "_sweep_lane", lambda ne, lane=lane: lane)
             rep = erdos_gallai_sweep(v, lengths)
             assert replace(rep, cycle_searches=want.cycle_searches) == want, (lengths, lane)
             assert rep.cycle_searches <= want.cycle_searches
+
+
+def test_sweep_default_lane_width():
+    # 2^T graphs per block, with at least 16 blocks; the oracles above
+    # patch `_sweep_lane` to drive every width 0..ne
+    widths = [cycles._sweep_lane(v * (v - 1) // 2) for v in range(1, 10)]
+    assert widths == [0, 0, 0, 2, 6, 11, 14, 15, 16]
+
+
+def test_a_patched_lane_width_reaches_the_sweep(monkeypatch):
+    # The every-width oracles drive T only if the sweep asks `_sweep_lane`
+    # when it runs: one graph a block must make the kernel run more at v = 6.
+    default = erdos_gallai_sweep(6).cycle_searches
+    monkeypatch.setattr(cycles, "_sweep_lane", lambda ne: 0)
+    assert erdos_gallai_sweep(6).cycle_searches > default
 
 
 def test_a_shallow_pool_drops_cycles_the_default_keeps(monkeypatch):
@@ -839,7 +856,7 @@ def test_a_shallow_pool_drops_cycles_the_default_keeps(monkeypatch):
 
 @pytest.mark.slow
 def test_sweep_matches_fresh_search_on_seven_vertices(monkeypatch):
-    # The default lane's 1,024 blocks of 2^11 graphs, every odd one
+    # The default lane's 128 blocks of 2^14 graphs, every odd one
     # walked from its highest slot down, against a kernel call on each
     # of the 695,860 checked graphs; the kept violations are the first
     # 20 in Gray order.
@@ -918,7 +935,7 @@ def test_sweep_memory_does_not_grow_with_an_unreachable_length():
 
 def test_sweep_rejects_bad_params():
     with pytest.raises(TargetTooLarge):
-        erdos_gallai_sweep(9)
+        erdos_gallai_sweep(10)
     with pytest.raises(ParamOutOfRange):
         erdos_gallai_sweep(0)
     with pytest.raises(CycleTooShort):
@@ -927,8 +944,11 @@ def test_sweep_rejects_bad_params():
 
 @pytest.mark.parametrize(
     "v,lengths",
-    [(5, [3.5]), (5.0, None), (5, ["4"]), (True, None), (5, [4, True])],
-    ids=["float-length", "float-order", "str-length", "bool-order", "bool-length"],
+    [(5, [3.5]), (5.0, None), (5, ["4"]), (True, None), (5, [4, True]), (5, 4)],
+    ids=[
+        "float-length", "float-order", "str-length", "bool-order", "bool-length",
+        "int-lengths",
+    ],
 )
 def test_sweep_refuses_a_non_integer_order_or_length(monkeypatch, v, lengths):
     # refused before any table is built: no threshold is asked for
@@ -958,7 +978,7 @@ def _sweep_script():
 @pytest.mark.parametrize(
     "argv",
     [
-        ["--max-vertices", "9"], ["--max-vertices", "0"], ["--lengths", "4", "2"],
+        ["--max-vertices", "10"], ["--max-vertices", "0"], ["--lengths", "4", "2"],
         ["--lengths"],
     ],
 )
