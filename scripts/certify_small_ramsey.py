@@ -11,7 +11,7 @@ does not (COUNTEREXAMPLE, re-verified independently).
 
 Each line gives the node count and nodes/s of both searches.  The C_6
 upper bound takes 1,359 nodes, the C_5 one 575 and the C_7 one 8,417.
-The whole run takes 0.47-0.59 s on one core, interpreter start included
+The whole run takes 0.28-0.42 s on one core, interpreter start included
 (10 runs; Python 3.11, 2-core VM).
 """
 

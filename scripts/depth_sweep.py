@@ -25,6 +25,15 @@ max over the depths, and the max/min ratio.
 
     python scripts/depth_sweep.py --leg probes --period 150 --step 5 --repeat 3
 
+With --opcodes the leg runs once more at depth 0 under `sys.settrace`
+with `f_trace_opcodes`, in place of the sweep: the first line gives
+the number of bytecodes it executed, the next ten the code objects that
+executed the most.  The count is exact and repeatable, so no depth band
+or busy machine moves it; but one opcode is one count whatever it costs
+in C, so it goes next to timed medians, not in place of them.
+
+    python scripts/depth_sweep.py --leg certify --opcodes
+
 At step 1 a probes sweep takes about a minute, a certify sweep about
 10 s and a sweep sweep about 13 s (Python 3.11, one core of a 2-core
 VM).  All three show slow bands: probes up to 3.7x its minimum at
@@ -35,8 +44,11 @@ about 98-104.
 from __future__ import annotations
 
 import argparse
+import collections
+import os
 import random
 import statistics
+import sys
 import time
 
 from cycle_ramsey import (
@@ -121,6 +133,29 @@ def _at_depth(depth: int, leg, arg) -> float:
     return time.perf_counter() - t0
 
 
+def count_opcodes(leg, arg) -> collections.Counter:
+    """Run leg(arg) once under tracing; the bytecodes each code object
+    executed."""
+    counts: collections.Counter = collections.Counter()
+
+    def on_opcode(frame, event, _):
+        if event == "opcode":
+            counts[frame.f_code] += 1
+        return on_opcode
+
+    def on_call(frame, event, _):
+        frame.f_trace_opcodes = True
+        return on_opcode
+
+    outer = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        leg(arg)
+    finally:
+        sys.settrace(outer)
+    return counts
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
@@ -131,6 +166,8 @@ def main(argv=None) -> int:
     ap.add_argument("--step", type=int, default=5, help="depth step (default 5)")
     ap.add_argument("--repeat", type=int, default=3,
                     help="runs per depth, best kept (default 3)")
+    ap.add_argument("--opcodes", action="store_true",
+                    help="count the bytecodes of one run instead of timing")
     args = ap.parse_args(argv)
     if not 1 <= args.period <= MAX_PERIOD:
         ap.error(f"--period must be in 1..{MAX_PERIOD}")
@@ -141,6 +178,13 @@ def main(argv=None) -> int:
     leg, make_input = LEGS[args.leg]
     arg = make_input()
     _at_depth(0, leg, arg)
+    if args.opcodes:
+        counts = count_opcodes(leg, arg)
+        print(f"opcodes {sum(counts.values())}")
+        for code, count in counts.most_common(10):
+            where = f"{os.path.basename(code.co_filename)}:{code.co_firstlineno}"
+            print(f"{count} {code.co_qualname} {where}")
+        return 0
     times = []
     for depth in range(0, args.period, args.step):
         best = min(_at_depth(depth, leg, arg) for _ in range(args.repeat))

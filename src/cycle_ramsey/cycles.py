@@ -73,7 +73,13 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .certificates import CycleCertificate, MatchingCertificate
-from .errors import CycleTooShort, InvalidParams, ParamOutOfRange, TargetTooLarge
+from .errors import (
+    CycleTooShort,
+    InvalidParams,
+    ParamOutOfRange,
+    TargetTooLarge,
+    _require_int,
+)
 from .graphs import Edge, Graph
 from .matching import _mask_matching
 
@@ -471,12 +477,6 @@ class SweepReport:
 _SWEEP_MAX_VERTICES = 9
 _SWEEP_KEEP_VIOLATIONS = 20
 _SWEEP_POOL_DEPTH = 32  # high-edge sets the sweep keeps cycles of, per length
-
-
-def _require_int(name: str, value) -> None:
-    """Refuse anything but a plain int; a bool is not a count."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidParams(f"{name} must be an int, not {type(value).__name__}")
 
 
 def _sweep_lane(ne: int) -> int:

@@ -55,6 +55,12 @@ class FormatError(CycleRamseyError):
     """Malformed graph/coloring file or rational literal."""
 
 
+def _require_int(name: str, value) -> None:
+    """Refuse anything but a plain int; a bool is not a count."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidParams(f"{name} must be an int, not {type(value).__name__}")
+
+
 def ascii_text(data: bytes) -> str:
     """`data` decoded as ASCII; any other byte is a FormatError naming
     its line."""

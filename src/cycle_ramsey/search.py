@@ -62,6 +62,7 @@ from .errors import (
     ParamOutOfRange,
     TargetTooLarge,
     _ints,
+    _require_int,
     ascii_text,
 )
 from .graphs import (
@@ -173,9 +174,9 @@ def _canonical(neigh: list[list[int]], m: int, path) -> bool:
         and lt[t][s], of those whose edge gets a smaller number."""
         eq = [None] + [neigh[c] for c in named]
         # below number 1 lies nothing and below 2 the first name's row:
-        # only the numbers from 3 on need an OR of rows
+        # only the numbers 3..k need an OR of rows (no string holds k + 1)
         lt = [None, _ZEROS] + eq[1:2]
-        for row in eq[2:]:
+        for row in eq[2:k]:
             lt.append([x | y for x, y in zip(lt[-1], row)])
         tables[named] = eq, lt
         return eq, lt
@@ -208,7 +209,10 @@ def _canonical(neigh: list[list[int]], m: int, path) -> bool:
             return m
         if j + 1 == m:  # cand is the last vertex: the relabelling ties
             g = sigma + [cand.bit_length() - 1]
-            fixed = sum(1 << x for x in range(m) if g[x] == x)
+            fixed = 0
+            for x in range(m):
+                if g[x] == x:
+                    fixed |= 1 << x
             if fixed != full:
                 autos.append((g, fixed))
             return (fixed + 1 & ~fixed).bit_length() - 1  # m for the identity
@@ -235,7 +239,9 @@ def _canonical(neigh: list[list[int]], m: int, path) -> bool:
         return m
 
     eq, lt = table(())
-    return smaller(0, 0, full, 0, (), eq, lt) >= 0
+    r = smaller(0, 0, full, 0, (), eq, lt)
+    del smaller  # it refers to itself: break the cycle so refcounting frees it
+    return r >= 0
 
 
 def _orbit_closure(mask: int, todo: int, gens: list[list[int]]) -> int:
@@ -387,6 +393,7 @@ def _aggregate(
             if r == _CUTOFF:
                 cut = True
 
+    del rec  # it refers to itself: break the cycle so refcounting frees it
     stats = SearchStats(nodes, prunes, sym, orderly, time.perf_counter() - t0)
     if r == _FOUND:
         col = make_coloring(complete_graph(N), k, dict(zip(edge_order(N), path)))
@@ -401,6 +408,11 @@ def _aggregate(
 
 
 def _validate_instance(k: int, n: int, N: int, max_host: int = _MAX_HOST) -> None:
+    # a float or bool would pass the range checks below and end in a
+    # report, a checkpoint or a TypeError deep in the search
+    _require_int("color count", k)
+    _require_int("cycle length", n)
+    _require_int("host order", N)
     # per-colour masks and loops over the colours cost time and memory
     # linear in k, so k is capped like a colouring header's palette
     if k < 1:
@@ -416,7 +428,10 @@ def _validate_instance(k: int, n: int, N: int, max_host: int = _MAX_HOST) -> Non
 
 
 def _validate_budget(budget: int | None) -> None:
-    if budget is not None and budget < 0:
+    if budget is None:
+        return
+    _require_int("budget", budget)
+    if budget < 0:
         raise ParamOutOfRange(f"budget {budget} < 0")
 
 
@@ -465,6 +480,8 @@ def resume_search(
     budgeted runs equal those of one unbudgeted run.  `threads` accepts
     only 1, as in `ramsey_check`.  An empty frontier is refused, as
     `read_checkpoint` refuses one: it would resume into a false proof.
+    A prefix color that is not an int, a bool included, is refused with
+    InvalidParams, as a k, n, N or budget of that kind is.
     """
     _validate_instance(k, n, N)
     _validate_budget(budget)
@@ -472,6 +489,9 @@ def resume_search(
     prefixes = tuple(prefixes)
     if not prefixes:
         raise ParamOutOfRange("empty frontier: an open frontier is never empty")
+    for prefix in prefixes:
+        for color in prefix:
+            _require_int("prefix color", color)
     return _aggregate(k, n, N, prefixes, budget)
 
 

@@ -3,6 +3,8 @@ budgets, checkpoints, and the lower-bound hunt."""
 
 from __future__ import annotations
 
+import gc
+import importlib.util
 import itertools
 import os
 import random
@@ -18,6 +20,7 @@ from cycle_ramsey import (
     CycleTooShort,
     EdgeColoring,
     FormatError,
+    InvalidParams,
     ParamOutOfRange,
     SearchVerdict,
     TargetTooLarge,
@@ -429,6 +432,35 @@ def test_canonical_agrees_with_the_reference_on_the_search_calls(monkeypatch):
     assert calls == 349 + 1278
 
 
+def _budgeted_then_resumed():
+    first = ramsey_check(2, 5, 9, budget=100)
+    assert first.verdict is SearchVerdict.INDETERMINATE
+    resume_search(2, 5, 9, first.open_prefixes)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ramsey_check(2, 6, 8),
+        lambda: ramsey_check(2, 6, 7),
+        lambda: ramsey_check(3, 6, 11),
+        _budgeted_then_resumed,
+    ],
+    ids=["all-contain", "counterexample", "three-colors", "budget-and-resume"],
+)
+def test_search_leaves_no_cyclic_garbage(call):
+    # the recursive closures `smaller` and `rec` refer to themselves; the
+    # search breaks both cycles, so reference counting frees its state
+    # and the cyclic collector finds nothing to free
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 # --------------------------------------------------------------------------
 # budgets, checkpoints, resume
 
@@ -693,6 +725,37 @@ def test_negative_budgets_are_rejected(call):
 @pytest.mark.parametrize(
     "call",
     [
+        lambda: ramsey_check(2, 5.0, 9, budget=10),
+        lambda: ramsey_check(2, 5, True),
+        lambda: ramsey_check(True, 5, 9),
+        lambda: ramsey_check(2, 5, 9, budget=1.5),
+        lambda: resume_search(2, 5, 9, [(True,)]),
+        lambda: ramsey_check(2.0, 5, 9),
+        lambda: ramsey_check(2, 5, 9.0),
+        lambda: resume_search(2, 5, 9, [(1.0,)]),
+        lambda: lower_bound_witness_search(3, 6, 9, budget=2.5),
+    ],
+    ids=[
+        "float-length", "bool-order", "bool-colors", "float-budget",
+        "bool-prefix-color", "float-colors", "float-order", "float-prefix-color",
+        "hunt-float-budget",
+    ],
+)
+def test_search_refuses_a_non_integer_argument(monkeypatch, call):
+    # refused before any table is built: a float or bool would otherwise
+    # end in a report or checkpoint that names it, or a bare TypeError
+    def refuse(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(search, "_aggregate", refuse)
+    monkeypatch.setattr(search, "complete_graph", refuse)
+    with pytest.raises(InvalidParams, match="must be an int"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
         lambda: ramsey_check(17, 5, 6),
         lambda: resume_search(17, 5, 6, [(1,)]),
         lambda: lower_bound_witness_search(17, 6, 10, mode=WitnessMode.RANDOMIZED),
@@ -926,6 +989,20 @@ def test_depth_sweep_runs_each_leg(leg):
     low, median, high, ratio = map(float, words[1::2])
     assert (low, high) == (min(times), max(times))
     assert low <= median <= high and ratio >= 1
+
+
+def test_depth_sweep_counts_the_same_opcodes_twice(capsys):
+    # a bytecode count is exact: two traced runs of one leg agree
+    path = ROOT / "scripts" / "depth_sweep.py"
+    spec = importlib.util.spec_from_file_location("depth_sweep_script", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--leg", "certify", "--opcodes"]) == 0
+    total, *top = capsys.readouterr().out.splitlines()
+    assert total.split()[0] == "opcodes"
+    assert 0 < len(top) <= 10 and all(int(row.split()[0]) > 0 for row in top)
+    again = script.count_opcodes(script.certify, None)
+    assert int(total.split()[1]) == sum(again.values()) > 0
 
 
 @pytest.mark.parametrize(
