@@ -16,7 +16,13 @@ from dataclasses import dataclass
 
 from .certificates import CycleCertificate, StructureWitness, WitnessKind
 from .cycles import _mask_cycle, components
-from .errors import CycleTooShort, EvenCycleLength, InvalidParams, TargetTooLarge
+from .errors import (
+    CycleTooShort,
+    EvenCycleLength,
+    InvalidParams,
+    TargetTooLarge,
+    _require_int,
+)
 from .graphs import _MAX_ORDER, EdgeColoring, color_class, complete_graph
 
 
@@ -31,8 +37,11 @@ def bondy_erdos_coloring(k: int, n: int) -> EdgeColoring:
     color t+2 glued two copies together, so the color-i class is 2^(k-i)
     disjoint copies of K_{m,m} with m = 2^(i-2)*(n-1), which hold a
     C_n for even n: only odd n make it C_n-free.  Orders above 512
-    raise TargetTooLarge.
+    raise TargetTooLarge, and a k or n that is not an int, a bool
+    included, InvalidParams.
     """
+    _require_int("color count", k)
+    _require_int("cycle length", n)
     if k < 2:
         raise InvalidParams(f"need at least 2 colors, got {k}")
     if n < 4:
@@ -91,9 +100,6 @@ class StructuralCertificate:
     @property
     def all_tagged(self) -> bool:
         return all(t.tag is not ComponentTag.UNTAGGED for t in self.tagged)
-
-    def untagged(self) -> tuple[TaggedComponent, ...]:
-        return tuple(t for t in self.tagged if t.tag is ComponentTag.UNTAGGED)
 
 
 def structural_certificate(col: EdgeColoring, n: int) -> StructuralCertificate:

@@ -20,14 +20,13 @@ kernel, `_mask_cycle`, finds cycles: it returns the first cycle with
 length in [lo, hi] with start vertex s ascending, only vertices >= s,
 neighbours ascending.  That is the lexicographically least qualifying
 cycle listed from its minimum vertex, and it is the certificate
-contract: `contains_cycle_of_length`, `longest_cycle` and the sweep wrap
-the kernel, and `verify_mono_cycle_free`, the hunt and `even_engine`
-(for its least cycle longer than n) call it directly, so every
-returned cycle (hence every witness and hunt trajectory) depends on the
-graph alone.  It lists each cycle in one direction only, since of a
-cycle's two listings from s the least has its second vertex below its
-last, so a path may close only at an end of s above its first step e1
-(which needs lo >= 3).  It takes e1 over the ends ascending and never
+contract: the sweep wraps the kernel, and `verify_mono_cycle_free`,
+the hunt and `even_engine` (for its least cycle longer than n) call it
+directly, so every returned cycle (hence every witness and hunt
+trajectory) depends on the graph alone.  It lists each cycle in one
+direction only, since of a cycle's two listings from s the least has
+its second vertex below its last, so a path may close only at an end
+of s above its first step e1 (which needs lo >= 3).  It takes e1 over the ends ascending and never
 at the last one, so a start with fewer than two neighbours above it is
 skipped.  For each e1 one walk,
 `_least_tail`, returns the least tail of a path from e1 above s to an
@@ -407,38 +406,6 @@ def _least_tail(
         close = neigh[x] & ends & free
         return [x, (close & -close).bit_length() - 1]
     return None
-
-
-# ---------------------------------------------------------------------------
-# Cycle searches on Graph objects
-
-
-def contains_cycle_of_length(G: Graph, n: int) -> CycleCertificate | None:
-    """A cycle on exactly n vertices, or None if there is none.
-
-    The certificate is the lexicographically least one, listed from its
-    minimum vertex (see `_mask_cycle`).
-    """
-    if n < 3:
-        raise CycleTooShort(f"cycle length {n} < 3")
-    found = _mask_cycle(G.neighbor_masks, G.vertex_count, n, n)
-    return None if found is None else CycleCertificate(tuple(found))
-
-
-def longest_cycle(G: Graph) -> CycleCertificate | None:
-    """The lexicographically least longest cycle of G, or None if G is a
-    forest.  Exhaustive, intended for graphs up to ~20 vertices.
-    """
-    nv = G.vertex_count
-    masks = G.neighbor_masks
-    found, lo = None, 3
-    while (longer := _mask_cycle(masks, nv, lo, nv)) is not None:
-        if len(longer) < lo:  # else the window never narrows
-            raise AssertionError(
-                f"kernel returned a {len(longer)}-cycle for lengths {lo}..{nv}"
-            )
-        found, lo = longer, len(longer) + 1
-    return None if found is None else CycleCertificate(tuple(found))
 
 
 # ---------------------------------------------------------------------------

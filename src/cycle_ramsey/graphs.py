@@ -3,12 +3,13 @@
 Vertices are dense 0-indexed integers.  A graph is its vertex count and
 its neighbour masks, the one view every walk reads; equality and hashing
 compare those two, which is equality of edge sets, and isomorphism never
-enters the core semantics.  The edge views are built from the masks the
-first time one is read: `sorted_edges` holds normalized pairs (u, v)
-with u < v in ascending order, and `edges` is their frozenset, so
-neither can hold a duplicate or a reversed copy of an edge.
+enters the core semantics.  A graph has one edge view, `sorted_edges`:
+its normalized pairs (u, v) with u < v in ascending order, so it holds
+no duplicate or reversed copy of an edge.  `Graph(v, edges)` stores it
+as it checks its edges; a graph born from masks builds it from them the
+first time it is read.
 
-Derived views are built once and shared: a graph caches its edge views,
+Derived views are built once and shared: a graph caches its edge view,
 a coloring caches all of its color classes, and a slice that keeps
 every vertex is the object itself.  An induced subgraph and a color
 class are born with their masks alone, so no walk pays for an edge set
@@ -29,10 +30,10 @@ from functools import cached_property
 
 from .errors import (
     ColorOutOfRange,
-    CycleTooShort,
     DuplicateEdge,
     LoopEdge,
     VertexOutOfRange,
+    _require_int,
 )
 
 Edge = tuple[int, int]
@@ -55,8 +56,8 @@ def normalize_edge(u: int, v: int) -> Edge:
 class Graph:
     """A simple undirected graph on vertices 0..vertex_count-1, held as
     its neighbour masks (bit w of `neighbor_masks[v]` is set iff (v, w)
-    is an edge); `Graph(vertex_count, edges)` checks and freezes its
-    normalized edges."""
+    is an edge); `Graph(vertex_count, edges)` checks its normalized
+    edges and keeps them sorted."""
 
     vertex_count: int
     neighbor_masks: tuple[int, ...]
@@ -76,11 +77,13 @@ class Graph:
                 raise VertexOutOfRange(f"edge ({u},{v}) outside vertex range 0..{n - 1}")
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-        self.__dict__.update(vertex_count=n, neighbor_masks=tuple(masks), edges=edges)
+        self.__dict__.update(
+            vertex_count=n, neighbor_masks=tuple(masks), sorted_edges=tuple(sorted(edges))
+        )
 
     @property
     def edge_count(self) -> int:
-        view = self.__dict__.get("sorted_edges", self.__dict__.get("edges"))
+        view = self.__dict__.get("sorted_edges")
         if view is None:
             return sum(map(int.bit_count, self.neighbor_masks)) >> 1
         return len(view)
@@ -98,17 +101,10 @@ class Graph:
                 rest ^= low
         return tuple(edges)
 
-    @cached_property
-    def edges(self) -> frozenset[Edge]:
-        return frozenset(self.sorted_edges)
-
     def degree(self, v: int) -> int:
         if not 0 <= v < self.vertex_count:
             raise VertexOutOfRange(f"vertex {v} not in graph of order {self.vertex_count}")
         return self.neighbor_masks[v].bit_count()
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return normalize_edge(u, v) in self.edges
 
 
 def _masked_graph(
@@ -156,6 +152,8 @@ _COMPLETE: weakref.WeakValueDictionary[int, Graph] = weakref.WeakValueDictionary
 
 def complete_graph(n: int) -> Graph:
     """K_n, the one shared object while anything holds it."""
+    # before the lookup: True == 1 would file a K_1 of order True
+    _require_int("order", n)
     if n < 0:
         raise VertexOutOfRange("order must be non-negative")
     K = _COMPLETE.get(n)
@@ -169,12 +167,6 @@ def complete_graph(n: int) -> Graph:
             tuple(list(itertools.combinations(range(n), 2))),
         )
     return K
-
-
-def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise CycleTooShort(f"cycle length {n} < 3")
-    return Graph(n, frozenset(normalize_edge(i, (i + 1) % n) for i in range(n)))
 
 
 def induced_subgraph(G: Graph, W) -> tuple[Graph, tuple[int, ...]]:
@@ -258,9 +250,6 @@ class EdgeColoring:
         """Edge -> color map covering exactly the edges of the base graph."""
         return dict(zip(self.base.sorted_edges, self.colors))
 
-    def color_of(self, u: int, v: int) -> int:
-        return self.assignment[normalize_edge(u, v)]
-
 
 def make_coloring(base: Graph, color_count: int, assignment) -> EdgeColoring:
     """Build an EdgeColoring from an edge -> color mapping.
@@ -268,21 +257,16 @@ def make_coloring(base: Graph, color_count: int, assignment) -> EdgeColoring:
     The mapping must cover every edge of `base` and nothing else.
     """
     normalized = {normalize_edge(u, v): c for (u, v), c in assignment.items()}
-    extra = set(normalized) - base.edges
+    edges = set(base.sorted_edges)
+    extra = normalized.keys() - edges
     if extra:
         raise VertexOutOfRange(f"colored edges not in graph: {sorted(extra)[:3]}")
-    missing = base.edges - set(normalized)
+    missing = edges - normalized.keys()
     if missing:
         raise ColorOutOfRange(f"uncolored edges: {sorted(missing)[:3]}")
     return EdgeColoring(
         base, color_count, tuple(normalized[e] for e in base.sorted_edges)
     )
-
-
-def constant_coloring(base: Graph, color_count: int = 1, color: int = 1) -> EdgeColoring:
-    if not 1 <= color <= color_count:
-        raise ColorOutOfRange(f"color {color} outside 1..{color_count}")
-    return EdgeColoring(base, color_count, (color,) * base.edge_count)
 
 
 def color_class(col: EdgeColoring, i: int) -> Graph:
@@ -293,13 +277,6 @@ def color_class(col: EdgeColoring, i: int) -> Graph:
         raise ColorOutOfRange(f"color {i} outside 1..{col.color_count}")
     classes = col._classes
     return classes[i] if i in classes else classes[0]
-
-
-def induced_coloring(col: EdgeColoring, W) -> tuple[EdgeColoring, tuple[int, ...]]:
-    """Restrict a coloring to the subgraph induced on W (relabeled); `col`
-    itself when W covers every vertex."""
-    sub, kept = induced_subgraph(col.base, W)
-    return _coloring_on_slice(col, sub, kept), kept
 
 
 def _coloring_on_slice(col: EdgeColoring, sub: Graph, kept) -> EdgeColoring:

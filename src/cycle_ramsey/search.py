@@ -436,6 +436,8 @@ def _validate_budget(budget: int | None) -> None:
 
 
 def _validate_threads(threads: int) -> None:
+    # True == 1.0 == 1, so the type is checked first
+    _require_int("threads", threads)
     if threads != 1:
         raise ParamOutOfRange(f"threads {threads} != 1: the search is sequential")
 

@@ -13,12 +13,45 @@ from collections import deque
 
 from hypothesis import strategies as st
 
-from cycle_ramsey import EdgeColoring, Graph, build_graph, complete_graph
+from cycle_ramsey import EdgeColoring, Graph, build_graph, complete_graph, normalize_edge
+from cycle_ramsey import graphs as graph_module
 from cycle_ramsey.search import _orbit_closure
 
 
 def all_pairs(v: int) -> list[tuple[int, int]]:
     return list(itertools.combinations(range(v), 2))
+
+
+# --------------------------------------------------------------------------
+# small builders
+# --------------------------------------------------------------------------
+
+
+def cycle_graph(n: int) -> Graph:
+    """The cycle 0, 1, .., n-1, built by the checked `Graph(v, edges)`."""
+    return Graph(n, [normalize_edge(i, (i + 1) % n) for i in range(n)])
+
+
+def constant_coloring(base: Graph, color_count: int = 1, color: int = 1) -> EdgeColoring:
+    """Every edge of `base` in `color`, out of `color_count` colours."""
+    return EdgeColoring(base, color_count, (color,) * base.edge_count)
+
+
+def induced_coloring(col: EdgeColoring, W) -> tuple[EdgeColoring, tuple[int, ...]]:
+    """`col` on the subgraph induced on W, relabelled as
+    `induced_subgraph` relabels it; `col` itself when W covers every
+    vertex.  Both helpers are looked up on `graphs` at each call, so a
+    spy patched in there sees this slice too."""
+    sub, kept = graph_module.induced_subgraph(col.base, W)
+    return graph_module._coloring_on_slice(col, sub, kept), kept
+
+
+def edge_pairs(G: Graph) -> set[tuple[int, int]]:
+    """Every edge of G in both orientations, read off `sorted_edges`, so
+    an oracle that asks it about adjacency never reads the masks."""
+    pairs = set(G.sorted_edges)
+    pairs.update((v, u) for u, v in G.sorted_edges)
+    return pairs
 
 
 @st.composite
@@ -157,6 +190,7 @@ def brute_cycle_lengths(G: Graph) -> set[int]:
     """Every length n for which G contains a cycle C_n, by trying all
     vertex subsets and all cyclic orders.  Only sane for <= 8 vertices."""
     found: set[int] = set()
+    adjacent = edge_pairs(G)
     verts = range(G.vertex_count)
     for n in range(3, G.vertex_count + 1):
         hit = False
@@ -166,7 +200,7 @@ def brute_cycle_lengths(G: Graph) -> set[int]:
                 if perm[0] > perm[-1]:
                     continue  # each cycle counted in one direction only
                 cyc = (first,) + perm
-                if all(G.has_edge(cyc[i], cyc[(i + 1) % n]) for i in range(n)):
+                if all((cyc[i], cyc[(i + 1) % n]) in adjacent for i in range(n)):
                     hit = True
                     break
             if hit:
@@ -215,8 +249,9 @@ def plain_dfs_cycle(neigh: list[int], nverts: int, lo: int, hi: int) -> list[int
 
 
 def brute_is_bipartite(G: Graph) -> bool:
-    """Two-colorability by propagating sides per component, asking
-    `has_edge` of every vertex pair."""
+    """Two-colorability by propagating sides per component, asking the
+    edge list about every vertex pair."""
+    adjacent = edge_pairs(G)
     color = [-1] * G.vertex_count
     for root in range(G.vertex_count):
         if color[root] != -1:
@@ -226,7 +261,7 @@ def brute_is_bipartite(G: Graph) -> bool:
         while queue:
             u = queue.pop()
             for w in range(G.vertex_count):
-                if w == u or not G.has_edge(u, w):
+                if (u, w) not in adjacent:
                     continue
                 if color[w] == -1:
                     color[w] = 1 - color[u]

@@ -22,10 +22,11 @@ from cycle_ramsey import (
     bondy_erdos_coloring,
     cli,
     complete_graph,
-    constant_coloring,
     make_coloring,
 )
 from cycle_ramsey.formats import serialize_coloring, serialize_graph
+
+from strategies import constant_coloring
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.txt"
 
@@ -33,7 +34,7 @@ GOLDEN = Path(__file__).parent / "data" / "cli_golden.txt"
 def _k9_with_mono_k6() -> str:
     # colour 1 is a K_6 on 3..8, so the C_5 witness lies above vertex 0
     K9 = complete_graph(9)
-    color = {e: 1 if e[0] >= 3 else 2 for e in K9.edges}
+    color = {e: 1 if e[0] >= 3 else 2 for e in K9.sorted_edges}
     return serialize_coloring(make_coloring(K9, 2, color))
 
 

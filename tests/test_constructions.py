@@ -18,15 +18,15 @@ from cycle_ramsey import (
     build_graph,
     color_class,
     components,
-    constant_coloring,
     complete_graph,
     make_coloring,
     structural_certificate,
     verify_cycle,
     verify_mono_cycle_free,
 )
+from cycle_ramsey.formats import serialize_graph
 
-from strategies import brute_cycle_lengths, colorings
+from strategies import brute_cycle_lengths, colorings, constant_coloring
 
 
 def test_bondy_erdos_rejects_bad_params():
@@ -34,6 +34,28 @@ def test_bondy_erdos_rejects_bad_params():
         bondy_erdos_coloring(1, 5)
     with pytest.raises(InvalidParams):
         bondy_erdos_coloring(2, 3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: complete_graph(True),
+        lambda: complete_graph(3.0),
+        lambda: bondy_erdos_coloring(2.0, 5),
+        lambda: bondy_erdos_coloring(2, 5.0),
+    ],
+    ids=["bool-order", "float-order", "float-colors", "float-length"],
+)
+def test_constructions_refuse_a_non_integer_argument(call):
+    # a bool is refused before the shared K_n is looked up: True == 1
+    # would otherwise file a K_1 whose order is True, which every later
+    # `complete_graph(1)` returns and `serialize_graph` writes as
+    # "graph True"; a float would end in a bare TypeError
+    with pytest.raises(InvalidParams, match="must be an int"):
+        call()
+    K1 = complete_graph(1)
+    assert type(K1.vertex_count) is int and K1.vertex_count == 1
+    assert serialize_graph(K1) == "graph 1\n"
 
 
 def test_bondy_erdos_caps_the_order_at_512():
@@ -68,6 +90,7 @@ def test_bondy_erdos_color_class_structure(k, n):
     assert col.base.vertex_count == (1 << (k - 1)) * m
 
     rep1 = components(color_class(col, 1))
+    ones = set(color_class(col, 1).sorted_edges)
     assert len(rep1.components) == 1 << (k - 1)
     for comp in rep1.components:
         assert len(comp.vertices) == m
@@ -76,7 +99,7 @@ def test_bondy_erdos_color_class_structure(k, n):
             1
             for i, u in enumerate(comp.vertices)
             for v in comp.vertices[i + 1 :]
-            if color_class(col, 1).has_edge(u, v)
+            if (u, v) in ones
         )
         assert sub_edges == m * (m - 1) // 2
 
@@ -96,7 +119,7 @@ def test_bondy_erdos_color_class_structure(k, n):
 def test_structural_certificate_tags_two_five():
     col = bondy_erdos_coloring(2, 5)
     cert = structural_certificate(col, 5)
-    assert cert.all_tagged and not cert.untagged()
+    assert cert.all_tagged
     tags = {(t.color, t.tag) for t in cert.tagged}
     # color-1 cliques have order 4 = n-1: SMALL; color 2 is bipartite
     assert tags == {(1, ComponentTag.SMALL), (2, ComponentTag.BIPARTITE)}
@@ -122,7 +145,7 @@ def test_untagged_component_reported():
     # one triangle colored 1: order 3 > n-1 = 2 and non-bipartite
     cert = structural_certificate(constant_coloring(complete_graph(3)), 3)
     assert not cert.all_tagged
-    assert [t.tag for t in cert.untagged()] == [ComponentTag.UNTAGGED]
+    assert [t.tag for t in cert.tagged] == [ComponentTag.UNTAGGED]
 
 
 @pytest.mark.parametrize("k,n", [(2, 5), (2, 7), (3, 5)])

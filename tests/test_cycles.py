@@ -30,15 +30,11 @@ from cycle_ramsey import (
     color_class,
     complete_graph,
     components,
-    constant_coloring,
-    contains_cycle_of_length,
-    cycle_graph,
     eg_threshold,
     erdos_gallai_sweep,
     even_engine,
     fl_decompose,
     induced_subgraph,
-    longest_cycle,
     max_matching,
     structural_certificate,
     verify_cycle,
@@ -56,6 +52,9 @@ from strategies import (
     brute_cycle_lengths,
     brute_is_bipartite,
     brute_matching_number,
+    constant_coloring,
+    cycle_graph,
+    edge_pairs,
     graphs,
     graphs_of_density,
     plain_dfs_cycle,
@@ -107,7 +106,8 @@ def test_verify_cycle_rejections():
     # vertex 4, a neighbour of 0, and vertex 5 would be past the end
     C5 = cycle_graph(5)
     K5 = complete_graph(5)
-    col = EdgeColoring(K5, 2, tuple(1 if C5.has_edge(*e) else 2 for e in K5.sorted_edges))
+    ring = set(C5.sorted_edges)
+    col = EdgeColoring(K5, 2, tuple(1 if e in ring else 2 for e in K5.sorted_edges))
     for G in (color_class(col, 1), C5):
         assert G == C5
         assert verify_cycle(G, CycleCertificate((0, 1, 2, 3, 4)))
@@ -118,7 +118,7 @@ def test_verify_cycle_rejections():
         assert not verify_cycle(G, CycleCertificate((0, 1, 2, 3, 4, 5)))
         assert not verify_cycle(G, CycleCertificate((4, 0, 9)))
         assert not verify_cycle(G, CycleCertificate((0, 1, 2, 3, -1)))
-    assert "edges" not in color_class(col, 1).__dict__
+    assert "sorted_edges" not in color_class(col, 1).__dict__
 
 
 # --------------------------------------------------------------------------
@@ -290,6 +290,7 @@ def test_component_scan_matches_the_reference_scan_on_large_hosts():
 @settings(max_examples=120)
 def test_components_invariants(G):
     rep = components(G)
+    adjacent = edge_pairs(G)
     assert len(rep.component_id) == G.vertex_count
     covered = [v for c in rep.components for v in c.vertices]
     assert sorted(covered) == list(range(G.vertex_count))
@@ -307,7 +308,7 @@ def test_components_invariants(G):
             for side in (a, b):
                 inside = set(side)
                 assert not any(
-                    G.has_edge(u, v)
+                    (u, v) in adjacent
                     for i, u in enumerate(side)
                     for v in side[i + 1 :]
                     if v in inside
@@ -326,7 +327,7 @@ def test_components_invariants(G):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cycles, "_mask_matching", no_blossom)
         again = [comp.matching for comp in rep.components]
-    fresh = components(Graph(G.vertex_count, G.edges))
+    fresh = components(Graph(G.vertex_count, G.sorted_edges))
     assert fresh == rep
     for comp, twin, other in zip(rep.components, again, fresh.components):
         assert twin is comp.matching
@@ -337,70 +338,35 @@ def test_components_invariants(G):
 @settings(max_examples=60)
 def test_edges_never_cross_components(G):
     rep = components(G)
-    for u, v in G.edges:
+    for u, v in G.sorted_edges:
         assert rep.component_id[u] == rep.component_id[v]
 
 
 # --------------------------------------------------------------------------
-# fixed-length and longest cycle
-
-
-def test_contains_cycle_rejects_short_targets():
-    with pytest.raises(CycleTooShort):
-        contains_cycle_of_length(complete_graph(4), 2)
+# the cycle kernel on whole graphs
 
 
 def test_contains_cycle_on_petersen_girth():
     P = petersen()
-    assert contains_cycle_of_length(P, 3) is None
-    assert contains_cycle_of_length(P, 4) is None
-    cert = contains_cycle_of_length(P, 5)
-    assert cert is not None and cert.length == 5 and verify_cycle(P, cert)
-
-
-def test_longest_cycle_on_petersen_is_nine():
-    P = petersen()
-    cert = longest_cycle(P)
-    assert cert is not None and cert.length == 9
-    assert verify_cycle(P, cert)
-
-
-def test_longest_cycle_none_on_forest():
-    assert longest_cycle(build_graph(5, [(0, 1), (1, 2), (3, 4)])) is None
-    assert longest_cycle(build_graph(3, [])) is None
+    assert _mask_cycle(P.neighbor_masks, 10, 3, 3) is None
+    assert _mask_cycle(P.neighbor_masks, 10, 4, 4) is None
+    found = _mask_cycle(P.neighbor_masks, 10, 5, 5)
+    assert found is not None and len(found) == 5
+    assert verify_cycle(P, CycleCertificate(tuple(found)))
 
 
 @given(graphs(max_vertices=8), st.integers(3, 8))
 @settings(max_examples=150)
 def test_contains_cycle_matches_oracle(G, n):
+    # the exact window [n, n] that the checker and the hunt ask
     truth = brute_cycle_lengths(G)
-    cert = contains_cycle_of_length(G, n)
+    found = _mask_cycle(G.neighbor_masks, G.vertex_count, n, n)
     if n in truth:
-        assert cert is not None
-        assert cert.length == n
-        assert verify_cycle(G, cert)
+        assert found is not None
+        assert len(found) == n
+        assert verify_cycle(G, CycleCertificate(tuple(found)))
     else:
-        assert cert is None
-
-
-@given(graphs(max_vertices=8))
-@settings(max_examples=120)
-def test_longest_cycle_matches_oracle(G):
-    truth = brute_cycle_lengths(G)
-    cert = longest_cycle(G)
-    if truth:
-        assert cert is not None
-        assert cert.length == max(truth)
-        assert verify_cycle(G, cert)
-    else:
-        assert cert is None
-
-
-def test_longest_cycle_refuses_a_kernel_cycle_below_its_window(monkeypatch):
-    # a kernel that ignores its window would pin the search at lo = 4
-    monkeypatch.setattr(cycles, "_mask_cycle", lambda neigh, nv, lo, hi: [0, 1, 2])
-    with pytest.raises(AssertionError, match=r"3-cycle for lengths 4\.\.5"):
-        longest_cycle(complete_graph(5))
+        assert found is None
 
 
 @given(graphs(max_vertices=8), st.integers(3, 8))
@@ -421,12 +387,13 @@ def test_kernel_cycle_at_or_above_a_length(G, lo):
 def brute_cycle_sequences(G):
     """Every cycle of G as a vertex sequence starting at its minimum
     vertex, once per direction, by trying every ordering of every subset."""
+    adjacent = edge_pairs(G)
     found = []
     for size in range(3, G.vertex_count + 1):
         for sub in itertools.combinations(range(G.vertex_count), size):
             for perm in itertools.permutations(sub[1:]):
                 cyc = (sub[0],) + perm
-                if all(G.has_edge(cyc[i - 1], cyc[i]) for i in range(size)):
+                if all((cyc[i - 1], cyc[i]) in adjacent for i in range(size)):
                     found.append(cyc)
     return found
 
@@ -438,11 +405,11 @@ def test_certificates_are_lexicographically_least(G, n):
     # least min-vertex-first sequence.  Hunt trajectories and witness
     # output depend on this choice.
     cycles = brute_cycle_sequences(G)
-    exact = [c for c in cycles if len(c) == n]
-    cert = contains_cycle_of_length(G, n)
-    assert (cert and cert.vertices) == (min(exact) if exact else None)
-    at_least = [c for c in cycles if len(c) >= n]
     v = G.vertex_count
+    exact = [c for c in cycles if len(c) == n]
+    found = _mask_cycle(G.neighbor_masks, v, n, n)
+    assert (found and tuple(found)) == (min(exact) if exact else None)
+    at_least = [c for c in cycles if len(c) >= n]
     found = _mask_cycle(G.neighbor_masks, v, n, v)
     assert (found and tuple(found)) == (min(at_least) if at_least else None)
 
@@ -507,9 +474,10 @@ def first_step_asks(H, s_top: int, short: int, long: int):
     avoiding s and e1, to an end of s above e1.  The last end has none
     above it and is not tried."""
     v = H.vertex_count
+    adjacent = edge_pairs(H)
     asks = []
     for s in range(s_top):
-        ends = [e for e in range(s + 1, v) if H.has_edge(s, e)]
+        ends = [e for e in range(s + 1, v) if (s, e) in adjacent]
         for i, e1 in enumerate(ends[:-1]):
             free = ((1 << v) - 1) & -(1 << s) & ~(1 << s | 1 << e1)
             asks.append((s, (e1, free, sum(1 << e for e in ends[i + 1:]), short, long)))
@@ -608,15 +576,15 @@ def test_checker_witness_is_the_least_cycle_of_the_first_class(col, n):
     witness = verify_mono_cycle_free(col, n)
     for i in range(1, col.color_count + 1):
         Gi = color_class(col, i)
-        cert = contains_cycle_of_length(Gi, n)
-        if cert is not None:
+        found = _mask_cycle(Gi.neighbor_masks, Gi.vertex_count, n, n)
+        if found is not None:
             break
     else:
         assert witness is True
         return
-    assert (witness.color, witness.cycle) == (i, cert)
+    assert (witness.color, witness.cycle) == (i, CycleCertificate(tuple(found)))
     rep = components(Gi)
-    assert witness.component == rep.components[rep.component_id[cert.vertices[0]]].vertices
+    assert witness.component == rep.components[rep.component_id[found[0]]].vertices
 
 
 def test_checker_witness_ignores_the_component_order():
@@ -636,14 +604,15 @@ def brute_path_ends(G, length: int) -> set[tuple[int, int]]:
     """Every ordered (a, b) joined by a simple path of exactly `length`
     edges, from the permutations of its length - 1 interior vertices."""
     v = G.vertex_count
+    adjacent = edge_pairs(G)
     ends = set()
     for inner in itertools.permutations(range(v), length - 1):
-        if not all(G.has_edge(p, q) for p, q in zip(inner, inner[1:])):
+        if not all(pq in adjacent for pq in zip(inner, inner[1:])):
             continue
         rest = [w for w in range(v) if w not in inner]
         for a, b in itertools.permutations(rest, 2):
-            if (G.has_edge(a, b) if not inner else
-                    G.has_edge(a, inner[0]) and G.has_edge(inner[-1], b)):
+            if ((a, b) in adjacent if not inner else
+                    (a, inner[0]) in adjacent and (inner[-1], b) in adjacent):
                 ends.add((a, b))
     return ends
 
@@ -664,11 +633,12 @@ def brute_least_tails(G, cur: int, free: set[int], ends: set[int], longest: int)
     path cur, w_1..w_t inside `free` with w_t in `ends`, or None: the
     first hit among the permutations of t free vertices, which come in
     lexicographic order."""
+    adjacent = edge_pairs(G)
     least = dict.fromkeys(range(1, longest + 1))
     for t in least:
         for walk in itertools.permutations(sorted(free), t):
             if walk[-1] in ends and all(
-                G.has_edge(p, q) for p, q in zip((cur,) + walk, walk)
+                pq in adjacent for pq in zip((cur,) + walk, walk)
             ):
                 least[t] = list(walk)
                 break
@@ -706,14 +676,12 @@ def test_least_tail_matches_path_oracle(G, data):
 
 def test_cycles_at_the_vertex_cap():
     # A window as long as the graph walks one vertex per helper level,
-    # about _MAX_ORDER frames deep, for the exact window and for the
-    # range windows of `longest_cycle` and of even_engine's `lo..v`.
+    # about _MAX_ORDER frames deep, for the exact window, the widest
+    # range window and a range window like even_engine's `lo..v`.
     ring = cycle_graph(_MAX_ORDER)
-    whole = tuple(range(_MAX_ORDER))
-    assert contains_cycle_of_length(ring, _MAX_ORDER).vertices == whole
-    assert longest_cycle(ring).vertices == whole
-    found = _mask_cycle(ring.neighbor_masks, _MAX_ORDER, _MAX_ORDER - 10, _MAX_ORDER)
-    assert tuple(found) == whole
+    whole = list(range(_MAX_ORDER))
+    for lo in (_MAX_ORDER, 3, _MAX_ORDER - 10):
+        assert _mask_cycle(ring.neighbor_masks, _MAX_ORDER, lo, _MAX_ORDER) == whole, lo
 
 
 # --------------------------------------------------------------------------

@@ -17,14 +17,13 @@ from cycle_ramsey import (
     build_graph,
     check_decomposition,
     complete_graph,
-    cycle_graph,
     fl_decompose,
     induced_subgraph,
     matching_threshold,
     min_degree_peel,
 )
 
-from strategies import graphs, graphs_of_density
+from strategies import edge_pairs, graphs, graphs_of_density
 
 
 def test_matching_threshold_is_ceiling_of_half():
@@ -88,7 +87,7 @@ def test_decompose_random_invariants(G, n):
     assert s1 | s2 | s3 == set(range(G.vertex_count))
     # (A) no edge between the bipartite union and the sparse part
     # (B) the bipartite union really is bipartite with parts (V1, V2)
-    for u, v in G.edges:
+    for u, v in G.sorted_edges:
         in1_u, in1_v = u in s3, v in s3
         assert in1_u == in1_v
         if not in1_u:
@@ -163,9 +162,9 @@ def test_check_decomposition_matches_the_edge_audit(G, data):
     s1, s2, s3 = (set(data.draw(st.lists(label, max_size=6))) for _ in range(3))
     dec = FLDecomposition(tuple(s1), tuple(s2), tuple(s3), False, 0, Fraction(0))
     bip = s1 | s2
-    a_ok = all((u in bip) == (v in bip) for u, v in G.edges)
+    a_ok = all((u in bip) == (v in bip) for u, v in G.sorted_edges)
     b_ok = not any(
-        u in bip and v in bip and (u in s1) == (v in s1) for u, v in G.edges
+        u in bip and v in bip and (u in s1) == (v in s1) for u, v in G.sorted_edges
     )
     chk = check_decomposition(G, 3, dec)
     assert (chk.condition_a_ok, chk.condition_b_ok) == (a_ok, b_ok)
@@ -215,10 +214,9 @@ def assert_peel_follows_reference(G, target, res):
     assert removed.isdisjoint(res.kept)
     assert removed | set(res.kept) == set(range(G.vertex_count))
     alive = set(range(G.vertex_count))
+    adjacent = edge_pairs(G)
     for victim, deg in res.removals:
-        live_deg = {
-            v: sum(1 for w in alive if w != v and G.has_edge(v, w)) for v in alive
-        }
+        live_deg = {v: sum(1 for w in alive if (v, w) in adjacent) for v in alive}
         assert live_deg[victim] == deg
         best = min(alive, key=lambda v: (live_deg[v], v))
         assert victim == best

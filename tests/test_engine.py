@@ -37,10 +37,8 @@ from cycle_ramsey import (
     color_class,
     complete_graph,
     components,
-    constant_coloring,
     even_engine,
     fl_decompose,
-    induced_coloring,
     lemma4_execute,
     lemma4_inequality_check,
     make_coloring,
@@ -60,7 +58,7 @@ from cycle_ramsey.formats import (
     to_jsonable,
 )
 
-from strategies import colorings
+from strategies import colorings, constant_coloring, induced_coloring
 
 DATA = Path(__file__).parent / "data"
 

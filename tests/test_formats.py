@@ -24,8 +24,6 @@ from cycle_ramsey import (
     bondy_erdos_coloring,
     build_graph,
     complete_graph,
-    constant_coloring,
-    cycle_graph,
     even_engine,
     fl_decompose,
     lemma4_execute,
@@ -56,7 +54,7 @@ from cycle_ramsey.formats import (
 )
 from cycle_ramsey.graphs import _MAX_COLORS, _MAX_ORDER
 
-from strategies import colorings, graphs
+from strategies import colorings, constant_coloring, cycle_graph, graphs
 
 
 # --------------------------------------------------------------------------
@@ -162,7 +160,7 @@ def test_serializers_match_per_edge_formatting(col):
 def test_parsers_accept_any_edge_order_and_orientation():
     text = "coloring 3 2\ne 2 1 2\ne 0 1 1\n"
     col = parse_coloring(text)
-    assert col.color_of(1, 2) == 2 and col.color_of(0, 1) == 1
+    assert col.assignment == {(0, 1): 1, (1, 2): 2}
     # re-emission is canonical regardless of input order
     assert serialize_coloring(col) == "coloring 3 2\ne 0 1 1\ne 1 2 2\n"
 
@@ -457,7 +455,7 @@ def test_parsing_is_order_independent_and_seeds_sorted_edges(col, rnd, shuffle):
     assert parsed == col and G == col.base
     for base in (parsed.base, G):
         assert "sorted_edges" in base.__dict__  # seeded by the parser
-        assert base.sorted_edges == tuple(sorted(base.edges))
+        assert base.sorted_edges == tuple(sorted(set(base.sorted_edges)))
     assert dict(zip(parsed.base.sorted_edges, parsed.colors)) == col.assignment
     canonical, canonical_graph = serialize_coloring(col), serialize_graph(col.base)
     assert serialize_coloring(parsed) == canonical
@@ -598,7 +596,7 @@ def test_serialized_files_skip_the_line_parser(monkeypatch):
 
     monkeypatch.setattr(formats, "_edge_file", counted)
     C5 = cycle_graph(5)
-    col5 = make_coloring(C5, 2, {e: 1 + e[0] % 2 for e in C5.edges})
+    col5 = make_coloring(C5, 2, {e: 1 + e[0] % 2 for e in C5.sorted_edges})
     assert parse_coloring(serialize_coloring(col5)) == col5
     assert parse_graph(serialize_graph(C5)) == C5
     assert ran == [True, False]

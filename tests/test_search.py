@@ -734,11 +734,13 @@ def test_negative_budgets_are_rejected(call):
         lambda: ramsey_check(2, 5, 9.0),
         lambda: resume_search(2, 5, 9, [(1.0,)]),
         lambda: lower_bound_witness_search(3, 6, 9, budget=2.5),
+        lambda: ramsey_check(2, 5, 8, threads=True),
+        lambda: ramsey_check(2, 5, 8, threads=1.0),
     ],
     ids=[
         "float-length", "bool-order", "bool-colors", "float-budget",
         "bool-prefix-color", "float-colors", "float-order", "float-prefix-color",
-        "hunt-float-budget",
+        "hunt-float-budget", "bool-threads", "float-threads",
     ],
 )
 def test_search_refuses_a_non_integer_argument(monkeypatch, call):
